@@ -4,24 +4,28 @@
 // PEPA-net state-space derivation: parallel transitions between the same
 // pair of states accumulate, and the diagonal holds the negated exit rates.
 //
-// build_from() folds any contiguous transition-like records (anything
-// exposing .source, .target and .rate — in particular the payload of an
-// explore::TransitionSystem) directly into the matrix triplets, so building
-// the generator of a derived state space needs no intermediate copy of the
-// transition vector.
+// Every generator is assembled by one serial, row-wise pass (assemble()):
+// the transitions are validated in input order, bucketed by source with a
+// stable counting sort (skipped when they already arrive grouped by source,
+// as derived spaces do), and each row is merged by CsrBuilder with its
+// diagonal written in place as the negated exit sum in input order.  Q^T is
+// a counting transpose of Q.  build_from() reads any contiguous
+// transition-like records (anything exposing .source, .target and .rate —
+// in particular the payload of an explore::TransitionSystem) in place, so
+// building the generator of a derived state space needs no intermediate
+// copy of the transition vector; its rate-span overload takes the rates
+// from a separate array instead, which is how a sweep point's rates are
+// assembled over the shared structure.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <exception>
-#include <future>
 #include <span>
 #include <vector>
 
 #include "ctmc/sparse.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace choreo::ctmc {
 
@@ -38,18 +42,24 @@ class Generator {
 
   /// Builds the generator of a CTMC with `state_count` states from rated
   /// transitions.  Self-loops are dropped (they do not affect the CTMC).
-  /// Throws util::ModelError on non-positive rates.  Large inputs grouped by
-  /// source (the order state-space derivation emits) are folded in parallel
-  /// over source-aligned chunks, bit-identical to the sequential fold.
+  /// Throws util::ModelError naming the first transition, in input order,
+  /// whose rate is not positive and finite.
   static Generator build(std::size_t state_count,
                          const std::vector<RatedTransition>& transitions);
 
-  /// Same fold over any transition-like records (.source/.target/.rate),
+  /// Same assembly over any transition-like records (.source/.target/.rate),
   /// e.g. the payload of a derived explore::TransitionSystem, without
   /// copying into RatedTransition first.
   template <typename Transition>
   static Generator build_from(std::size_t state_count,
                               std::span<const Transition> transitions);
+
+  /// Same, except that transition i's rate is rates[i] rather than its own
+  /// .rate: one rate payload over a shared structure.
+  template <typename Transition>
+  static Generator build_from(std::size_t state_count,
+                              std::span<const Transition> transitions,
+                              std::span<const double> rates);
 
   std::size_t state_count() const noexcept { return matrix_.size(); }
   const CsrMatrix& matrix() const noexcept { return matrix_; }
@@ -70,112 +80,74 @@ class Generator {
   void validate(double tolerance = 1e-9) const;
 
  private:
+  template <typename Transition, typename RateOf>
+  static Generator assemble(std::size_t state_count,
+                            std::span<const Transition> transitions,
+                            RateOf rate_of);
+
   CsrMatrix matrix_;
   CsrMatrix transposed_;
   double max_exit_rate_ = 0.0;
 };
 
-namespace detail {
-
-/// Validates one transition; appends its off-diagonal triplet and folds its
-/// rate into the source's exit sum.
-template <typename Transition>
-void fold_transition(const Transition& t, std::size_t state_count,
-                     std::vector<Triplet>& triplets, std::vector<double>& exit) {
-  CHOREO_ASSERT(t.source < state_count && t.target < state_count);
-  if (!(t.rate > 0.0) || !std::isfinite(t.rate)) {
-    throw util::ModelError(util::msg("transition ", t.source, " -> ", t.target,
-                                     " has non-positive rate ", t.rate));
-  }
-  if (t.source == t.target) return;
-  triplets.push_back({t.source, t.target, t.rate});
-  exit[t.source] += t.rate;
-}
-
-}  // namespace detail
-
 template <typename Transition>
 Generator Generator::build_from(std::size_t state_count,
                                 std::span<const Transition> transitions) {
-  const std::size_t m = transitions.size();
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  // The parallel path needs the transitions grouped by source (state-space
-  // derivation emits them that way): chunk boundaries are then aligned to
-  // source boundaries, so each state's exit rate is summed by exactly one
-  // lane in input order and the floating-point results match the sequential
-  // fold bit for bit.
-  const bool sorted_by_source =
-      std::is_sorted(transitions.begin(), transitions.end(),
-                     [](const Transition& a, const Transition& b) {
-                       return a.source < b.source;
-                     });
-  const std::size_t lanes = pool.worker_count() + 1;
-  const bool parallel =
-      pool.worker_count() > 0 && sorted_by_source && m >= (1u << 15);
+  return assemble(state_count, transitions,
+                  [&](std::size_t i) { return transitions[i].rate; });
+}
 
-  std::vector<Triplet> triplets;
-  std::vector<double> exit(state_count, 0.0);
-  if (!parallel) {
-    triplets.reserve(m * 2);
-    for (const Transition& t : transitions) {
-      detail::fold_transition(t, state_count, triplets, exit);
-    }
-  } else {
-    // Source-aligned chunk bounds: advance each natural bound until the
-    // source changes, so no state straddles two chunks.
-    std::vector<std::size_t> bounds(lanes + 1, m);
-    bounds[0] = 0;
-    for (std::size_t c = 1; c < lanes; ++c) {
-      std::size_t b = std::max(m * c / lanes, bounds[c - 1]);
-      while (b < m && b > 0 &&
-             transitions[b].source == transitions[b - 1].source) {
-        ++b;
-      }
-      bounds[c] = b;
-    }
+template <typename Transition>
+Generator Generator::build_from(std::size_t state_count,
+                                std::span<const Transition> transitions,
+                                std::span<const double> rates) {
+  CHOREO_ASSERT(rates.size() == transitions.size());
+  return assemble(state_count, transitions,
+                  [&](std::size_t i) { return rates[i]; });
+}
 
-    // Each lane folds its chunk into private triplets (concatenated in
-    // chunk = input order below) and disjoint exit entries; a lane stops at
-    // its first bad transition, and the earliest one in input order is
-    // rethrown — exactly the transition the sequential fold rejects first.
-    std::vector<std::vector<Triplet>> parts(lanes);
-    std::vector<std::exception_ptr> errors(lanes);
-    auto fold_chunk = [&](std::size_t lane) {
-      parts[lane].reserve(bounds[lane + 1] - bounds[lane]);
-      for (std::size_t i = bounds[lane]; i < bounds[lane + 1]; ++i) {
-        try {
-          detail::fold_transition(transitions[i], state_count, parts[lane],
-                                  exit);
-        } catch (...) {
-          errors[lane] = std::current_exception();
-          break;
-        }
-      }
-    };
-    std::vector<std::future<void>> pending;
-    pending.reserve(lanes - 1);
-    for (std::size_t lane = 1; lane < lanes; ++lane) {
-      pending.push_back(pool.submit([&, lane] { fold_chunk(lane); }));
-    }
-    fold_chunk(0);
-    for (std::future<void>& f : pending) f.get();
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (errors[lane]) std::rethrow_exception(errors[lane]);
-    }
-    triplets.reserve(m * 2);
-    for (std::vector<Triplet>& part : parts) {
-      triplets.insert(triplets.end(), part.begin(), part.end());
+template <typename Transition, typename RateOf>
+Generator Generator::assemble(std::size_t state_count,
+                              std::span<const Transition> transitions,
+                              RateOf rate_of) {
+  // Validate in input order, so the transition reported is the first bad
+  // one in the caller's order.
+  for (std::size_t i = 0; i < transitions.size(); ++i) {
+    const Transition& t = transitions[i];
+    CHOREO_ASSERT(t.source < state_count && t.target < state_count);
+    const double rate = rate_of(i);
+    if (!(rate > 0.0) || !std::isfinite(rate)) {
+      throw util::ModelError(util::msg("transition ", t.source, " -> ",
+                                       t.target, " has non-positive rate ",
+                                       rate));
     }
   }
+  const RowBuckets sources(state_count, transitions.size(), [&](std::size_t i) {
+    return transitions[i].source;
+  });
+
+  CsrBuilder rows(state_count, transitions.size() + state_count);
+  double max_exit = 0.0;
   for (std::size_t s = 0; s < state_count; ++s) {
-    if (exit[s] > 0.0) triplets.push_back({s, s, -exit[s]});
+    double exit = 0.0;
+    for (std::size_t k = sources.begin(s); k < sources.end(s); ++k) {
+      const std::size_t i = sources.at(k);
+      const Transition& t = transitions[i];
+      if (t.target == s) continue;  // a self-loop does not change the CTMC
+      const double rate = rate_of(i);
+      rows.add(t.target, rate);
+      exit += rate;
+    }
+    // Self-loops are skipped, so the diagonal has its column to itself.
+    if (exit > 0.0) rows.add(s, -exit);
+    rows.finish_row();
+    max_exit = std::max(max_exit, exit);
   }
 
   Generator generator;
-  generator.matrix_ = CsrMatrix::from_triplets(state_count, std::move(triplets));
+  generator.matrix_ = rows.finish();
   generator.transposed_ = generator.matrix_.transposed();
-  generator.max_exit_rate_ =
-      exit.empty() ? 0.0 : *std::max_element(exit.begin(), exit.end());
+  generator.max_exit_rate_ = max_exit;
   return generator;
 }
 

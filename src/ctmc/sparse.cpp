@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "util/error.hpp"
-#include "util/parallel_sort.hpp"
 #include "util/thread_pool.hpp"
 
 namespace choreo::ctmc {
@@ -13,92 +12,48 @@ CsrMatrix CsrMatrix::from_triplets(std::size_t n, std::vector<Triplet> triplets)
   for (const Triplet& t : triplets) {
     CHOREO_ASSERT(t.row < n && t.col < n);
   }
-  const std::size_t m = triplets.size();
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  // Below this the fork/join overhead dominates the assembly passes.
-  const bool parallel = pool.worker_count() > 0 && m >= (1u << 15);
-
-  // Sort a permutation of the triplets by (row, col, original index).  The
-  // index tie-break makes the order total, so the sorted permutation is
-  // unique: duplicates are summed in insertion order whatever sort runs, and
-  // the parallel and sequential assemblies agree to the last bit.
-  std::vector<std::size_t> order(m);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  auto by_coordinate = [&](std::size_t a, std::size_t b) {
-    const Triplet& ta = triplets[a];
-    const Triplet& tb = triplets[b];
-    if (ta.row != tb.row) return ta.row < tb.row;
-    if (ta.col != tb.col) return ta.col < tb.col;
-    return a < b;
-  };
-  if (parallel) {
-    util::parallel_sort(order.begin(), order.end(), by_coordinate, pool);
-  } else {
-    std::sort(order.begin(), order.end(), by_coordinate);
-  }
-
-  // Triplet range of each row within the sorted permutation.
-  std::vector<std::size_t> trip_ptr(n + 1, 0);
-  for (const Triplet& t : triplets) ++trip_ptr[t.row + 1];
-  std::partial_sum(trip_ptr.begin(), trip_ptr.end(), trip_ptr.begin());
-
-  CsrMatrix matrix;
-  matrix.row_ptr_.assign(n + 1, 0);
-
-  // Pass one (row-chunked): unique nonzero entries per row.  Each row is
-  // compressed by exactly one lane, so chunking cannot change any sum.
-  auto count_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t row = begin; row < end; ++row) {
-      std::size_t k = trip_ptr[row];
-      std::size_t unique = 0;
-      while (k < trip_ptr[row + 1]) {
-        const std::size_t col = triplets[order[k]].col;
-        double value = 0.0;
-        while (k < trip_ptr[row + 1] && triplets[order[k]].col == col) {
-          value += triplets[order[k]].value;
-          ++k;
-        }
-        if (value != 0.0) ++unique;
-      }
-      matrix.row_ptr_[row + 1] = unique;
+  const RowBuckets rows(n, triplets.size(),
+                        [&](std::size_t i) { return triplets[i].row; });
+  CsrBuilder builder(n, triplets.size());
+  for (std::size_t row = 0; row < n; ++row) {
+    for (std::size_t k = rows.begin(row); k < rows.end(row); ++k) {
+      const Triplet& t = triplets[rows.at(k)];
+      builder.add(t.col, t.value);
     }
-  };
-  if (parallel) {
-    pool.parallel_for(n, count_rows);
-  } else {
-    count_rows(0, n);
+    builder.finish_row();
   }
-  std::partial_sum(matrix.row_ptr_.begin(), matrix.row_ptr_.end(),
-                   matrix.row_ptr_.begin());
+  return builder.finish();
+}
 
-  // Pass two (row-chunked): write each row's entries at its offset.
-  matrix.col_.resize(matrix.row_ptr_[n]);
-  matrix.values_.resize(matrix.row_ptr_[n]);
-  auto fill_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t row = begin; row < end; ++row) {
-      std::size_t k = trip_ptr[row];
-      std::size_t out = matrix.row_ptr_[row];
-      while (k < trip_ptr[row + 1]) {
-        const std::size_t col = triplets[order[k]].col;
-        double value = 0.0;
-        while (k < trip_ptr[row + 1] && triplets[order[k]].col == col) {
-          value += triplets[order[k]].value;
-          ++k;
-        }
-        if (value != 0.0) {
-          matrix.col_[out] = col;
-          matrix.values_[out] = value;
-          ++out;
-        }
-      }
+CsrBuilder::CsrBuilder(std::size_t rows, std::size_t capacity) : rows_(rows) {
+  matrix_.row_ptr_.reserve(rows + 1);
+  matrix_.row_ptr_.push_back(0);
+  matrix_.col_.reserve(capacity);
+  matrix_.values_.reserve(capacity);
+}
+
+void CsrBuilder::finish_row() {
+  // (column, input position) is a total order, so the sorted row and every
+  // sum below are unique: duplicates always add up in input order.
+  std::sort(row_.begin(), row_.end(), [](const Entry& a, const Entry& b) {
+    return a.col != b.col ? a.col < b.col : a.position < b.position;
+  });
+  for (std::size_t k = 0; k < row_.size();) {
+    const std::size_t col = row_[k].col;
+    double value = 0.0;
+    for (; k < row_.size() && row_[k].col == col; ++k) value += row_[k].value;
+    if (value != 0.0) {
+      matrix_.col_.push_back(col);
+      matrix_.values_.push_back(value);
     }
-  };
-  if (parallel) {
-    pool.parallel_for(n, fill_rows);
-  } else {
-    fill_rows(0, n);
   }
-  return matrix;
+  matrix_.row_ptr_.push_back(matrix_.col_.size());
+  row_.clear();
+}
+
+CsrMatrix CsrBuilder::finish() {
+  CHOREO_ASSERT(matrix_.row_ptr_.size() == rows_ + 1);
+  return std::move(matrix_);
 }
 
 std::span<const std::size_t> CsrMatrix::row_columns(std::size_t row) const {
@@ -120,16 +75,24 @@ double CsrMatrix::at(std::size_t row, std::size_t col) const {
 
 CsrMatrix CsrMatrix::transposed() const {
   const std::size_t n = size();
-  std::vector<Triplet> triplets;
-  triplets.reserve(nonzeros());
+  CsrMatrix out;
+  out.row_ptr_.assign(n + 1, 0);
+  for (const std::size_t col : col_) ++out.row_ptr_[col + 1];
+  std::partial_sum(out.row_ptr_.begin(), out.row_ptr_.end(),
+                   out.row_ptr_.begin());
+  out.col_.resize(nonzeros());
+  out.values_.resize(nonzeros());
+  // Rows are scattered in increasing order, so each transposed row lists
+  // its columns in order without a sort.
+  std::vector<std::size_t> cursor(out.row_ptr_.begin(), out.row_ptr_.end() - 1);
   for (std::size_t row = 0; row < n; ++row) {
-    const auto columns = row_columns(row);
-    const auto values = row_values(row);
-    for (std::size_t k = 0; k < columns.size(); ++k) {
-      triplets.push_back({columns[k], row, values[k]});
+    for (std::size_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
+      const std::size_t slot = cursor[col_[k]]++;
+      out.col_[slot] = row;
+      out.values_[slot] = values_[k];
     }
   }
-  return from_triplets(n, std::move(triplets));
+  return out;
 }
 
 void CsrMatrix::multiply(std::span<const double> x, std::span<double> y,

@@ -1,5 +1,6 @@
 #include "sweep/rebind.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <unordered_set>
@@ -273,92 +274,134 @@ pepa::Rate RateRebinder::Point::prefix_rate(
   return node.rate;
 }
 
-const std::vector<RatedMove>& RateRebinder::Point::moves(pepa::ProcessId base) {
-  if (const auto it = moves_.find(base); it != moves_.end()) return it->second;
-  std::vector<RatedMove> computed = compute_moves(base);
-  return moves_.emplace(base, std::move(computed)).first->second;
+RateRebinder::Point::NodeMemo& RateRebinder::Point::memo(
+    pepa::ProcessId base) {
+  if (base >= nodes_.size()) {
+    nodes_.resize(std::max<std::size_t>(base + 1,
+                                        owner_.model_.arena().node_count()));
+  }
+  return nodes_[base];
+}
+
+std::span<const RatedMove> RateRebinder::Point::moves(pepa::ProcessId base) {
+  const Range range = move_range(base);
+  return std::span<const RatedMove>(moves_).subspan(range.begin, range.size());
+}
+
+RateRebinder::Point::Range RateRebinder::Point::move_range(
+    pepa::ProcessId base) {
+  if (const Range hit = memo(base).moves; hit.begin != kNone) return hit;
+  const Range computed = compute_moves(base);
+  memo(base).moves = computed;  // re-fetched: the walk may grow nodes_
+  return computed;
 }
 
 pepa::Rate RateRebinder::Point::apparent(pepa::ProcessId base,
                                          pepa::ActionId action) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(base) << 32) | action;
-  if (const auto it = apparent_.find(key); it != apparent_.end()) {
-    return it->second;
+  for (std::uint32_t e = memo(base).apparent; e != kNone;
+       e = apparent_[e].next) {
+    if (apparent_[e].action == action) return apparent_[e].rate;
   }
   const pepa::Rate rate = compute_apparent(base, action);
-  apparent_.emplace(key, rate);
+  NodeMemo& slot = memo(base);
+  CHOREO_ASSERT(apparent_.size() < kNone);
+  apparent_.push_back({rate, action, slot.apparent});
+  slot.apparent = static_cast<std::uint32_t>(apparent_.size() - 1);
   return rate;
+}
+
+void RateRebinder::Point::reserve_moves(std::size_t extra) {
+  const std::size_t needed = moves_.size() + extra;
+  if (needed > moves_.capacity()) {
+    moves_.reserve(std::max(needed, 2 * moves_.capacity()));
+  }
+}
+
+std::uint32_t RateRebinder::Point::moves_end() const {
+  CHOREO_ASSERT(moves_.size() < kNone);
+  return static_cast<std::uint32_t>(moves_.size());
 }
 
 // The two compute_ walks mirror Semantics::compute_derivatives and
 // Semantics::compute_apparent case for case — same recursion, same emission
 // order, same multiplicities — except that no derivative target is ever
-// built and swept prefix rates take this point's values.  Guardedness is
-// not re-checked: the base derivation already walked (and validated) every
-// recursion this walk can reach.
-std::vector<RatedMove> RateRebinder::Point::compute_moves(
+// built and swept prefix rates take this point's values.  A node's moves
+// are appended to the buffer after its operands' ranges are complete, and
+// moves are copied by value and index, since appending may reallocate.
+// Guardedness is not re-checked: the base derivation already walked (and
+// validated) every recursion this walk can reach.
+RateRebinder::Point::Range RateRebinder::Point::compute_moves(
     pepa::ProcessId base) {
   const pepa::ProcessArena& arena = owner_.model_.arena();
   const pepa::ProcessNode& node = arena.node(base);  // arena never grows here
-  std::vector<RatedMove> out;
   switch (node.op) {
     case pepa::Op::kStop:
-      return out;
-    case pepa::Op::kPrefix:
-      out.push_back({node.action, prefix_rate(base, node)});
-      return out;
+      return {0, 0};
+    case pepa::Op::kPrefix: {
+      const std::uint32_t begin = moves_end();
+      moves_.push_back({node.action, prefix_rate(base, node)});
+      return {begin, moves_end()};
+    }
     case pepa::Op::kChoice: {
-      // Copies: computing the right list may rehash the memo under a
-      // reference obtained for the left list.
-      const std::vector<RatedMove> left = moves(node.left);
-      const std::vector<RatedMove> right = moves(node.right);
-      out = left;
-      out.insert(out.end(), right.begin(), right.end());
-      return out;
+      const Range left = move_range(node.left);
+      const Range right = move_range(node.right);
+      const std::uint32_t begin = moves_end();
+      reserve_moves(left.size() + right.size());
+      for (std::uint32_t k = left.begin; k < left.end; ++k) {
+        moves_.push_back(moves_[k]);
+      }
+      for (std::uint32_t k = right.begin; k < right.end; ++k) {
+        moves_.push_back(moves_[k]);
+      }
+      return {begin, moves_end()};
     }
     case pepa::Op::kHiding: {
-      const std::vector<RatedMove> inner = moves(node.left);
-      out.reserve(inner.size());
-      for (const RatedMove& move : inner) {
-        const pepa::ActionId action =
-            pepa::set_contains(node.action_set, move.action) ? pepa::kTau
-                                                             : move.action;
-        out.push_back({action, move.rate});
+      const Range inner = move_range(node.left);
+      const std::uint32_t begin = moves_end();
+      reserve_moves(inner.size());
+      for (std::uint32_t k = inner.begin; k < inner.end; ++k) {
+        RatedMove move = moves_[k];
+        if (pepa::set_contains(node.action_set, move.action)) {
+          move.action = pepa::kTau;
+        }
+        moves_.push_back(move);
       }
-      return out;
+      return {begin, moves_end()};
     }
     case pepa::Op::kCooperation: {
-      const std::vector<RatedMove> left = moves(node.left);
-      const std::vector<RatedMove> right = moves(node.right);
-      for (const RatedMove& move : left) {
-        if (pepa::set_contains(node.action_set, move.action)) continue;
-        out.push_back(move);
+      const Range left = move_range(node.left);
+      const Range right = move_range(node.right);
+      const std::uint32_t begin = moves_end();
+      reserve_moves(left.size() + right.size());
+      for (std::uint32_t k = left.begin; k < left.end; ++k) {
+        if (pepa::set_contains(node.action_set, moves_[k].action)) continue;
+        moves_.push_back(moves_[k]);
       }
-      for (const RatedMove& move : right) {
-        if (pepa::set_contains(node.action_set, move.action)) continue;
-        out.push_back(move);
+      for (std::uint32_t k = right.begin; k < right.end; ++k) {
+        if (pepa::set_contains(node.action_set, moves_[k].action)) continue;
+        moves_.push_back(moves_[k]);
       }
       for (const pepa::ActionId shared : node.action_set) {
         const pepa::Rate apparent_left = apparent(node.left, shared);
         const pepa::Rate apparent_right = apparent(node.right, shared);
         if (apparent_left.is_zero() || apparent_right.is_zero()) continue;
-        for (const RatedMove& dl : left) {
-          if (dl.action != shared) continue;
-          for (const RatedMove& dr : right) {
-            if (dr.action != shared) continue;
-            out.push_back({shared, pepa::cooperation_rate(
-                                       dl.rate, apparent_left, dr.rate,
-                                       apparent_right,
-                                       arena.action_name(shared))});
+        for (std::uint32_t l = left.begin; l < left.end; ++l) {
+          if (moves_[l].action != shared) continue;
+          for (std::uint32_t r = right.begin; r < right.end; ++r) {
+            if (moves_[r].action != shared) continue;
+            const pepa::Rate rate = pepa::cooperation_rate(
+                moves_[l].rate, apparent_left, moves_[r].rate, apparent_right,
+                arena.action_name(shared));
+            moves_.push_back({shared, rate});
           }
         }
       }
-      return out;
+      return {begin, moves_end()};
     }
     case pepa::Op::kConstant:
-      return moves(arena.body(node.constant));
+      return move_range(arena.body(node.constant));
   }
-  return out;
+  return {0, 0};
 }
 
 pepa::Rate RateRebinder::Point::compute_apparent(pepa::ProcessId base,

@@ -21,7 +21,10 @@
 //     same syntax-directed recursion that derived the base space, the moves
 //     of a state align one-to-one (same order, same multiplicity) with the
 //     base state's transition row; the sweep runner overwrites just the
-//     rates of the derived transition system (runner.cpp).
+//     rates of the derived transition system (runner.cpp).  The walk's
+//     memo is flat: every node's moves are a [begin, end) range of one
+//     buffer, a constant shares its body's range, and apparent rates are
+//     kept only for the (node, action) pairs the walk asks for.
 //
 //   * Point::term() additionally offers a full structural remap — fresh
 //     terms with substituted rates, affected constants freshly declared per
@@ -86,16 +89,19 @@ class RateRebinder {
   std::uint64_t rate_fingerprint(std::span<const double> values) const;
 
   /// One sweep point's remapping context.  Not thread-safe; create one per
-  /// evaluation task.  Memoises term and constant mappings so shared
-  /// subterms are remapped once.
+  /// evaluation task.  Memoises each base node's moves as a [begin, end)
+  /// range of one flat move buffer (a constant aliases its body's range),
+  /// the apparent rates of the (node, action) pairs the walk reaches, and
+  /// the term and constant mappings, so shared subterms are visited once.
   class Point {
    public:
     /// The moves of a base term with this point's values substituted — the
     /// rate payload of Semantics::derivatives(base) recomputed arithmetically
-    /// over the base DAG, without interning any term.  Only call after the
-    /// base model has been derived (derivation validates guardedness; this
-    /// walk repeats its recursion without re-checking).
-    const std::vector<RatedMove>& moves(pepa::ProcessId base);
+    /// over the base DAG, without interning any term.  The span stays valid
+    /// until the next moves() call on this point.  Only call after the base
+    /// model has been derived (derivation validates guardedness; this walk
+    /// repeats its recursion without re-checking).
+    std::span<const RatedMove> moves(pepa::ProcessId base);
     /// Apparent rate of `action` in a base term at this point's values.
     pepa::Rate apparent(pepa::ProcessId base, pepa::ActionId action);
     /// The rebound counterpart of a base-model term.
@@ -112,8 +118,34 @@ class RateRebinder {
     friend class RateRebinder;
     Point(RateRebinder& owner, std::vector<double> values);
 
-    std::vector<RatedMove> compute_moves(pepa::ProcessId base);
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+
+    /// A node's moves: moves_[begin, end).
+    struct Range {
+      std::uint32_t begin = kNone;  ///< kNone: not computed yet
+      std::uint32_t end = 0;
+      std::uint32_t size() const noexcept { return end - begin; }
+    };
+    /// Per base node: its move range and the head of its apparent-rate list
+    /// (a chain through apparent_, kNone-terminated).
+    struct NodeMemo {
+      Range moves;
+      std::uint32_t apparent = kNone;
+    };
+    struct ApparentEntry {
+      pepa::Rate rate;
+      pepa::ActionId action;
+      std::uint32_t next;
+    };
+
+    NodeMemo& memo(pepa::ProcessId base);
+    Range move_range(pepa::ProcessId base);
+    Range compute_moves(pepa::ProcessId base);
     pepa::Rate compute_apparent(pepa::ProcessId base, pepa::ActionId action);
+    /// Makes room for `extra` more moves without a reallocation, so moves
+    /// can be copied from one range of the buffer onto its end.
+    void reserve_moves(std::size_t extra);
+    std::uint32_t moves_end() const;
     /// The prefix's rate with this point's value substituted when swept.
     pepa::Rate prefix_rate(pepa::ProcessId id, const pepa::ProcessNode& node)
         const;
@@ -124,8 +156,9 @@ class RateRebinder {
     std::uint64_t serial_;
     std::unordered_map<pepa::ProcessId, pepa::ProcessId> terms_;
     std::unordered_map<pepa::ConstantId, pepa::ConstantId> constants_;
-    std::unordered_map<pepa::ProcessId, std::vector<RatedMove>> moves_;
-    std::unordered_map<std::uint64_t, pepa::Rate> apparent_;
+    std::vector<NodeMemo> nodes_;  ///< indexed by base ProcessId
+    std::vector<RatedMove> moves_;
+    std::vector<ApparentEntry> apparent_;
   };
 
   /// A remapping context for one point; `values` align with parameters()

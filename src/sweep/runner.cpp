@@ -99,7 +99,7 @@ std::vector<double> SharedStructure::rebind_rates(RateRebinder::Point& point) {
     // The rate-only SOS walk repeats the recursion that derived this state,
     // so its moves align index-for-index with the base row; the action
     // check below is a cheap guard on that invariant.
-    const std::vector<RatedMove>& moves =
+    const std::span<const RatedMove> moves =
         point.moves(space_.state_term(state));
     std::size_t j = 0;
     for (const RatedMove& move : moves) {
@@ -131,12 +131,8 @@ std::vector<double> SharedStructure::rebind_rates(RateRebinder::Point& point) {
 
 ctmc::Generator SharedStructure::generator(
     std::span<const double> rates) const {
-  const std::vector<pepa::StateTransition>& transitions = space_.transitions();
-  std::vector<ctmc::RatedTransition> rated(transitions.size());
-  for (std::size_t i = 0; i < transitions.size(); ++i) {
-    rated[i] = {transitions[i].source, transitions[i].target, rates[i]};
-  }
-  return ctmc::Generator::build(space_.state_count(), rated);
+  return ctmc::Generator::build_from<pepa::StateTransition>(
+      space_.state_count(), space_.transitions(), rates);
 }
 
 std::vector<double> SharedStructure::throughputs(
@@ -204,8 +200,12 @@ SweepTable sweep(pepa::Model& model, const SweepSpec& spec,
       SweepRow& row = table.rows[p];
       try {
         if (budget != nullptr) budget->check("sweep");
-        RateRebinder::Point point = structure->rebinder().at(row.values);
-        const std::vector<double> rates = structure->rebind_rates(point);
+        std::vector<double> rates;
+        {
+          // The point's memo is dropped before assembly and solve.
+          RateRebinder::Point point = structure->rebinder().at(row.values);
+          rates = structure->rebind_rates(point);
+        }
         const ctmc::Generator generator = structure->generator(rates);
         const ctmc::SolveResult solved = ctmc::steady_state(generator, solver);
         row.measures = structure->throughputs(solved.distribution, rates);
@@ -255,25 +255,25 @@ SweepTable sweep(pepa::Model& model, const SweepSpec& spec,
     };
   }
 
-  if (options.threads == 1) {
-    for (std::size_t p = 0; p < points; ++p) evaluate(p);
-  } else {
-    util::ThreadPool& pool =
-        options.pool != nullptr ? *options.pool : util::ThreadPool::shared();
-    std::vector<std::future<void>> futures;
-    futures.reserve(points);
-    for (std::size_t p = 0; p < points; ++p) {
-      futures.push_back(pool.submit([&evaluate, p] { evaluate(p); }));
-    }
-    std::exception_ptr first;
-    for (std::future<void>& future : futures) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
+  // One point per chunk on the pool's drain-safe join: a waiting lane runs
+  // queued work, so points that nest pool loops of their own cannot starve
+  // the points queued behind them.  Every point runs; the lowest-index
+  // failure is the one rethrown, whatever the interleaving.
+  util::ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : util::ThreadPool::shared();
+  std::vector<std::exception_ptr> failures(points);
+  pool.parallel_for_dynamic(
+      points, 1, options.threads, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t p = begin; p < end; ++p) {
+          try {
+            evaluate(p);
+          } catch (...) {
+            failures[p] = std::current_exception();
+          }
+        }
+      });
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
   }
 
   table.seconds =

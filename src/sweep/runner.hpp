@@ -7,17 +7,23 @@
 // state's CSR row (the exploration engine commits transitions in derivative
 // order, dropping top-level passive moves under the same filter applied
 // here).  Per-point rates come from RateRebinder::Point::moves() — the SOS
-// re-run arithmetically over the base terms, interning nothing — and the
-// alignment is still checked per transition (action and row length), so a
-// sweep can never silently solve the wrong chain.
+// re-run arithmetically over the base terms on flat per-point storage,
+// interning nothing — and the alignment is still checked per transition
+// (action and row length), so a sweep can never silently solve the wrong
+// chain.  generator() then assembles the point's CTMC straight from the
+// shared transition rows and the rate span, with no per-point copy of the
+// transitions.
 //
-// sweep() evaluates every point of a SweepSpec, scheduling the per-point
-// solves across a util::ThreadPool under one util::Budget, and emits a
-// deterministic SweepTable: row r always describes spec point r, measure
-// columns are the model's actions in arena order, and all arithmetic per
-// point is independent of the lane count, so tables are identical at any
-// thread count.  A failed point (solver divergence at an extreme rate,
-// say) records its error in the row; the other points are unaffected.
+// sweep() evaluates every point of a SweepSpec under one util::Budget, one
+// point per chunk of util::ThreadPool::parallel_for_dynamic — the pool's
+// drain-safe join, so points that run nested pool loops cannot deadlock
+// it — and emits a deterministic SweepTable: row r always describes spec
+// point r, measure columns are the model's actions in arena order, and all
+// arithmetic per point is independent of the lane count, so tables are
+// identical at any thread count.  A failed point (solver divergence at an
+// extreme rate, say) records its error in the row; the other points are
+// unaffected.  An error that aborts the sweep (cancellation, deadline) is
+// rethrown from the lowest-index point that raised one.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +57,8 @@ struct SweepOptions {
   pepa::DeriveOptions derive;
   /// Fluid integration knobs (fluid backend).
   fluid::FluidOptions fluid;
-  /// Point-evaluation lanes: 1 evaluates sequentially on the calling
-  /// thread, anything else schedules the points across `pool`.
+  /// Point-evaluation lanes, the calling thread included: 1 evaluates
+  /// sequentially on the calling thread, 0 uses every lane of `pool`.
   std::size_t threads = 0;
   /// Pool the point evaluations run on; nullptr means ThreadPool::shared().
   util::ThreadPool* pool = nullptr;
@@ -107,7 +113,8 @@ class SharedStructure {
   /// shape, not just its rates.
   std::vector<double> rebind_rates(RateRebinder::Point& point);
 
-  /// The CTMC generator for one point's rates.
+  /// The CTMC generator for one point's rates (index-aligned with
+  /// space().transitions()), assembled from the shared rows in place.
   ctmc::Generator generator(std::span<const double> rates) const;
 
   /// Steady-state throughput of every non-tau arena action (in action-id

@@ -3,7 +3,14 @@
 // uniformisation, and reward structures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "ctmc/generator.hpp"
@@ -11,10 +18,14 @@
 #include "ctmc/sparse.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
+#include "pepa/families.hpp"
+#include "pepa/semantics.hpp"
+#include "pepa/statespace.hpp"
 #include "util/error.hpp"
 
 namespace cc = choreo::ctmc;
 namespace cu = choreo::util;
+namespace cp = choreo::pepa;
 
 TEST(Sparse, FromTripletsAccumulatesDuplicates) {
   auto m = cc::CsrMatrix::from_triplets(
@@ -101,6 +112,193 @@ TEST(Generator, DetectsAbsorbingStates) {
   const auto absorbing = g.absorbing_states();
   ASSERT_EQ(absorbing.size(), 1u);
   EXPECT_EQ(absorbing[0], 2u);
+}
+
+// --- assembly oracle ----------------------------------------------------------
+//
+// A deliberately naive reference assembly: every (row, col) entry is summed
+// in input order from 0.0, each diagonal is the negated exit sum (also in
+// input order, self-loops excluded), and zero sums are dropped.  The
+// library's Q, Q^T and max exit rate must match it bit for bit, whatever
+// the input order.
+
+namespace {
+
+using SparseRows = std::vector<std::map<std::size_t, double>>;
+
+struct ReferenceGenerator {
+  SparseRows q;
+  SparseRows qt;
+  double max_exit_rate = 0.0;
+};
+
+SparseRows transpose(const SparseRows& rows) {
+  SparseRows out(rows.size());
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    for (const auto& [col, value] : rows[row]) out[col][row] = value;
+  }
+  return out;
+}
+
+void drop_zero_sums(SparseRows& rows) {
+  for (auto& row : rows) {
+    std::erase_if(row, [](const auto& entry) { return entry.second == 0.0; });
+  }
+}
+
+template <typename Transition>
+ReferenceGenerator reference_generator(
+    std::size_t n, const std::vector<Transition>& transitions) {
+  ReferenceGenerator ref;
+  ref.q.resize(n);
+  std::vector<double> exit(n, 0.0);
+  for (const Transition& t : transitions) {
+    if (t.source == t.target) continue;
+    ref.q[t.source][t.target] += t.rate;
+    exit[t.source] += t.rate;
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    if (exit[s] > 0.0) ref.q[s][s] = -exit[s];
+    ref.max_exit_rate = std::max(ref.max_exit_rate, exit[s]);
+  }
+  drop_zero_sums(ref.q);
+  ref.qt = transpose(ref.q);
+  return ref;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_same_matrix(const cc::CsrMatrix& matrix, const SparseRows& rows,
+                        const char* what) {
+  ASSERT_EQ(matrix.size(), rows.size()) << what;
+  std::size_t nonzeros = 0;
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    const auto columns = matrix.row_columns(row);
+    const auto values = matrix.row_values(row);
+    ASSERT_EQ(columns.size(), rows[row].size()) << what << " row " << row;
+    std::size_t k = 0;
+    for (const auto& [col, value] : rows[row]) {
+      EXPECT_EQ(columns[k], col) << what << " row " << row;
+      EXPECT_EQ(bits(values[k]), bits(value))
+          << what << "[" << row << "][" << col << "] = " << values[k]
+          << ", reference " << value;
+      ++k;
+    }
+    nonzeros += rows[row].size();
+  }
+  EXPECT_EQ(matrix.nonzeros(), nonzeros) << what;
+}
+
+void expect_same_generator(const cc::Generator& generator,
+                           const ReferenceGenerator& ref) {
+  expect_same_matrix(generator.matrix(), ref.q, "Q");
+  expect_same_matrix(generator.matrix_transposed(), ref.qt, "Q^T");
+  EXPECT_EQ(bits(generator.max_exit_rate()), bits(ref.max_exit_rate));
+}
+
+/// Unsorted sources, repeated (source, target) pairs, self-loops, a row of
+/// self-loops only and rows with no transitions at all.  Rates mix scales
+/// so the summation order shows in the low bits.
+std::vector<cc::RatedTransition> scrambled_transitions(std::size_t n) {
+  std::mt19937_64 rng(20060425);
+  const double rates[] = {0.5, 1.0, 1e-3, 1e16, 3.7, 1.0 / 3.0};
+  std::vector<cc::RatedTransition> out;
+  for (std::size_t i = 0; i < 600; ++i) {
+    std::size_t source = rng() % n;
+    if (source % 7 == 3) continue;  // rows 3, 10, 17, ... stay empty
+    const std::size_t target = i % 11 == 0 ? source : rng() % n;
+    out.push_back({source, target, rates[rng() % std::size(rates)]});
+    if (i % 5 == 0) out.push_back(out.back());  // an exact duplicate
+  }
+  out.push_back({5, 5, 2.0});  // row 5 holds only self-loops
+  std::erase_if(out, [](const cc::RatedTransition& t) {
+    return t.source == 5 && t.target != 5;
+  });
+  return out;
+}
+
+}  // namespace
+
+TEST(AssemblyOracle, ScrambledInputMatchesReferenceBitForBit) {
+  const std::size_t n = 40;
+  const std::vector<cc::RatedTransition> transitions =
+      scrambled_transitions(n);
+  ASSERT_FALSE(std::is_sorted(
+      transitions.begin(), transitions.end(),
+      [](const auto& a, const auto& b) { return a.source < b.source; }));
+  const cc::Generator generator = cc::Generator::build(n, transitions);
+  expect_same_generator(generator, reference_generator(n, transitions));
+  EXPECT_TRUE(generator.matrix().row_columns(3).empty());
+  EXPECT_TRUE(generator.matrix().row_columns(5).empty());
+}
+
+TEST(AssemblyOracle, GroupedInputMatchesReferenceBitForBit) {
+  const std::size_t n = 40;
+  std::vector<cc::RatedTransition> transitions = scrambled_transitions(n);
+  std::stable_sort(
+      transitions.begin(), transitions.end(),
+      [](const auto& a, const auto& b) { return a.source < b.source; });
+  expect_same_generator(cc::Generator::build(n, transitions),
+                        reference_generator(n, transitions));
+}
+
+TEST(AssemblyOracle, TripletsSumInInputOrderAndDropZeros) {
+  const std::size_t n = 12;
+  std::mt19937_64 rng(7);
+  const double values[] = {1e16, 1.0, -1e16, -1.0, 0.25, 2.5};
+  std::vector<cc::Triplet> triplets;
+  for (std::size_t i = 0; i < 300; ++i) {
+    triplets.push_back({rng() % n, rng() % n, values[rng() % std::size(values)]});
+  }
+  triplets.push_back({4, 9, 3.0});
+  triplets.push_back({4, 9, -3.0});  // a cancelling pair: dropped
+  SparseRows reference(n);
+  for (const cc::Triplet& t : triplets) reference[t.row][t.col] += t.value;
+  drop_zero_sums(reference);
+  const cc::CsrMatrix matrix = cc::CsrMatrix::from_triplets(n, triplets);
+  expect_same_matrix(matrix, reference, "A");
+  expect_same_matrix(matrix.transposed(), transpose(reference), "A^T");
+}
+
+// A derived state space is grouped by source; this one is larger than the
+// size at which assembly used to split into parallel lanes.
+TEST(AssemblyOracle, DerivedSpaceMatchesReferenceBitForBit) {
+  cp::Model model = cp::ring(14);
+  cp::Semantics semantics(model.arena());
+  const cp::StateSpace space = cp::StateSpace::derive(semantics, model.system());
+  ASSERT_GT(space.transitions().size(), std::size_t{1} << 15);
+  const ReferenceGenerator ref =
+      reference_generator(space.state_count(), space.transitions());
+  expect_same_generator(space.generator(), ref);
+
+  std::vector<cc::RatedTransition> copied;
+  for (const cp::StateTransition& t : space.transitions()) {
+    copied.push_back({t.source, t.target, t.rate});
+  }
+  expect_same_generator(cc::Generator::build(space.state_count(), copied), ref);
+}
+
+// The first offending transition in input order is reported, even when a
+// later one has a smaller source (and would come first in row order).
+TEST(AssemblyOracle, FirstNonPositiveRateInInputOrderIsReported) {
+  auto message = [](std::size_t n,
+                    const std::vector<cc::RatedTransition>& transitions) {
+    try {
+      cc::Generator::build(n, transitions);
+    } catch (const cu::ModelError& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message(4, {{3, 1, 1.0}, {2, 1, 0.0}, {0, 2, 1.0}, {1, 0, -1.0},
+                        {0, 1, 0.0}}),
+            "transition 2 -> 1 has non-positive rate 0");
+  EXPECT_EQ(message(4, {{0, 1, 1.0}, {1, 1, -2.0}, {1, 2, 0.0}, {3, 0, 1.0}}),
+            "transition 1 -> 1 has non-positive rate -2");
+  EXPECT_EQ(message(3, {{2, 0, 1.0},
+                        {1, 2, std::numeric_limits<double>::infinity()},
+                        {0, 1, -1.0}}),
+            "transition 1 -> 2 has non-positive rate inf");
 }
 
 namespace {

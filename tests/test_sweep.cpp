@@ -1,10 +1,20 @@
 // Tests for the design-space sweep engine: spec expansion, parser rate
 // provenance, structure-sharing rebind correctness against independent
-// re-derivation, derive-once accounting, and thread-count determinism.
+// re-derivation, derive-once accounting, thread-count determinism, golden
+// tables, and the multi-lane sweep on the shared pool.
+#include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <iostream>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +26,7 @@
 #include "sweep/rebind.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
+#include "util/budget.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -39,6 +50,44 @@ std::string tomcat_source(double locs) {
       << "System = GenerateRequest <request, response> ServerIdle;\n"
       << "@system System;\n";
   return out.str();
+}
+
+/// models/tomcat.pepa (the uncached JSP lifecycle: locate, translate,
+/// compile) with `clients` replicated clients.
+std::string tomcat_jsp_source(std::size_t clients) {
+  return util::msg(
+      "req = 5.0; offp = 2.0;\n"
+      "locj = 20.0; tran = 0.5; comp = 0.8; exec = 10.0; resp = 25.0;\n"
+      "GenerateRequest   = (request, req).WaitForResponse;\n"
+      "WaitForResponse   = (response, infty).ProcessResponse;\n"
+      "ProcessResponse   = (offlineProcessing, offp).GenerateRequest;\n"
+      "ServerIdle        = (request, infty).ProcessRequest;\n"
+      "ProcessRequest    = (locatejsp, locj).AccessJSPFile;\n"
+      "AccessJSPFile     = (translate, tran).GeneratedJavaCode;\n"
+      "GeneratedJavaCode = (compile, comp).CompiledJavaCode;\n"
+      "CompiledJavaCode  = (execute, exec).SendHTTPResponse;\n"
+      "SendHTTPResponse  = (response, resp).ServerIdle;\n"
+      "System = GenerateRequest[",
+      clients,
+      "] <request, response> ServerIdle;\n"
+      "@system System;\n");
+}
+
+/// bench_sweep's replicated client/server.  `r` rates the shared action
+/// `request`, so sweeping it re-evaluates the cooperation rate law (and
+/// the apparent rates behind it) at every state.
+std::string client_server_source(std::size_t clients) {
+  return util::msg(
+      "r = 1.0; s = 2.0; t = 1.5;\n"
+      "Client = (request, r).Wait;\n"
+      "Wait   = (response, infty).Think;\n"
+      "Think  = (think, t).Client;\n"
+      "Server = (request, infty).Serve;\n"
+      "Serve  = (response, s).Server;\n"
+      "System = Client[",
+      clients,
+      "] <request, response> Server[2];\n"
+      "@system System;\n");
 }
 
 // --- sweep specifications -------------------------------------------------
@@ -212,6 +261,37 @@ TEST(Fingerprint, RatePayloadDistinguishesPoints) {
 
 // --- rebind correctness ---------------------------------------------------
 
+/// At every point, rebind_rates() must equal bit for bit the transition
+/// rates of a fresh derivation of the point's remapped term (Point::term,
+/// the fluid backend's route), over the same transitions in the same order.
+void expect_rebind_matches_remap(const std::string& source,
+                                 const std::vector<std::string>& parameters,
+                                 const std::vector<std::vector<double>>& points) {
+  pepa::Model model = pepa::parse_model(source, "rebind");
+  sweep::SharedStructure shared(model, parameters);
+  const std::vector<pepa::StateTransition>& base =
+      shared.space().transitions();
+  for (const std::vector<double>& values : points) {
+    sweep::RateRebinder::Point point = shared.rebinder().at(values);
+    const std::vector<double> rates = shared.rebind_rates(point);
+    pepa::Semantics semantics(model.arena());
+    const pepa::StateSpace fresh =
+        pepa::StateSpace::derive(semantics, point.term(model.system()));
+    ASSERT_EQ(fresh.state_count(), shared.space().state_count());
+    ASSERT_EQ(fresh.transitions().size(), rates.size());
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      const pepa::StateTransition& t = fresh.transitions()[i];
+      ASSERT_EQ(t.source, base[i].source) << "transition " << i;
+      ASSERT_EQ(t.target, base[i].target) << "transition " << i;
+      ASSERT_EQ(t.action, base[i].action) << "transition " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rates[i]),
+                std::bit_cast<std::uint64_t>(t.rate))
+          << "transition " << i << ": rebound " << rates[i] << ", remapped "
+          << t.rate << " at " << parameters[0] << "=" << values[0];
+    }
+  }
+}
+
 TEST(SweepRunner, MatchesIndependentDerivationAtEveryPoint) {
   pepa::Model model = pepa::parse_model(tomcat_source(40.0), "tomcat");
   sweep::SweepSpec spec;
@@ -244,6 +324,21 @@ TEST(SweepRunner, MatchesIndependentDerivationAtEveryPoint) {
           << " at locs=" << row.values[0];
     }
   }
+
+  // The per-point rate payload itself, bit for bit: a private rate, a
+  // scaled tag ("2*r") inside a cooperation, and a shared-action rate.
+  expect_rebind_matches_remap(tomcat_source(40.0), {"locs"},
+                              {{10.0}, {40.0}, {80.0}});
+  expect_rebind_matches_remap(
+      "r = 1.0; s = 3.0;\n"
+      "P = (fast, 2*r).Q;\n"
+      "Q = (slow, s).P;\n"
+      "Sink = (fast, infty).Sink;\n"
+      "System = P[3] <fast> Sink;\n"
+      "@system System;\n",
+      {"r"}, {{0.5}, {1.0}, {4.0}});
+  expect_rebind_matches_remap(client_server_source(4), {"r"},
+                              {{0.3}, {1.0}, {3.7}});
 }
 
 TEST(SweepRunner, DerivesExactlyOnceForManyPoints) {
@@ -299,6 +394,126 @@ TEST(SweepRunner, TableIsIdenticalAtThreadCounts128) {
   }
   EXPECT_EQ(one.to_csv(), two.to_csv());
   EXPECT_EQ(one.to_csv(), eight.to_csv());
+}
+
+// --- golden sweep tables ---------------------------------------------------
+//
+// The committed tables under tests/golden/ were written by the assembly and
+// rebind code that predates the flat per-point storage; every later change
+// must reproduce them byte for byte at every lane count.  Regenerate (only
+// for an intentional format change) with:
+//   CHOREO_GOLDEN_REGEN=1 ./tests/test_sweep --gtest_filter='SweepGolden.*'
+
+std::string read_golden(const std::string& name) {
+  std::ifstream stream(std::string(CHOREO_GOLDEN_DIR) + "/" + name,
+                       std::ios::binary);
+  EXPECT_TRUE(stream.good()) << "missing golden file " << name;
+  std::ostringstream buffer;
+  buffer << stream.rdbuf();
+  return buffer.str();
+}
+
+/// Sweeps `source` at lane counts {1, 2, nproc} and compares each table's
+/// CSV with tests/golden/<name>.
+void expect_golden_sweep(const std::string& name, const std::string& source,
+                         const sweep::SweepSpec& spec) {
+  const std::size_t nproc =
+      std::max(1u, std::thread::hardware_concurrency());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, nproc}) {
+    pepa::Model model = pepa::parse_model(source, name);
+    util::ThreadPool pool(threads);
+    sweep::SweepOptions options;
+    options.threads = threads;
+    options.pool = &pool;
+    const std::string csv = sweep::sweep(model, spec, options).to_csv();
+    if (std::getenv("CHOREO_GOLDEN_REGEN") != nullptr) {
+      if (threads == 1) {
+        std::ofstream out(std::string(CHOREO_GOLDEN_DIR) + "/" + name,
+                          std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write golden file " << name;
+        out << csv;
+      }
+      continue;
+    }
+    EXPECT_EQ(csv, read_golden(name)) << name << " at " << threads
+                                      << " threads";
+  }
+}
+
+TEST(SweepGolden, TomcatTranslateCompileGrid) {
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::list("tran", {0.2, 0.5, 1.25, 3.0}),
+               sweep::Axis::list("comp", {0.3, 0.8, 2.0, 5.0})};
+  expect_golden_sweep("sweep_tomcat_tran_comp.csv", tomcat_jsp_source(4),
+                      spec);
+}
+
+TEST(SweepGolden, ClientServerSharedActionRate) {
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::list("r", {0.25, 0.7, 1.0, 1.9, 4.5})};
+  expect_golden_sweep("sweep_client_server_r.csv", client_server_source(6),
+                      spec);
+}
+
+// --- the multi-lane sweep on the shared pool --------------------------------
+
+/// Fails the test process when the guarded scope outlives `limit`.  A join
+/// blocked on a future never polls a util::Budget, so a deadline alone
+/// cannot turn a deadlock into a failure.
+class Watchdog {
+ public:
+  Watchdog(std::chrono::seconds limit, std::string what)
+      : thread_([this, limit, what = std::move(what)] {
+          std::unique_lock lock(mutex_);
+          if (!done_cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::cerr << "watchdog: " << what << " did not finish within "
+                      << limit.count() << " s" << std::endl;
+            std::_Exit(EXIT_FAILURE);
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard lock(mutex_);
+      done_ = true;
+    }
+    done_cv_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+// Each point runs as a pool task and assembles a generator of 82,944
+// transitions, beyond the size at which assembly once forked lanes of its
+// own.  Every join on the way must help drain the pool; a plain
+// future.get() inside a worker-held point starves the points queued behind
+// it and the sweep hangs.
+TEST(SweepRunner, MultiLaneSweepOnTheSharedPoolCompletes) {
+  pepa::Model model =
+      pepa::parse_model(client_server_source(9), "client_server");
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::linear("r", 0.5, 4.0, 16)};
+  util::Budget budget;
+  budget.set_deadline_seconds(90.0);
+  sweep::SweepOptions options;  // default threads on the shared pool
+  options.budget = &budget;
+
+  sweep::SweepTable table;
+  {
+    const Watchdog watchdog(std::chrono::seconds(120),
+                            "the 16-point multi-lane sweep");
+    table = sweep::sweep(model, spec, options);
+  }
+  EXPECT_EQ(table.state_count, 9728u);
+  EXPECT_EQ(table.transition_count, 82944u);
+  ASSERT_EQ(table.rows.size(), 16u);
+  for (const sweep::SweepRow& row : table.rows) {
+    EXPECT_TRUE(row.ok()) << row.error;
+  }
 }
 
 TEST(SweepRunner, ScaledTagMatchesAnalyticThroughput) {
