@@ -13,7 +13,6 @@
 #include "choreographer/pipeline.hpp"
 #include "ctmc/passage.hpp"
 #include "ctmc/steady_state.hpp"
-#include "pepa/measures.hpp"
 #include "pepa/semantics.hpp"
 #include "pepa/statespace.hpp"
 #include "util/strings.hpp"
@@ -69,13 +68,9 @@ ResponseTime response_time(bool cached) {
     if (t.source == 0 && t.action == request) source = t.target;
   }
   // Targets: client in ProcessResponse.
-  const auto processing = *arena.find_constant("ProcessResponse");
-  std::vector<std::size_t> targets;
-  for (std::size_t s = 0; s < space.state_count(); ++s) {
-    if (pepa::occupies(arena, space.state_term(s), processing)) {
-      targets.push_back(s);
-    }
-  }
+  const auto processing = space.local_states(arena).occupying(
+      *arena.find_constant("ProcessResponse"));
+  const std::vector<std::size_t> targets(processing.begin(), processing.end());
 
   const auto generator = space.generator();
   ResponseTime result;

@@ -7,13 +7,13 @@
 // variants, until each converges to its steady-state value.
 //
 // Build & run:  ./examples/transient_warmup
+#include <cstdint>
 #include <iostream>
 
 #include "choreographer/extract_statechart.hpp"
 #include "choreographer/paper_models.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
-#include "pepa/measures.hpp"
 #include "pepa/semantics.hpp"
 #include "pepa/statespace.hpp"
 #include "util/strings.hpp"
@@ -34,12 +34,11 @@ Prepared prepare(bool cached) {
       chor::extract_state_machines(chor::tomcat_model(cached));
   pepa::Semantics semantics(extraction.model.arena());
   auto space = pepa::StateSpace::derive(semantics, extraction.model.system());
-  const auto waiting_constant =
-      *extraction.model.arena().find_constant("WaitForResponse");
+  const auto& arena = extraction.model.arena();
   std::vector<bool> waiting(space.state_count());
-  for (std::size_t s = 0; s < space.state_count(); ++s) {
-    waiting[s] = pepa::occupies(extraction.model.arena(), space.state_term(s),
-                                waiting_constant);
+  for (const std::uint32_t s : space.local_states(arena).occupying(
+           *arena.find_constant("WaitForResponse"))) {
+    waiting[s] = true;
   }
   return {std::move(extraction.model), std::move(space), std::move(waiting)};
 }

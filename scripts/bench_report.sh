@@ -12,7 +12,11 @@
 #   BENCH_service.json     -- service scheduler throughput (workers,
 #                             cold/warm cache, jobs/sec, p50/p99 latency)
 #   BENCH_measures.json    -- per-action measure lookup cost on the
-#                             CSR-indexed transition system vs. a flat scan
+#                             CSR-indexed transition system vs. a flat scan,
+#                             and per-UML-state state_probability cost on
+#                             the local-state index (plus its one-time
+#                             build) vs. the per-state scan, Tomcat state
+#                             machines at 3-12 clients
 #   BENCH_fluid.json       -- fluid (mean-field ODE) backend scaling: solve
 #                             cost flat in the client count up to 10^6, and
 #                             agreement with the exact population chain

@@ -41,45 +41,21 @@ bool occupies(const ProcessArena& arena, ProcessId term, ConstantId constant) {
   }
 }
 
+// Both state measures are slice sums over the space's local-state index:
+// O(states occupying the constant) per query, not a walk of every state
+// term, and bit-identical to the per-state scan (see LocalStateIndex).
 double state_probability(const StateSpace& space,
                          std::span<const double> distribution,
                          const ProcessArena& arena, ConstantId constant) {
   CHOREO_ASSERT(distribution.size() == space.state_count());
-  double sum = 0.0;
-  for (std::size_t s = 0; s < space.state_count(); ++s) {
-    if (occupies(arena, space.state_term(s), constant)) sum += distribution[s];
-  }
-  return sum;
+  return space.local_states(arena).probability(distribution, constant);
 }
-
-namespace {
-std::size_t count_occurrences(const ProcessArena& arena, ProcessId term,
-                              ConstantId constant) {
-  const ProcessNode& node = arena.node(term);
-  switch (node.op) {
-    case Op::kConstant:
-      return node.constant == constant ? 1 : 0;
-    case Op::kCooperation:
-      return count_occurrences(arena, node.left, constant) +
-             count_occurrences(arena, node.right, constant);
-    case Op::kHiding:
-      return count_occurrences(arena, node.left, constant);
-    default:
-      return 0;
-  }
-}
-}  // namespace
 
 double mean_population(const StateSpace& space,
                        std::span<const double> distribution,
                        const ProcessArena& arena, ConstantId constant) {
   CHOREO_ASSERT(distribution.size() == space.state_count());
-  double sum = 0.0;
-  for (std::size_t s = 0; s < space.state_count(); ++s) {
-    sum += distribution[s] *
-           static_cast<double>(count_occurrences(arena, space.state_term(s), constant));
-  }
-  return sum;
+  return space.local_states(arena).population(distribution, constant);
 }
 
 }  // namespace choreo::pepa

@@ -4,6 +4,12 @@
 //   - throughput of each activity, written back onto activity diagrams, and
 //   - steady-state probability of each local state, written back onto state
 //     diagrams (one named constant per UML state).
+//
+// Throughputs read the transition system's action index and state measures
+// read the space's local-state index (StateSpace::local_states, built on
+// the first state measure), so each query costs the size of one slice.
+// Both sum in the order a flat scan would, so results are bit-identical to
+// it.
 #pragma once
 
 #include <span>
@@ -31,12 +37,14 @@ std::vector<std::pair<ActionId, double>> all_throughputs(
 bool occupies(const ProcessArena& arena, ProcessId term, ConstantId constant);
 
 /// Steady-state probability that some component occupies `constant`.
+/// `arena` must be the arena `space` was derived over.
 double state_probability(const StateSpace& space,
                          std::span<const double> distribution,
                          const ProcessArena& arena, ConstantId constant);
 
 /// Expected number of components occupying `constant` in steady state
 /// (population measure; equals state_probability for a single replica).
+/// `arena` must be the arena `space` was derived over.
 double mean_population(const StateSpace& space,
                        std::span<const double> distribution,
                        const ProcessArena& arena, ConstantId constant);

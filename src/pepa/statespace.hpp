@@ -12,10 +12,20 @@
 // Transitions are held in a CSR-indexed explore::TransitionSystem: the
 // generator builds straight off the payload array, per-action measures are
 // O(degree) slice lookups, and deadlock detection reads the row index.
+//
+// Local states get the same treatment: the first state measure asked of a
+// space builds a LocalStateIndex (constant -> states occupying it), so each
+// UML state's probability or population is one slice sum, not a walk of
+// every state term.  Derive-only callers (sweeps, activity graphs, the
+// state-space benches) never build it and pay neither its time nor bytes.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ctmc/generator.hpp"
@@ -77,6 +87,53 @@ struct StateTransition {
   double rate;
 };
 
+/// Where each local state sits across a derived space: a CSR index keyed by
+/// ConstantId, the local-state counterpart of the transition system's action
+/// index.  For every constant it lists, ascending and each once, the states
+/// in which the constant occupies a sequential position (a cooperation or
+/// hiding leaf: exactly what pepa::occupies tests), with the number of
+/// positions it occupies there.
+class LocalStateIndex {
+ public:
+  LocalStateIndex() = default;
+
+  /// Indexes `states` (state id = position) by a counting sort on constant:
+  /// one pass counts, a second fills, so the build needs little beyond the
+  /// index itself.  Throws util::ModelError when the state ids do not fit
+  /// in 32 bits.
+  LocalStateIndex(const ProcessArena& arena, std::span<const ProcessId> states);
+
+  /// The states occupying `constant`, ascending; empty for a constant no
+  /// state holds, including one declared after the index was built.
+  std::span<const std::uint32_t> occupying(ConstantId constant) const;
+
+  /// Sum of distribution[s] over occupying(constant), in ascending order:
+  /// the additions a per-state scan makes, so the result is bit-identical.
+  double probability(std::span<const double> distribution,
+                     ConstantId constant) const;
+
+  /// Sum of distribution[s] * (occurrences of `constant` in s) over the
+  /// same slice.  The states a per-state scan would add as distribution[s]
+  /// * 0 are skipped, which leaves a finite sum unchanged.
+  double population(std::span<const double> distribution,
+                    ConstantId constant) const;
+
+  /// (constant, state) entries held.
+  std::size_t size() const noexcept { return states_.size(); }
+
+  /// Heap bytes held by the index arrays.
+  std::size_t bytes() const noexcept;
+
+ private:
+  /// offsets_[c]..offsets_[c+1]: the slice of states_ (and counts_) for c.
+  std::vector<std::size_t> offsets_;
+  std::vector<std::uint32_t> states_;
+  /// Occurrences per entry; left empty when every count is 1 (no constant
+  /// is held by two components of one state, as in the one-constant-per-
+  /// UML-state extractions), which halves the index.
+  std::vector<std::uint32_t> counts_;
+};
+
 class StateSpace {
  public:
   /// Explores from `initial`.  State 0 is the initial state.
@@ -117,7 +174,21 @@ class StateSpace {
   /// States enabling no activity at all (empty rows of the CSR index).
   std::vector<std::size_t> deadlock_states() const;
 
+  /// The local-state index, built from `arena` (the arena this space was
+  /// derived over) on the first call and kept for the space's lifetime.
+  /// Safe to call from several threads at once; every caller sees the one
+  /// index.  local_states(arena).occupying(c) is the set of states in which
+  /// some component is in local state c.
+  const LocalStateIndex& local_states(const ProcessArena& arena) const;
+
  private:
+  /// The once-flag pins its address, so it lives on the heap with the
+  /// index it guards and the space stays movable.
+  struct LazyLocalStates {
+    std::once_flag built;
+    LocalStateIndex index;
+  };
+
   std::vector<ProcessId> states_;
   /// Sharded so concurrent expansion workers can pre-resolve transition
   /// targets against earlier levels while the serial renumbering pass owns
@@ -126,6 +197,8 @@ class StateSpace {
   explore::TransitionSystem<StateTransition> lts_;
   DeriveStats stats_;
   bool aggregated_ = false;
+  std::unique_ptr<LazyLocalStates> local_states_ =
+      std::make_unique<LazyLocalStates>();
 };
 
 }  // namespace choreo::pepa

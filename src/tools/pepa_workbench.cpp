@@ -193,12 +193,9 @@ int solve_pepa(const std::string& source, const std::string& name,
     if (!constant) {
       throw util::Error("unknown derivative '" + passage_target + "'");
     }
-    std::vector<std::size_t> targets;
-    for (std::size_t s = 0; s < space.state_count(); ++s) {
-      if (pepa::occupies(model.arena(), space.state_term(s), *constant)) {
-        targets.push_back(s);
-      }
-    }
+    const auto occupied =
+        space.local_states(model.arena()).occupying(*constant);
+    const std::vector<std::size_t> targets(occupied.begin(), occupied.end());
     if (targets.empty()) {
       throw util::Error("no reachable state occupies '" + passage_target + "'");
     }

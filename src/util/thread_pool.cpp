@@ -54,11 +54,10 @@ struct FailureSlot {
 
 }  // namespace
 
+ThreadPool::ThreadPool()
+    : ThreadPool(std::max(1u, std::thread::hardware_concurrency()) - 1) {}
+
 ThreadPool::ThreadPool(std::size_t worker_count) {
-  if (worker_count == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    worker_count = hw > 1 ? hw - 1 : 0;  // leave the calling thread a core
-  }
   workers_.reserve(worker_count);
   for (std::size_t i = 0; i < worker_count; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

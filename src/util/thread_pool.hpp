@@ -30,8 +30,14 @@ namespace choreo::util {
 
 class ThreadPool {
  public:
-  /// Spawns `worker_count` workers; 0 means std::thread::hardware_concurrency.
-  explicit ThreadPool(std::size_t worker_count = 0);
+  /// Auto-sizes: one worker per hardware thread beyond the caller's, so a
+  /// parallel loop's lanes (workers + calling thread) match the cores.  On
+  /// a single-core host this is a pool with no workers.
+  ThreadPool();
+
+  /// Spawns exactly `worker_count` workers.  ThreadPool(0) has none: every
+  /// task runs inline on the thread that submits it.
+  explicit ThreadPool(std::size_t worker_count);
 
   /// Drains every queued task (workers finish outstanding work before
   /// exiting), then joins the workers.

@@ -9,10 +9,14 @@
 // (and everything derived from them) do not.
 //
 // The *Concurrent* tests are also the ThreadSanitizer workload: many lanes
-// hammer one shared arena + semantics, and many service jobs derive at
-// once (run with CHOREO_SANITIZE=thread; see scripts/reproduce.sh).
+// hammer one shared arena + semantics, many service jobs derive at once,
+// and many threads race to build one space's local-state index (run with
+// CHOREO_SANITIZE=thread; see scripts/reproduce.sh).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "choreographer/paper_models.hpp"
 #include "choreographer/pipeline.hpp"
 #include "ctmc/steady_state.hpp"
+#include "pepa/measures.hpp"
 #include "pepa/printer.hpp"
 #include "pepa/semantics.hpp"
 #include "pepa/statespace.hpp"
@@ -226,6 +231,55 @@ TEST(ParallelStateSpace, ConcurrentDerivesOnSharedSemanticsAgree) {
   for (std::thread& explorer : explorers) explorer.join();
   for (std::size_t e = 1; e < kExplorers; ++e) {
     EXPECT_EQ(results[e], results[0]) << "explorer " << e;
+  }
+}
+
+// Several threads make their first state measure calls on one freshly
+// derived space at the same time, so they race to build its local-state
+// index.  Every result must equal the serial one bit for bit.
+TEST(ParallelStateSpace, ConcurrentFirstStateMeasuresAgree) {
+  chor::TomcatParams params;
+  params.clients = 6;
+  auto extraction =
+      chor::extract_state_machines(chor::tomcat_model(false, params));
+  const pepa::ProcessArena& arena = extraction.model.arena();
+  pepa::Semantics semantics(extraction.model.arena());
+  const pepa::StateSpace serial =
+      pepa::StateSpace::derive(semantics, extraction.model.system());
+  const std::vector<double> pi =
+      ctmc::steady_state(serial.generator()).distribution;
+  const std::size_t constants = arena.constant_count();
+  // Bits of {state_probability, mean_population} per constant.
+  auto measure_all = [&](const pepa::StateSpace& space, std::size_t first) {
+    std::vector<std::uint64_t> bits(2 * constants);
+    for (std::size_t i = 0; i < constants; ++i) {
+      const auto c = static_cast<pepa::ConstantId>((first + i) % constants);
+      bits[2 * c] = std::bit_cast<std::uint64_t>(
+          pepa::state_probability(space, pi, arena, c));
+      bits[2 * c + 1] = std::bit_cast<std::uint64_t>(
+          pepa::mean_population(space, pi, arena, c));
+    }
+    return bits;
+  };
+  const std::vector<std::uint64_t> expected = measure_all(serial, 0);
+
+  const pepa::StateSpace fresh =
+      pepa::StateSpace::derive(semantics, extraction.model.system());
+  constexpr std::size_t kReaders = 6;
+  std::vector<std::vector<std::uint64_t>> results(kReaders);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      results[r] = measure_all(fresh, r);  // each starts at its own constant
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(results[r], expected) << "reader " << r;
   }
 }
 

@@ -2,7 +2,8 @@
 // sweeps) checked against semantic invariants that must hold for *every*
 // model -- determinism of derivation, probability conservation, throughput
 // accounting, cooperation commutativity, hiding invariance, lumping
-// exactness, and transient/steady-state consistency.
+// exactness, transient/steady-state consistency, and state measures equal
+// to the per-state scan.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,6 +17,7 @@
 #include "pepa/printer.hpp"
 #include "pepa/semantics.hpp"
 #include "pepa/statespace.hpp"
+#include "state_measures_oracle.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -252,6 +254,34 @@ TEST_P(RandomModels, TransientConvergesToSteadyState) {
   const auto evolved = cc::transient(generator, pi, 10.0);
   for (std::size_t s = 0; s < pi.size(); ++s) {
     EXPECT_NEAR(evolved.distribution[s], pi[s], 1e-6);
+  }
+}
+
+TEST_P(RandomModels, StateMeasuresMatchPerStateScan) {
+  // The local-state index against the per-state scan, bit for bit, for
+  // every declared constant: on the plain model, under hiding, and with
+  // three more replicas of the first component beside the system (so one
+  // constant fills several positions of a state), full and quotient-direct.
+  std::string replicated = random_model(GetParam());
+  replicated.replace(replicated.rfind("@system Sys;"), std::string::npos,
+                     "Rep = C0S0[3] || Sys;\n@system Rep;\n");
+  const struct {
+    std::string source;
+    bool aggregate;
+  } cases[] = {{random_model(GetParam()), false},
+               {random_model(GetParam(), false, "a, b"), false},
+               {replicated, false},
+               {replicated, true}};
+  for (const auto& c : cases) {
+    cp::Model model = cp::parse_model(c.source);
+    cp::Semantics semantics(model.arena());
+    cp::DeriveOptions options;
+    options.aggregate = c.aggregate;
+    const auto space =
+        cp::StateSpace::derive(semantics, model.system(), options);
+    choreo::test::expect_state_measures_match_scan(
+        space, choreo::test::ragged_weights(space.state_count(), GetParam()),
+        model.arena());
   }
 }
 

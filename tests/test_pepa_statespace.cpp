@@ -3,24 +3,71 @@
 // and the client/server state-diagram measures (Section 5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
 
+#include "choreographer/extract_statechart.hpp"
+#include "choreographer/paper_models.hpp"
 #include "ctmc/steady_state.hpp"
 #include "pepa/measures.hpp"
 #include "pepa/parser.hpp"
 #include "pepa/printer.hpp"
 #include "pepa/statespace.hpp"
+#include "state_measures_oracle.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cp = choreo::pepa;
 namespace cc = choreo::ctmc;
 namespace cu = choreo::util;
+namespace chor = choreo::chor;
 
 namespace {
 
 std::vector<double> solve(const cp::StateSpace& space) {
   return cc::steady_state(space.generator()).distribution;
 }
+
+/// Derive lane counts the state-measure tests cover.
+std::vector<std::size_t> lane_counts() {
+  return {1, 2, std::max<std::size_t>(1, std::thread::hardware_concurrency())};
+}
+
+cp::StateSpace derive_at(cp::Semantics& semantics, cp::ProcessId system,
+                         std::size_t lanes, bool aggregate = false) {
+  static cu::ThreadPool pool(4);  // real workers even on a single-core host
+  cp::DeriveOptions options;
+  options.threads = lanes;
+  options.pool = &pool;
+  options.aggregate = aggregate;
+  return cp::StateSpace::derive(semantics, system, options);
+}
+
+/// Derives `model` at every lane count and checks the state measures of
+/// every declared constant against the per-state scan, bit for bit.
+void expect_measures_match_scan(cp::Model& model, bool aggregate = false) {
+  for (const std::size_t lanes : lane_counts()) {
+    cp::Semantics semantics(model.arena());
+    const auto space = derive_at(semantics, model.system(), lanes, aggregate);
+    choreo::test::expect_state_measures_match_scan(
+        space, choreo::test::ragged_weights(space.state_count(), lanes),
+        model.arena());
+  }
+}
+
+/// Eight clients share one set of constants, so a state holds a constant
+/// in up to eight positions; no state holds Unused.
+constexpr const char* kReplicatedClients = R"(
+  Client  = (request, 1.0).Wait;
+  Wait    = (response, 2.0).Think;
+  Think   = (think, 0.5).Client;
+  Server  = (request, 4.0).Serve;
+  Serve   = (response, 3.0).Server;
+  Unused  = (idle, 1.0).Unused;
+  Sys = Client[8] <request, response> Server;
+  @system Sys;
+)";
 
 }  // namespace
 
@@ -215,6 +262,61 @@ TEST(Measures, MeanPopulationCountsReplicas) {
   const auto busy = *model.arena().find_constant("Busy");
   // Symmetric rates: each replica is Busy half the time.
   EXPECT_NEAR(cp::mean_population(space, pi, model.arena(), busy), 1.0, 1e-10);
+}
+
+TEST(Measures, StateMeasuresMatchScanOnTomcatStateMachines) {
+  // The paper's state-diagram leg: one constant per UML state, unique per
+  // machine, so every state holds each constant at most once.
+  chor::TomcatParams params;
+  params.clients = 6;
+  auto extraction =
+      chor::extract_state_machines(chor::tomcat_model(false, params));
+  expect_measures_match_scan(extraction.model);
+}
+
+TEST(Measures, StateMeasuresMatchScanOnReplicas) {
+  auto model = cp::parse_model(kReplicatedClients);
+  expect_measures_match_scan(model);
+}
+
+TEST(Measures, StateMeasuresMatchScanOnTheQuotient) {
+  auto model = cp::parse_model(kReplicatedClients);
+  expect_measures_match_scan(model, /*aggregate=*/true);
+}
+
+TEST(Measures, StateMeasuresMatchScanUnderHiding) {
+  auto model = cp::parse_model(R"(
+    Client = (request, 1.0).Wait;
+    Wait   = (response, 2.0).Think;
+    Think  = (think, 0.5).Client;
+    Server = (request, 4.0).Serve;
+    Serve  = (response, 3.0).Server;
+    Sys = ((Client/{think})[2] <request, response> Server)/{request};
+    @system Sys;
+  )");
+  expect_measures_match_scan(model);
+}
+
+TEST(Measures, ConstantsDeclaredAfterDeriveMeasureZero) {
+  auto model = cp::parse_model(kReplicatedClients);
+  auto& arena = model.arena();
+  for (const std::size_t lanes : lane_counts()) {
+    cp::Semantics semantics(arena);
+    const auto first = derive_at(semantics, model.system(), lanes);
+    const auto second = derive_at(semantics, model.system(), lanes);
+    const auto pi = choreo::test::ragged_weights(first.state_count(), lanes);
+    first.local_states(arena);
+
+    // `first` built its index before the declaration, so the new id lies
+    // past its end; `second` builds its index now, with the id in range
+    // but held by no state.
+    const auto late = arena.declare("Late" + std::to_string(lanes));
+    for (const cp::StateSpace* space : {&first, &second}) {
+      EXPECT_TRUE(space->local_states(arena).occupying(late).empty());
+      EXPECT_EQ(cp::state_probability(*space, pi, arena, late), 0.0);
+      EXPECT_EQ(cp::mean_population(*space, pi, arena, late), 0.0);
+    }
+  }
 }
 
 TEST(Measures, AllThroughputsCoverEveryAction) {

@@ -2,6 +2,7 @@
 // striped map, segmented vector, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <future>
@@ -235,12 +236,18 @@ TEST(ThreadPool, PropagatesExceptions) {
 
 TEST(ThreadPool, ZeroWorkerPoolRunsInline) {
   cu::ThreadPool pool(0);
+  EXPECT_EQ(pool.worker_count(), 0u);  // on every host, not only 1-core ones
   std::vector<int> hits(10, 0);
-  // worker_count may be 0 on a single-core host; parallel_for must still work.
   pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) hits[i]++;
   });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
+}
+
+TEST(ThreadPool, DefaultPoolLeavesTheCallerOneCore) {
+  const cu::ThreadPool pool;
+  EXPECT_EQ(pool.worker_count(),
+            std::max(1u, std::thread::hardware_concurrency()) - 1);
 }
 
 TEST(ThreadPool, SubmitReturnsWaitableResult) {
