@@ -7,9 +7,13 @@
 // A final table sweeps the exploration lane count over the largest models;
 // the derived graphs are identical at every lane count, only the wall
 // clock changes (and only on hosts with spare cores -- see
-// docs/performance.md).
+// docs/performance.md).  The Tomcat population and the family rows also
+// time the teardown a finished job pays: destroying the space, the
+// Semantics memo and the model that owns the term arena.
 // Benchmarks: marking-graph derivation throughput.
 #include "bench_common.hpp"
+
+#include <memory>
 
 #include "choreographer/extract_activity.hpp"
 #include "choreographer/extract_statechart.hpp"
@@ -50,6 +54,16 @@ std::string ring_net(std::size_t places, std::size_t tokens) {
               " to ring" + std::to_string((p + 1) % places) + ";\n";
   }
   return source;
+}
+
+/// Destroys what a derivation left behind in the order a finished job
+/// releases it (pass the space, then the Semantics, then the model's
+/// owner) and returns the seconds taken.
+template <typename... Owned>
+double timed_teardown(std::unique_ptr<Owned>&... owned) {
+  util::Stopwatch timer;
+  (owned.reset(), ...);
+  return timer.seconds();
 }
 
 void report() {
@@ -106,33 +120,49 @@ void report() {
   std::cout << "token population on a 3-place ring (combinatorial):\n"
             << tokens << '\n';
 
-  // 3. Client population against the Tomcat server.
-  util::TextTable clients({"clients", "states", "transitions", "derive ms"});
-  for (std::size_t c : {1u, 2u, 4u, 6u, 8u}) {
-    chor::TomcatParams params;
-    params.clients = c;
-    const uml::Model model = chor::tomcat_model(false, params);
-    auto extraction = chor::extract_state_machines(model);
-    pepa::Semantics semantics(extraction.model.arena());
-    util::Stopwatch timer;
-    const auto space =
-        pepa::StateSpace::derive(semantics, extraction.model.system());
-    const double seconds = timer.seconds();
-    clients.add_row_values(std::to_string(c),
-                           {static_cast<double>(space.state_count()),
-                            static_cast<double>(space.transitions().size()),
-                            seconds * 1e3});
-    bench::json_record(
-        bench::JsonObject()
-            .field("model", "tomcat[" + std::to_string(c) + "cl]")
-            .field("threads", std::size_t{1})
-            .field("states", space.state_count())
-            .field("transitions", space.transitions().size())
-            .field("seconds", seconds)
-            .field("states_per_second",
-                   static_cast<double>(space.state_count()) / seconds));
+  // 3. Client population against the Tomcat server, up to the 12 clients
+  // of the end-to-end project_large workload, at one and two lanes.
+  util::ThreadPool population_pool(1);  // 2 lanes = 1 worker + the caller
+  util::TextTable clients({"clients", "lanes", "states", "transitions",
+                           "derive ms", "teardown ms"});
+  for (std::size_t c : {1u, 2u, 4u, 6u, 8u, 10u, 12u}) {
+    for (const std::size_t threads : {1u, 2u}) {
+      chor::TomcatParams params;
+      params.clients = c;
+      auto extraction = std::make_unique<chor::StatechartExtraction>(
+          chor::extract_state_machines(chor::tomcat_model(false, params)));
+      auto semantics =
+          std::make_unique<pepa::Semantics>(extraction->model.arena());
+      pepa::DeriveOptions options;
+      options.threads = threads;
+      options.pool = threads > 1 ? &population_pool : nullptr;
+      util::Stopwatch timer;
+      auto space = std::make_unique<pepa::StateSpace>(pepa::StateSpace::derive(
+          *semantics, extraction->model.system(), options));
+      const double seconds = timer.seconds();
+      const std::size_t states = space->state_count();
+      const std::size_t transitions = space->transitions().size();
+      const double teardown = timed_teardown(space, semantics, extraction);
+      clients.add_row_values(std::to_string(c),
+                             {static_cast<double>(threads),
+                              static_cast<double>(states),
+                              static_cast<double>(transitions), seconds * 1e3,
+                              teardown * 1e3});
+      bench::json_record(
+          bench::JsonObject()
+              .field("model", "tomcat[" + std::to_string(c) + "cl]")
+              .field("threads", threads)
+              .field("states", states)
+              .field("transitions", transitions)
+              .field("seconds", seconds)
+              .field("teardown_seconds", teardown)
+              .field("states_per_second",
+                     static_cast<double>(states) / seconds));
+    }
   }
-  std::cout << "Tomcat client population:\n" << clients << '\n';
+  std::cout << "Tomcat client population (teardown: space, semantics and"
+               " model destroyed):\n"
+            << clients << '\n';
 
   // 4. Exploration lanes over the largest models.  Derivation is
   // level-synchronous and deterministic: every lane count yields the same
@@ -229,30 +259,35 @@ void report() {
        [] { return pepa::ring(20); }, big_lanes},
   };
   util::ThreadPool sweep_pool(7);  // 8 lanes = 7 workers + the caller
-  util::TextTable sweep({"model", "lanes", "states", "derive ms", "states/s"});
+  util::TextTable sweep({"model", "lanes", "states", "derive ms", "states/s",
+                         "teardown ms"});
   for (const SweepPoint& point : sweep_points) {
     for (const std::size_t threads : point.lane_counts) {
-      pepa::Model model = point.build();
-      pepa::Semantics semantics(model.arena());
+      auto model = std::make_unique<pepa::Model>(point.build());
+      auto semantics = std::make_unique<pepa::Semantics>(model->arena());
       pepa::DeriveOptions options;
       options.threads = threads;
       options.pool = threads > 1 ? &sweep_pool : nullptr;
       util::Stopwatch timer;
-      const auto space =
-          pepa::StateSpace::derive(semantics, model.system(), options);
+      auto space = std::make_unique<pepa::StateSpace>(
+          pepa::StateSpace::derive(*semantics, model->system(), options));
       const double seconds = timer.seconds();
-      CHOREO_ASSERT(space.state_count() == point.expected_states);
-      const double rate = static_cast<double>(space.state_count()) / seconds;
+      const std::size_t states = space->state_count();
+      const std::size_t transitions = space->transitions().size();
+      CHOREO_ASSERT(states == point.expected_states);
+      const double teardown = timed_teardown(space, semantics, model);
+      const double rate = static_cast<double>(states) / seconds;
       sweep.add_row_values(point.label + " x" + std::to_string(threads),
                            {static_cast<double>(threads),
-                            static_cast<double>(space.state_count()),
-                            seconds * 1e3, rate});
+                            static_cast<double>(states), seconds * 1e3, rate,
+                            teardown * 1e3});
       bench::json_record(bench::JsonObject()
                              .field("model", point.label)
                              .field("threads", threads)
-                             .field("states", space.state_count())
-                             .field("transitions", space.transitions().size())
+                             .field("states", states)
+                             .field("transitions", transitions)
                              .field("seconds", seconds)
+                             .field("teardown_seconds", teardown)
                              .field("states_per_second", rate));
     }
   }

@@ -15,16 +15,19 @@ for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 # service jobs each deriving with multiple lanes.
 cmake -B build-tsan -G Ninja -DCHOREO_SANITIZE=thread
 cmake --build build-tsan --target test_parallel_statespace test_service \
-  test_metrics test_util test_quotient
+  test_metrics test_util test_quotient test_pepa_semantics test_pepa_ast
 ./build-tsan/tests/test_parallel_statespace 2>&1 | tee tsan_output.txt
 ./build-tsan/tests/test_service 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_metrics 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_util \
-  --gtest_filter='ThreadPool.*:StripedMap.*:SegmentedVector.*' \
+  --gtest_filter='ThreadPool.*:StripedMap.*:SegmentedVector.*:SlotArray.*:BumpArena.*' \
   2>&1 | tee -a tsan_output.txt
 # Quotient-direct derivation shares one canonicalizer memo across the
 # expansion lanes; the lane-count determinism checks run under TSan too.
 ./build-tsan/tests/test_quotient 2>&1 | tee -a tsan_output.txt
+# The semantics memo and the arena's intern tables under concurrent use.
+./build-tsan/tests/test_pepa_semantics 2>&1 | tee -a tsan_output.txt
+./build-tsan/tests/test_pepa_ast 2>&1 | tee -a tsan_output.txt
 
 # Memory-safety check: one quotient-direct derivation (the canonical
 # rewrite path: spine flattening, sibling sorting, balanced rebuild and

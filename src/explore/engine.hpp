@@ -55,8 +55,11 @@
 //
 //   State       value interned into `states`/`index`; moved, hashed (Hash)
 //               and compared for equality.
-//   Successors  callable State-const-ref -> std::vector<Move> (by value;
-//               must be safe to call concurrently from expansion lanes).
+//   Successors  callable State-const-ref -> a range of Move: a
+//               std::vector<Move> by value, or a view (such as
+//               std::span<const Move>) that stays valid until the run
+//               ends.  Must be safe to call concurrently from expansion
+//               lanes.
 //   Move        exposes `.target` (State) and `.rate` (with is_passive()).
 //   Canonicalize callable State-ref -> bool, rewriting the state to its
 //               canonical representative in place (returning whether it
@@ -269,13 +272,14 @@ DeriveStats run(std::vector<State>& states,
       std::size_t local_rewrites = 0;
       for (std::size_t i = begin; i < end; ++i) {
         try {
-          std::vector<Move> found = successors(states[level[i]]);
+          auto&& found = successors(states[level[i]]);
           moves[i].reserve(found.size());
-          for (Move& move : found) {
+          for (auto& move : found) {
+            // Moves out of an owned vector, copies out of a view.
+            moves[i].push_back({std::move(move), kUnresolved});
             // Canonicalize before the batched lookup below, so the index
             // only ever sees (and interns) canonical representatives.
-            if (canonicalize(move.target)) ++local_rewrites;
-            moves[i].push_back({std::move(move), kUnresolved});
+            if (canonicalize(moves[i].back().move.target)) ++local_rewrites;
           }
         } catch (...) {
           errors[i] = std::current_exception();

@@ -14,7 +14,8 @@ void hash_combine(std::size_t& seed, std::size_t value) {
   seed ^= value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
 }
 
-std::size_t hash_node(const ProcessNode& node) {
+template <typename Node>
+std::size_t hash_node(const Node& node) {
   std::size_t seed = static_cast<std::size_t>(node.op);
   hash_combine(seed, node.action);
   hash_combine(seed, std::hash<double>{}(node.rate.value()));
@@ -26,10 +27,18 @@ std::size_t hash_node(const ProcessNode& node) {
   return seed;
 }
 
-bool nodes_equal(const ProcessNode& a, const ProcessNode& b) {
+template <typename Node>
+bool nodes_equal(const ProcessNode& a, const Node& b) {
   return a.op == b.op && a.action == b.action && a.rate == b.rate &&
          a.left == b.left && a.right == b.right && a.constant == b.constant &&
-         a.action_set == b.action_set;
+         std::equal(a.action_set.begin(), a.action_set.end(),
+                    b.action_set.begin(), b.action_set.end());
+}
+
+bool is_normalised(std::span<const ActionId> set) {
+  return std::adjacent_find(set.begin(), set.end(),
+                            std::greater_equal<ActionId>()) == set.end() &&
+         (set.empty() || set.front() != kTau);
 }
 
 std::vector<ActionId> normalise_set(std::vector<ActionId> set) {
@@ -124,9 +133,9 @@ ProcessId ProcessArena::body(ConstantId id) const {
 }
 
 ProcessId ProcessArena::stop() {
-  ProcessNode node;
-  node.op = Op::kStop;
-  return intern(std::move(node));
+  NodeKey key;
+  key.op = Op::kStop;
+  return intern(key);
 }
 
 ProcessId ProcessArena::prefix(ActionId action, Rate rate, ProcessId continuation) {
@@ -134,49 +143,62 @@ ProcessId ProcessArena::prefix(ActionId action, Rate rate, ProcessId continuatio
   if (rate.is_zero()) {
     throw util::ModelError("prefix activities require a positive rate");
   }
-  ProcessNode node;
-  node.op = Op::kPrefix;
-  node.action = action;
-  node.rate = rate;
-  node.left = continuation;
-  return intern(std::move(node));
+  NodeKey key;
+  key.op = Op::kPrefix;
+  key.action = action;
+  key.rate = rate;
+  key.left = continuation;
+  return intern(key);
 }
 
 ProcessId ProcessArena::choice(ProcessId left, ProcessId right) {
   CHOREO_ASSERT(left < state_->nodes.size() && right < state_->nodes.size());
-  ProcessNode node;
-  node.op = Op::kChoice;
-  node.left = left;
-  node.right = right;
-  return intern(std::move(node));
+  NodeKey key;
+  key.op = Op::kChoice;
+  key.left = left;
+  key.right = right;
+  return intern(key);
 }
 
 ProcessId ProcessArena::cooperation(ProcessId left, std::vector<ActionId> set,
                                     ProcessId right) {
-  CHOREO_ASSERT(left < state_->nodes.size() && right < state_->nodes.size());
-  ProcessNode node;
-  node.op = Op::kCooperation;
-  node.left = left;
-  node.right = right;
-  node.action_set = normalise_set(std::move(set));
-  return intern(std::move(node));
+  return cooperation_normalised(left, normalise_set(std::move(set)), right);
 }
 
 ProcessId ProcessArena::hiding(ProcessId process, std::vector<ActionId> set) {
+  return hiding_normalised(process, normalise_set(std::move(set)));
+}
+
+ProcessId ProcessArena::cooperation_normalised(ProcessId left,
+                                               std::span<const ActionId> set,
+                                               ProcessId right) {
+  CHOREO_ASSERT(left < state_->nodes.size() && right < state_->nodes.size());
+  CHOREO_ASSERT(is_normalised(set));
+  NodeKey key;
+  key.op = Op::kCooperation;
+  key.left = left;
+  key.right = right;
+  key.action_set = set;
+  return intern(key);
+}
+
+ProcessId ProcessArena::hiding_normalised(ProcessId process,
+                                          std::span<const ActionId> set) {
   CHOREO_ASSERT(process < state_->nodes.size());
-  ProcessNode node;
-  node.op = Op::kHiding;
-  node.left = process;
-  node.action_set = normalise_set(std::move(set));
-  return intern(std::move(node));
+  CHOREO_ASSERT(is_normalised(set));
+  NodeKey key;
+  key.op = Op::kHiding;
+  key.left = process;
+  key.action_set = set;
+  return intern(key);
 }
 
 ProcessId ProcessArena::constant(ConstantId id) {
   CHOREO_ASSERT(id < state_->constant_names.size());
-  ProcessNode node;
-  node.op = Op::kConstant;
-  node.constant = id;
-  return intern(std::move(node));
+  NodeKey key;
+  key.op = Op::kConstant;
+  key.constant = id;
+  return intern(key);
 }
 
 ProcessId ProcessArena::constant(std::string_view name) {
@@ -188,26 +210,58 @@ const ProcessNode& ProcessArena::node(ProcessId id) const {
   return state_->nodes[id];
 }
 
-ProcessId ProcessArena::intern(ProcessNode node) {
-  const std::size_t hash = hash_node(node);
-  // Mix before striping so integer-heavy hashes spread across stripes.
-  std::size_t mixed = hash;
+ProcessId ProcessArena::intern(const NodeKey& key) {
+  // Mix before striping so integer-heavy hashes spread across stripes.  The
+  // low bits pick the stripe; the next 32 are the slot tag, whose low bits
+  // in turn pick the home slot, so a table regrows from its tags alone.
+  std::size_t mixed = hash_node(key);
   mixed ^= mixed >> 33;
   mixed *= 0xff51afd7ed558ccdULL;
   mixed ^= mixed >> 33;
   Stripe& stripe = state_->stripes[mixed % kStripes];
+  const auto tag = static_cast<std::uint32_t>(mixed / kStripes);
 
   std::lock_guard lock(stripe.mutex);
-  auto& bucket = stripe.buckets[hash];
-  for (ProcessId candidate : bucket) {
-    if (nodes_equal(state_->nodes[candidate], node)) return candidate;
+  if (stripe.slots.empty()) stripe.slots.resize(8);
+  std::size_t mask = stripe.slots.size() - 1;
+  std::size_t at = tag & mask;
+  for (; stripe.slots[at].id != kInvalidProcess; at = (at + 1) & mask) {
+    const Slot& slot = stripe.slots[at];
+    if (slot.tag == tag && nodes_equal(state_->nodes[slot.id], key)) {
+      return slot.id;
+    }
+  }
+  if (2 * (stripe.count + 1) > stripe.slots.size()) {
+    // Grow to keep the table at most half full, re-homing every slot by its
+    // tag (no node is rehashed).
+    std::vector<Slot> grown(2 * stripe.slots.size());
+    mask = grown.size() - 1;
+    for (const Slot& slot : stripe.slots) {
+      if (slot.id == kInvalidProcess) continue;
+      std::size_t home = slot.tag & mask;
+      while (grown[home].id != kInvalidProcess) home = (home + 1) & mask;
+      grown[home] = slot;
+    }
+    stripe.slots = std::move(grown);
+    for (at = tag & mask; stripe.slots[at].id != kInvalidProcess;
+         at = (at + 1) & mask) {
+    }
   }
   // Publication: push_back stores under the stripe mutex; every reader that
   // learns this id does so via a stripe mutex (or a fork/join handoff), so
   // the node contents are visible before the id is.
+  ProcessNode node;
+  node.op = key.op;
+  node.action = key.action;
+  node.rate = key.rate;
+  node.left = key.left;
+  node.right = key.right;
+  node.action_set.assign(key.action_set.begin(), key.action_set.end());
+  node.constant = key.constant;
   const ProcessId id =
       static_cast<ProcessId>(state_->nodes.push_back(std::move(node)));
-  bucket.push_back(id);
+  stripe.slots[at] = {tag, id};
+  ++stripe.count;
   return id;
 }
 
@@ -276,7 +330,7 @@ ProcessId expand_static_impl(ProcessArena& arena, ProcessId process,
                              std::vector<ConstantId>& expanding,
                              std::unordered_map<ProcessId, ProcessId>& memo) {
   if (const auto it = memo.find(process); it != memo.end()) return it->second;
-  const ProcessNode node = arena.node(process);  // copy: arena may grow
+  const ProcessNode& node = arena.node(process);
   ProcessId result = process;
   switch (node.op) {
     case Op::kCooperation: {
@@ -284,13 +338,13 @@ ProcessId expand_static_impl(ProcessArena& arena, ProcessId process,
           expand_static_impl(arena, node.left, expanding, memo);
       const ProcessId right =
           expand_static_impl(arena, node.right, expanding, memo);
-      result = arena.cooperation(left, node.action_set, right);
+      result = arena.cooperation_normalised(left, node.action_set, right);
       break;
     }
     case Op::kHiding: {
       const ProcessId inner =
           expand_static_impl(arena, node.left, expanding, memo);
-      result = arena.hiding(inner, node.action_set);
+      result = arena.hiding_normalised(inner, node.action_set);
       break;
     }
     case Op::kConstant: {

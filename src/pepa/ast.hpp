@@ -5,13 +5,20 @@
 // making equality an integer comparison and enabling memoised semantics
 // (apparent rates, one-step derivatives) keyed by node id.
 //
-// The arena is safe for concurrent interning and lookup: intern buckets are
-// lock-striped by node hash, node storage is append-only with stable ids
-// and lock-free reads (util::SegmentedVector), and the action/constant name
-// tables publish through the same mechanism.  This is what lets parallel
-// state-space exploration workers derive targets concurrently.  The
-// single-threaded fast path is unchanged: looking up an existing node takes
-// one uncontended stripe mutex and allocates nothing.
+// The arena is safe for concurrent interning and lookup.  The intern index
+// is lock-striped by node hash; each stripe is an open-addressing table of
+// {hash tag, id} slots (linear probing, power-of-two capacity, at most half
+// full), so an interned node costs no heap allocation in the index and a
+// lookup is one probe run under one uncontended stripe mutex.  Node storage
+// is append-only with stable ids and addresses and lock-free reads
+// (util::SegmentedVector): a `const ProcessNode&` stays valid while the
+// arena grows.  The action/constant name tables publish through the same
+// mechanism.  This is what lets parallel state-space exploration workers
+// derive targets concurrently.
+//
+// Derivative targets rebuild a cooperation or hiding node with an operand
+// node's own action set; cooperation_normalised()/hiding_normalised() look
+// such nodes up by a view of that set and copy it only when the node is new.
 //
 // The grammar (paper Figure 3, sequential/concurrent levels merged into one
 // node type; well-formedness checks enforce the stratification):
@@ -30,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -99,6 +107,15 @@ class ProcessArena {
   /// `set` is deduplicated and sorted; must not contain tau.
   ProcessId cooperation(ProcessId left, std::vector<ActionId> set, ProcessId right);
   ProcessId hiding(ProcessId process, std::vector<ActionId> set);
+  /// cooperation()/hiding() for a set that is already normalised (sorted,
+  /// unique, tau-free), typically another node's action_set: the node is
+  /// looked up by a view of the set, which is copied only when the node is
+  /// new.
+  ProcessId cooperation_normalised(ProcessId left,
+                                   std::span<const ActionId> set,
+                                   ProcessId right);
+  ProcessId hiding_normalised(ProcessId process,
+                              std::span<const ActionId> set);
   ProcessId constant(ConstantId id);
   /// Convenience: constant by name (declares it when new).
   ProcessId constant(std::string_view name);
@@ -107,13 +124,33 @@ class ProcessArena {
   std::size_t node_count() const noexcept { return state_->nodes.size(); }
 
  private:
-  /// Intern buckets are partitioned into this many stripes by node hash.
+  /// The intern index is partitioned into this many stripes by node hash.
   static constexpr std::size_t kStripes = 64;
+
+  /// One open-addressing slot: bits of the node's mixed hash above the
+  /// stripe bits (which also pick the home slot), and the interned id.
+  struct Slot {
+    std::uint32_t tag = 0;
+    ProcessId id = kInvalidProcess;  ///< kInvalidProcess: empty
+  };
 
   struct Stripe {
     std::mutex mutex;
-    /// hash -> interned ids with that hash (collision chain).
-    std::unordered_map<std::size_t, std::vector<ProcessId>> buckets;
+    /// Linear-probing table; its size is zero or a power of two, and it
+    /// is at most half full.
+    std::vector<Slot> slots;
+    std::size_t count = 0;
+  };
+
+  /// A node to intern, with its action set viewed rather than owned.
+  struct NodeKey {
+    Op op = Op::kStop;
+    ActionId action = 0;
+    Rate rate;
+    ProcessId left = kInvalidProcess;
+    ProcessId right = kInvalidProcess;
+    std::span<const ActionId> action_set;
+    ConstantId constant = 0;
   };
 
   /// The concurrently-shared core lives behind one pointer so the arena
@@ -131,7 +168,7 @@ class ProcessArena {
     std::unordered_map<std::string, ConstantId> constant_ids;
   };
 
-  ProcessId intern(ProcessNode node);
+  ProcessId intern(const NodeKey& key);
 
   std::unique_ptr<State> state_;
 };

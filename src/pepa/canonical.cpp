@@ -89,7 +89,7 @@ ProcessId rebuild_balanced(ProcessArena& arena,
                            const std::vector<ActionId>& set) {
   if (count == 1) return siblings[begin];
   const std::size_t half = count / 2;
-  return arena.cooperation(
+  return arena.cooperation_normalised(
       rebuild_balanced(arena, siblings, begin, count - half, set), set,
       rebuild_balanced(arena, siblings, begin + count - half, half, set));
 }
@@ -98,7 +98,10 @@ ProcessId rebuild_balanced(ProcessArena& arena,
 
 ProcessId Canonicalizer::canonical(ProcessId term) {
   if (term == kInvalidProcess) return term;
-  if (const ProcessId* hit = memo_.find(term)) return *hit;
+  std::atomic<ProcessId>& slot = memo_[term];
+  if (const ProcessId hit = slot.load(std::memory_order_acquire); hit != 0) {
+    return hit - 1;
+  }
   const ProcessNode& node = arena_.node(term);
   ProcessId result = term;
   switch (node.op) {
@@ -132,7 +135,7 @@ ProcessId Canonicalizer::canonical(ProcessId term) {
     case Op::kHiding: {
       const ProcessId sub = canonical(node.left);
       if (sub != node.left) {
-        result = arena_.hiding(sub, node.action_set);
+        result = arena_.hiding_normalised(sub, node.action_set);
       }
       break;
     }
@@ -141,7 +144,9 @@ ProcessId Canonicalizer::canonical(ProcessId term) {
       // composition below them in well-formed PEPA: identity.
       break;
   }
-  memo_.try_emplace(term, result);
+  ProcessId unset = 0;
+  slot.compare_exchange_strong(unset, result + 1, std::memory_order_acq_rel,
+                               std::memory_order_acquire);
   return result;
 }
 

@@ -23,8 +23,10 @@
 // registered single-threaded at model-build time and are deterministic.
 #pragma once
 
+#include <atomic>
+
 #include "pepa/ast.hpp"
-#include "util/striped_map.hpp"
+#include "util/slot_array.hpp"
 
 namespace choreo::pepa {
 
@@ -41,9 +43,11 @@ inline bool structural_less(const ProcessArena& arena, ProcessId a,
 }
 
 /// Memoized canonical-representative computation.  Thread-safe: the memo is
-/// a StripedMap and the arena interns concurrently; racing computations of
-/// the same term produce the same id, so the first publisher winning is
-/// harmless.  Usable directly as explore::run's canonicalization stage.
+/// one dense slot per node (util::SlotArray, lock-free reads, the same
+/// layout pepa::Semantics uses) published by compare-and-swap, and the
+/// arena interns concurrently; racing computations of the same term produce
+/// the same id, so the first publisher winning is harmless.  Usable directly
+/// as explore::run's canonicalization stage.
 class Canonicalizer {
  public:
   explicit Canonicalizer(ProcessArena& arena) : arena_(arena) {}
@@ -65,7 +69,8 @@ class Canonicalizer {
 
  private:
   ProcessArena& arena_;
-  util::StripedMap<ProcessId, ProcessId> memo_;
+  /// canonical(id) + 1 per node; 0 while not yet computed.
+  util::SlotArray<std::atomic<ProcessId>> memo_;
 };
 
 }  // namespace choreo::pepa

@@ -1,6 +1,10 @@
 #include "pepa/semantics.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -8,9 +12,9 @@ namespace choreo::pepa {
 
 namespace {
 
-std::uint64_t apparent_key(ProcessId process, ActionId action) {
-  return (static_cast<std::uint64_t>(process) << 32) | action;
-}
+// The memo store never runs destructors.
+static_assert(std::is_trivially_destructible_v<Derivative>);
+static_assert(std::is_trivially_destructible_v<Rate>);
 
 /// The stack of constants currently being expanded, for unguarded-recursion
 /// detection.  One stack per thread: exploration workers recurse through the
@@ -29,17 +33,41 @@ bool currently_expanding(ConstantId id) {
          t_expanding.end();
 }
 
+/// Per-thread staging buffer for a cooperation's derivative list, whose
+/// length is known only once it is built.  Filling it calls only
+/// apparent_rate() and the arena, never derivatives(), so one buffer per
+/// thread is never in use twice.
+thread_local std::vector<Derivative> t_staging;
+
 }  // namespace
 
 Rate Semantics::apparent_rate(ProcessId process, ActionId action) {
-  const std::uint64_t key = apparent_key(process, action);
-  if (const Rate* hit = apparent_cache_.find(key)) return *hit;
+  std::atomic<const Apparent*>& head = slots_[process].apparent;
+  auto find = [action](const Apparent* from,
+                       const Apparent* until) -> const Apparent* {
+    for (; from != until; from = from->next) {
+      if (from->action == action) return from;
+    }
+    return nullptr;
+  };
+  const Apparent* seen = head.load(std::memory_order_acquire);
+  if (const Apparent* hit = find(seen, nullptr)) return hit->rate;
   const Rate rate = compute_apparent(process, action);
-  return *apparent_cache_.try_emplace(key, rate).first;
+  auto* entry = new (store_.allocate(sizeof(Apparent), alignof(Apparent)))
+      Apparent{rate, action, seen};
+  // Prepend; on a lost race, the entries published since `seen` may already
+  // hold this action, and the first publisher wins.
+  while (!head.compare_exchange_weak(entry->next, entry,
+                                     std::memory_order_release,
+                                     std::memory_order_acquire)) {
+    if (const Apparent* hit = find(entry->next, seen)) return hit->rate;
+    seen = entry->next;
+  }
+  return rate;
 }
 
 Rate Semantics::compute_apparent(ProcessId process, ActionId action) {
-  const ProcessNode node = arena_.node(process);  // copy: arena may grow
+  const ProcessNode& node = arena_.node(process);
   switch (node.op) {
     case Op::kStop:
       return Rate();
@@ -82,58 +110,85 @@ Rate Semantics::compute_apparent(ProcessId process, ActionId action) {
   return Rate();
 }
 
-const std::vector<Derivative>& Semantics::derivatives(ProcessId process) {
-  if (const std::vector<Derivative>* hit = derivative_cache_.find(process)) {
-    return *hit;
-  }
-  std::vector<Derivative> computed = compute_derivatives(process);
-  return *derivative_cache_.try_emplace(process, std::move(computed)).first;
+std::span<const Derivative> Semantics::derivatives(ProcessId process) {
+  const List* list = list_of(process);
+  return {list->items, list->size};
 }
 
-std::vector<Derivative> Semantics::compute_derivatives(ProcessId process) {
-  const ProcessNode node = arena_.node(process);  // copy: arena may grow
-  std::vector<Derivative> out;
+const Semantics::List* Semantics::list_of(ProcessId process) {
+  std::atomic<const List*>& slot = slots_[process].derivatives;
+  if (const List* hit = slot.load(std::memory_order_acquire)) return hit;
+  const List* computed = compute_derivatives(process);
+  const List* published = nullptr;
+  if (slot.compare_exchange_strong(published, computed,
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return computed;
+  }
+  return published;
+}
+
+Semantics::List* Semantics::new_list(std::size_t size) {
+  // One block: the header, then the items (sizeof(List) keeps them
+  // aligned).
+  static_assert(sizeof(List) % alignof(Derivative) == 0);
+  void* block = store_.allocate(sizeof(List) + size * sizeof(Derivative),
+                                alignof(List));
+  auto* items = reinterpret_cast<Derivative*>(static_cast<std::byte*>(block) +
+                                              sizeof(List));
+  return new (block) List{items, size};
+}
+
+const Semantics::List* Semantics::compute_derivatives(ProcessId process) {
+  static constexpr List kNone{nullptr, 0};
+  const ProcessNode& node = arena_.node(process);
   switch (node.op) {
     case Op::kStop:
+      return &kNone;
+    case Op::kPrefix: {
+      List* out = new_list(1);
+      new (out->items) Derivative{node.action, node.rate, node.left};
       return out;
-    case Op::kPrefix:
-      out.push_back({node.action, node.rate, node.left});
-      return out;
+    }
     case Op::kChoice: {
-      // Copies: computing the right list may invalidate a reference into the
-      // cache obtained for the left list.
-      const std::vector<Derivative> left = derivatives(node.left);
-      const std::vector<Derivative> right = derivatives(node.right);
-      out = left;
-      out.insert(out.end(), right.begin(), right.end());
+      const std::span<const Derivative> left = derivatives(node.left);
+      const std::span<const Derivative> right = derivatives(node.right);
+      List* out = new_list(left.size() + right.size());
+      std::uninitialized_copy(right.begin(), right.end(),
+                              std::uninitialized_copy(left.begin(), left.end(),
+                                                      out->items));
       return out;
     }
     case Op::kHiding: {
-      const std::vector<Derivative> inner = derivatives(node.left);
-      out.reserve(inner.size());
-      for (const Derivative& d : inner) {
+      const std::span<const Derivative> inner = derivatives(node.left);
+      List* out = new_list(inner.size());
+      for (std::size_t i = 0; i < inner.size(); ++i) {
+        const Derivative& d = inner[i];
         const ActionId action =
             set_contains(node.action_set, d.action) ? kTau : d.action;
-        out.push_back({action, d.rate, arena_.hiding(d.target, node.action_set)});
+        new (out->items + i) Derivative{
+            action, d.rate, arena_.hiding_normalised(d.target, node.action_set)};
       }
       return out;
     }
     case Op::kCooperation: {
-      const std::vector<Derivative> left = derivatives(node.left);
-      const std::vector<Derivative> right = derivatives(node.right);
+      const std::span<const Derivative> left = derivatives(node.left);
+      const std::span<const Derivative> right = derivatives(node.right);
+      std::vector<Derivative>& out = t_staging;
+      out.clear();
       // Independent moves (action outside the cooperation set; tau is never
       // in the set).
       for (const Derivative& d : left) {
         if (set_contains(node.action_set, d.action)) continue;
-        out.push_back(
-            {d.action, d.rate,
-             arena_.cooperation(d.target, node.action_set, node.right)});
+        out.push_back({d.action, d.rate,
+                       arena_.cooperation_normalised(d.target, node.action_set,
+                                                     node.right)});
       }
       for (const Derivative& d : right) {
         if (set_contains(node.action_set, d.action)) continue;
-        out.push_back(
-            {d.action, d.rate,
-             arena_.cooperation(node.left, node.action_set, d.target)});
+        out.push_back({d.action, d.rate,
+                       arena_.cooperation_normalised(node.left, node.action_set,
+                                                     d.target)});
       }
       // Shared moves: each pair of co-operating activities, scaled by the
       // apparent-rate law.
@@ -148,13 +203,15 @@ std::vector<Derivative> Semantics::compute_derivatives(ProcessId process) {
             const Rate rate =
                 cooperation_rate(dl.rate, apparent_left, dr.rate, apparent_right,
                                  arena_.action_name(shared));
-            out.push_back(
-                {shared, rate,
-                 arena_.cooperation(dl.target, node.action_set, dr.target)});
+            out.push_back({shared, rate,
+                           arena_.cooperation_normalised(
+                               dl.target, node.action_set, dr.target)});
           }
         }
       }
-      return out;
+      List* list = new_list(out.size());
+      std::uninitialized_copy(out.begin(), out.end(), list->items);
+      return list;
     }
     case Op::kConstant: {
       if (currently_expanding(node.constant)) {
@@ -163,12 +220,11 @@ std::vector<Derivative> Semantics::compute_derivatives(ProcessId process) {
                       arena_.constant_name(node.constant), "'"));
       }
       ExpandingGuard guard(node.constant);
-      out = derivatives(arena_.body(node.constant));
-      return out;
+      return list_of(arena_.body(node.constant));  // shares the body's list
     }
   }
   CHOREO_ASSERT(false);
-  return out;
+  return &kNone;
 }
 
 }  // namespace choreo::pepa

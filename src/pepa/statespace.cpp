@@ -144,8 +144,7 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
     return explore::run(
         space.states_, space.index_, expand_static(semantics.arena(), initial),
         [&semantics](const ProcessId& term) {
-          // Copy: concurrent workers may grow the cache under the ref.
-          return std::vector<Derivative>(semantics.derivatives(term));
+          return semantics.derivatives(term);
         },
         std::forward<decltype(canonicalize)>(canonicalize),
         [&semantics](const Derivative& move) {

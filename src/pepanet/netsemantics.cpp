@@ -36,9 +36,7 @@ void NetSemantics::collect_local_moves(const Marking& marking, PlaceId place,
                                        std::vector<NetMove>& out) {
   const Place& p = net_.place(place);
   const pepa::ProcessId context = place_context(marking, place);
-  // Copy: decomposition interns new terms, which may grow the cache.
-  const std::vector<pepa::Derivative> derivatives = pepa_.derivatives(context);
-  for (const pepa::Derivative& d : derivatives) {
+  for (const pepa::Derivative& d : pepa_.derivatives(context)) {
     // Firing types never occur as local transitions; they are only
     // performed as part of a net-level firing.
     if (net_.is_firing_type(d.action)) continue;

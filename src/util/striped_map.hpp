@@ -1,11 +1,11 @@
-// A lock-striped hash map for concurrent memoisation caches.
+// A lock-striped hash map: the exploration engine's state index.
 //
 // The map is partitioned into a fixed number of stripes, each an ordinary
 // unordered_map behind its own mutex; a key's stripe is chosen by its hash,
 // so threads working on unrelated keys almost never contend.  Value
-// addresses are stable (unordered_map never relocates elements), which lets
-// callers hand out references that survive later inserts — the contract the
-// PEPA semantics caches rely on.
+// addresses are stable (unordered_map never relocates elements), so
+// pointers returned by find() survive later inserts.  (Memo tables keyed by
+// a dense node id use util::SlotArray instead.)
 //
 // The intended access pattern is publish-on-miss: look the key up, compute
 // the value outside any stripe lock on a miss, then try_emplace it; when

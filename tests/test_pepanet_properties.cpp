@@ -12,7 +12,9 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "choreographer/extract_activity.hpp"
 #include "choreographer/paper_models.hpp"
@@ -39,7 +41,8 @@ std::set<cp::ProcessId> derivative_closure(cp::ProcessArena& arena,
   while (!frontier.empty()) {
     const cp::ProcessId term = frontier.front();
     frontier.pop_front();
-    const std::vector<cp::Derivative> moves = semantics.derivatives(term);
+    const std::span<const cp::Derivative> view = semantics.derivatives(term);
+    const std::vector<cp::Derivative> moves(view.begin(), view.end());
     for (const cp::Derivative& d : moves) {
       if (closure.insert(d.target).second) frontier.push_back(d.target);
     }

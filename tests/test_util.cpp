@@ -1,5 +1,5 @@
 // Unit tests for choreo_util: strings, RNG, statistics, thread pool,
-// striped map, segmented vector, tables.
+// striped map, segmented vector, slot array, bump arena, tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "util/bump_arena.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/segmented_vector.hpp"
+#include "util/slot_array.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/striped_map.hpp"
@@ -507,6 +509,108 @@ TEST(SegmentedVector, DestroysElementsSpanningASegmentBoundary) {
     EXPECT_EQ(vec[kCount - 1].payload, std::to_string(kCount - 1));
   }
   EXPECT_EQ(DtorCounted::live.load(), 0);
+}
+
+TEST(SlotArray, SlotsStartZeroedAndStayPut) {
+  cu::SlotArray<std::atomic<std::uint64_t>> slots;
+  // Ids on both sides of the first two segment boundaries and well past
+  // them (segments are allocated on first touch, in any order).
+  const std::uint32_t ids[] = {1'000'000, 0, 1023, 1024, 3071, 3072};
+  for (const std::uint32_t id : ids) {
+    EXPECT_EQ(slots[id].load(), 0u) << id;
+    slots[id].store(id + 1ull);
+  }
+  for (const std::uint32_t id : ids) {
+    EXPECT_EQ(slots[id].load(), id + 1ull) << id;
+    EXPECT_EQ(&slots[id], &slots[id]);
+  }
+  EXPECT_EQ(slots[1022].load(), 0u);
+  EXPECT_EQ(slots[1025].load(), 0u);
+}
+
+TEST(SlotArray, ConcurrentFirstTouchesShareOneSegment) {
+  // Threads race to allocate the same segments; every thread must end up
+  // on the published one, so each slot is incremented exactly once per
+  // thread.
+  constexpr std::size_t kThreads = 6;
+  constexpr std::uint32_t kIds = 40'000;
+  cu::SlotArray<std::atomic<std::uint32_t>> slots;
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (std::uint32_t id = 0; id < kIds; ++id) slots[id].fetch_add(1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::uint32_t id = 0; id < kIds; ++id) {
+    ASSERT_EQ(slots[id].load(), kThreads) << id;
+  }
+}
+
+TEST(BumpArena, AllocationsAreAlignedDisjointAndStable) {
+  cu::BumpArena arena;
+  std::vector<std::pair<unsigned char*, std::size_t>> blocks;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    const std::size_t bytes = 1 + (i * 37) % 300;
+    const std::size_t align = std::size_t{1} << (i % 5);
+    auto* block = static_cast<unsigned char*>(arena.allocate(bytes, align));
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(block) % align, 0u);
+    std::fill(block, block + bytes, static_cast<unsigned char>(i));
+    blocks.emplace_back(block, bytes);
+  }
+  // One allocation larger than the largest chunk gets a chunk of its own.
+  auto* big = static_cast<unsigned char*>(
+      arena.allocate(cu::BumpArena::kMaxChunk * 2, 8));
+  std::fill(big, big + cu::BumpArena::kMaxChunk * 2, 0xAB);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const auto [block, bytes] = blocks[i];
+    ASSERT_TRUE(std::all_of(block, block + bytes, [&](unsigned char c) {
+      return c == static_cast<unsigned char>(i);
+    })) << i;
+  }
+  EXPECT_GE(arena.reserved_bytes(), cu::BumpArena::kMaxChunk * 2);
+}
+
+TEST(BumpArena, SmallArenaReservesOneSmallChunk) {
+  cu::BumpArena arena;
+  arena.allocate(64, 8);
+  arena.allocate(64, 8);
+  EXPECT_EQ(arena.reserved_bytes(), cu::BumpArena::kFirstChunk);
+}
+
+TEST(BumpArena, ConcurrentAllocationsNeverOverlap) {
+  // More threads than lanes, so some share the locked overflow lane.
+  constexpr std::size_t kThreads = cu::BumpArena::kLanes + 4;
+  constexpr std::size_t kPerThread = 3000;
+  cu::BumpArena arena;
+  std::vector<std::vector<std::uint64_t*>> blocks(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        auto* block = static_cast<std::uint64_t*>(
+            arena.allocate(2 * sizeof(std::uint64_t), alignof(std::uint64_t)));
+        block[0] = t;
+        block[1] = i;
+        blocks[t].push_back(block);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      ASSERT_EQ(blocks[t][i][0], t);
+      ASSERT_EQ(blocks[t][i][1], i);
+    }
+  }
 }
 
 namespace {
