@@ -10,7 +10,9 @@
 // the collected records there as a JSON array after the report.  An
 // environment variable is used instead of a flag because google-benchmark
 // rejects argv it does not recognise.  scripts/bench_report.sh drives this
-// to regenerate the committed BENCH_*.json artefacts.
+// to regenerate the committed BENCH_*.json artefacts.  Every record is
+// stamped (host_fields()) with the host and build that produced it; the
+// commit comes from CHOREO_BENCH_COMMIT, which bench_report.sh sets.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -21,6 +23,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -58,14 +61,41 @@ class JsonObject {
   std::string body_;
 };
 
+/// The CPU model named by /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// Adds the host and build that produced a record: hardware threads, CPU
+/// model, compiler, build type and commit ($CHOREO_BENCH_COMMIT, else
+/// "unknown").
+inline JsonObject& host_fields(JsonObject& object) {
+  const char* commit = std::getenv("CHOREO_BENCH_COMMIT");
+  return object
+      .field("nproc", static_cast<std::size_t>(std::thread::hardware_concurrency()))
+      .field("cpu", cpu_model())
+      .field("compiler", CHOREO_BENCH_COMPILER)
+      .field("build_type", CHOREO_BENCH_BUILD_TYPE)
+      .field("commit", commit != nullptr && *commit != '\0' ? commit : "unknown");
+}
+
 /// Records collected during the report, flushed by run().
 inline std::vector<std::string>& json_records() {
   static std::vector<std::string> records;
   return records;
 }
 
-inline void json_record(const JsonObject& object) {
-  json_records().push_back(object.str());
+/// Collects one record, stamped with host_fields().
+inline void json_record(JsonObject object) {
+  json_records().push_back(host_fields(object).str());
 }
 
 /// Writes the collected records to $CHOREO_BENCH_JSON, if set.

@@ -13,10 +13,20 @@
 // bounded: skipping parse + derivation + dedup, with a rebind and an
 // assembly cheaper than the solve, holds a ~4x per-point advantage as the
 // state space grows from 10^2 to 4·10^3 states.
+//
+// Report, part 3 (sweep_point_layers): where a sweep point's time goes on
+// the end-to-end benchmark's sweep_grid model -- the uncached Tomcat server
+// (models/tomcat.pepa) with ten clients, a 6 x 6 log grid over the
+// translate and compile rates.  It times the once-per-sweep set-up (derive
+// plus the rate tape and generator pattern recordings) beside a plain
+// derive of the same model, reports the tape's node count, and the median
+// per-point rebind, assembly and solve seconds.
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "ctmc/steady_state.hpp"
 #include "pepa/measures.hpp"
@@ -63,6 +73,34 @@ std::string client_server_source(std::size_t clients, double rate) {
       "Serve  = (response, s).Server;\n"
       "System = Client[", clients, "] <request, response> Server[2];\n"
       "@system System;\n");
+}
+
+/// models/tomcat.pepa (the uncached JSP lifecycle: locate, translate,
+/// compile) with `clients` replicated clients.
+std::string tomcat_jsp_source(std::size_t clients) {
+  return util::msg(
+      "req = 5.0; offp = 2.0;\n"
+      "locj = 20.0; tran = 0.5; comp = 0.8; exec = 10.0; resp = 25.0;\n"
+      "GenerateRequest   = (request, req).WaitForResponse;\n"
+      "WaitForResponse   = (response, infty).ProcessResponse;\n"
+      "ProcessResponse   = (offlineProcessing, offp).GenerateRequest;\n"
+      "ServerIdle        = (request, infty).ProcessRequest;\n"
+      "ProcessRequest    = (locatejsp, locj).AccessJSPFile;\n"
+      "AccessJSPFile     = (translate, tran).GeneratedJavaCode;\n"
+      "GeneratedJavaCode = (compile, comp).CompiledJavaCode;\n"
+      "CompiledJavaCode  = (execute, exec).SendHTTPResponse;\n"
+      "SendHTTPResponse  = (response, resp).ServerIdle;\n"
+      "System = GenerateRequest[",
+      clients,
+      "] <request, response> ServerIdle;\n"
+      "@system System;\n");
+}
+
+double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1 ? samples[mid]
+                                  : 0.5 * (samples[mid - 1] + samples[mid]);
 }
 
 struct Comparison {
@@ -180,6 +218,70 @@ void report() {
   std::cout << "replicated client/server: with the solve dominating, skipping "
                "parse+derive still holds ~4x (20 points, one lane)\n"
             << scaling << '\n';
+
+  // Part 3: the per-point layers of the sweep_grid model, one lane
+  // throughout, as the end-to-end benchmark runs it.
+  const std::string source = tomcat_jsp_source(10);
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::logspace("tran", 0.1, 2.5, 6),
+               sweep::Axis::logspace("comp", 0.16, 4.0, 6)};
+  pepa::DeriveOptions derive;
+  derive.threads = 1;
+
+  pepa::Model plain = pepa::parse_model(source, "<bench>");
+  pepa::Semantics semantics(plain.arena());
+  util::Stopwatch timer;
+  const pepa::StateSpace space =
+      pepa::StateSpace::derive(semantics, plain.system(), derive);
+  const double derive_seconds = timer.seconds();
+
+  pepa::Model model = pepa::parse_model(source, "<bench>");
+  timer.restart();
+  sweep::SharedStructure shared(model, spec.parameter_names(), derive);
+  const double setup_seconds = timer.seconds();
+
+  std::vector<double> rebind;
+  std::vector<double> assemble;
+  std::vector<double> solve;
+  for (std::size_t p = 0; p < spec.point_count(); ++p) {
+    timer.restart();
+    const std::vector<double> rates =
+        shared.rebind_rates(shared.rebinder().at(spec.point(p)));
+    rebind.push_back(timer.seconds());
+    timer.restart();
+    const ctmc::Generator generator = shared.generator(rates);
+    assemble.push_back(timer.seconds());
+    timer.restart();
+    const ctmc::SolveResult solved = ctmc::steady_state(generator);
+    solve.push_back(timer.seconds());
+    benchmark::DoNotOptimize(solved.distribution.data());
+  }
+  util::TextTable layers({"states", "transitions", "derive ms", "set-up ms",
+                          "tape nodes", "rebind ms/pt", "assembly ms/pt",
+                          "solve ms/pt"});
+  layers.add_row({std::to_string(space.state_count()),
+                  std::to_string(space.transitions().size()),
+                  util::format_double(derive_seconds * 1e3),
+                  util::format_double(setup_seconds * 1e3),
+                  std::to_string(shared.tape_size()),
+                  util::format_double(median(rebind) * 1e3),
+                  util::format_double(median(assemble) * 1e3),
+                  util::format_double(median(solve) * 1e3)});
+  bench::json_record(bench::JsonObject()
+                         .field("experiment", "sweep_point_layers")
+                         .field("model", "tomcat_uncached_10_clients")
+                         .field("points", spec.point_count())
+                         .field("states", space.state_count())
+                         .field("transitions", space.transitions().size())
+                         .field("derive_seconds", derive_seconds)
+                         .field("setup_seconds", setup_seconds)
+                         .field("tape_nodes", shared.tape_size())
+                         .field("rebind_seconds_per_point", median(rebind))
+                         .field("assembly_seconds_per_point", median(assemble))
+                         .field("solve_seconds_per_point", median(solve)));
+  std::cout << "sweep_grid model (10 clients, 6 x 6 tran x comp grid): "
+               "set-up beside a plain derive, median per-point layers\n"
+            << layers << '\n';
 }
 
 void BM_IndependentJob(benchmark::State& state) {

@@ -22,32 +22,45 @@
 #                             agreement with the exact population chain
 #   BENCH_sweep.json       -- design-space sweep amortization: one
 #                             derive-once sweep vs K independent jobs on the
-#                             Tomcat model, plus the scaling of the advantage
-#                             with the state-space size
+#                             Tomcat model, the scaling of the advantage
+#                             with the state-space size, and the per-point
+#                             layers (rebind, assembly, solve) of the
+#                             end-to-end benchmark's sweep_grid model
 #
 # The bench binaries emit the records themselves when CHOREO_BENCH_JSON
 # names a file (an env var because google-benchmark rejects unknown argv);
 # --benchmark_filter skips the google-benchmark timing loops so only the
-# report sections run.  See docs/performance.md for how to read the numbers.
+# report sections run.  Every record is stamped with the host, compiler,
+# build type and commit (CHOREO_BENCH_COMMIT, with "-dirty" when the tree
+# has uncommitted changes).  See docs/performance.md for how to read the
+# numbers.
+#
+# Usage: scripts/bench_report.sh [statespace|service|measures|fluid|sweep]...
+# regenerates the named artefacts, or all five when none is named.
 #
 # An existing build/ directory is reused with whatever generator configured
 # it; a fresh checkout gets the CMake default.
 set -e
 cd "$(dirname "$0")/.."
 cmake -B build
-cmake --build build --target bench_statespace bench_service_throughput \
-  bench_measures bench_fluid bench_sweep
 
-CHOREO_BENCH_JSON="$PWD/BENCH_statespace.json" \
-  ./build/bench/bench_statespace "--benchmark_filter=^$"
-CHOREO_BENCH_JSON="$PWD/BENCH_service.json" \
-  ./build/bench/bench_service_throughput "--benchmark_filter=^$"
-CHOREO_BENCH_JSON="$PWD/BENCH_measures.json" \
-  ./build/bench/bench_measures "--benchmark_filter=^$"
-CHOREO_BENCH_JSON="$PWD/BENCH_fluid.json" \
-  ./build/bench/bench_fluid "--benchmark_filter=^$"
-CHOREO_BENCH_JSON="$PWD/BENCH_sweep.json" \
-  ./build/bench/bench_sweep "--benchmark_filter=^$"
+CHOREO_BENCH_COMMIT="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+  CHOREO_BENCH_COMMIT="$CHOREO_BENCH_COMMIT-dirty"
+fi
+export CHOREO_BENCH_COMMIT
 
-echo "wrote BENCH_statespace.json, BENCH_service.json, BENCH_measures.json," \
-  "BENCH_fluid.json and BENCH_sweep.json"
+for name in ${*:-statespace service measures fluid sweep}; do
+  case "$name" in
+    statespace) target=bench_statespace ;;
+    service) target=bench_service_throughput ;;
+    measures) target=bench_measures ;;
+    fluid) target=bench_fluid ;;
+    sweep) target=bench_sweep ;;
+    *) echo "bench_report.sh: unknown artefact '$name'" >&2; exit 1 ;;
+  esac
+  cmake --build build --target "$target"
+  CHOREO_BENCH_JSON="$PWD/BENCH_$name.json" \
+    "./build/bench/$target" "--benchmark_filter=^$"
+  echo "wrote BENCH_$name.json"
+done

@@ -57,6 +57,7 @@ class CsrMatrix {
 
  private:
   friend class CsrBuilder;
+  friend class GeneratorPattern;
 
   std::vector<std::size_t> row_ptr_;
   std::vector<std::size_t> col_;

@@ -160,6 +160,42 @@ struct PendingMove {
   std::size_t resolved = kUnresolved;
 };
 
+/// A not-yet-numbered successor, looked up in the level-local dedup set
+/// through FreshHash / FreshEq's transparent overloads without a copy.
+template <typename State>
+struct FreshCandidate {
+  const State* state;
+};
+
+/// Hash of the level-local dedup set, whose keys are indices into `states`.
+template <typename State, typename Hash>
+struct FreshHash {
+  using is_transparent = void;
+  const std::vector<State>* states;
+  std::size_t operator()(std::size_t idx) const {
+    return Hash{}((*states)[idx]);
+  }
+  std::size_t operator()(FreshCandidate<State> c) const {
+    return Hash{}(*c.state);
+  }
+};
+
+/// Equality of the level-local dedup set (see FreshHash).
+template <typename State>
+struct FreshEq {
+  using is_transparent = void;
+  const std::vector<State>* states;
+  bool operator()(std::size_t a, std::size_t b) const {
+    return (*states)[a] == (*states)[b];
+  }
+  bool operator()(std::size_t a, FreshCandidate<State> c) const {
+    return (*states)[a] == *c.state;
+  }
+  bool operator()(FreshCandidate<State> c, std::size_t a) const {
+    return *c.state == (*states)[a];
+  }
+};
+
 /// The identity canonicalization: every state is its own representative, so
 /// the explored space is the full chain (the default, golden-locked path).
 struct NoCanonicalize {
@@ -219,32 +255,9 @@ DeriveStats run(std::vector<State>& states,
   // is immutable while a level runs, so a target the expansion phase left
   // unresolved is either genuinely new or a duplicate within the level, and
   // this set holds exactly those.
-  struct Candidate {
-    const State* state;
-  };
-  struct FreshHash {
-    using is_transparent = void;
-    const std::vector<State>* states;
-    std::size_t operator()(std::size_t idx) const {
-      return Hash{}((*states)[idx]);
-    }
-    std::size_t operator()(Candidate c) const { return Hash{}(*c.state); }
-  };
-  struct FreshEq {
-    using is_transparent = void;
-    const std::vector<State>* states;
-    bool operator()(std::size_t a, std::size_t b) const {
-      return (*states)[a] == (*states)[b];
-    }
-    bool operator()(std::size_t a, Candidate c) const {
-      return (*states)[a] == *c.state;
-    }
-    bool operator()(Candidate c, std::size_t a) const {
-      return *c.state == (*states)[a];
-    }
-  };
-  std::unordered_set<std::size_t, FreshHash, FreshEq> fresh(
-      16, FreshHash{&states}, FreshEq{&states});
+  using Candidate = FreshCandidate<State>;
+  std::unordered_set<std::size_t, FreshHash<State, Hash>, FreshEq<State>>
+      fresh(16, FreshHash<State, Hash>{&states}, FreshEq<State>{&states});
 
   while (!frontier.empty()) {
     ++stats.levels;

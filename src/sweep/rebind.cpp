@@ -6,6 +6,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "pepa/rate.hpp"
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -264,183 +266,6 @@ RateRebinder::Point::Point(RateRebinder& owner, std::vector<double> values)
       identity_(values_ == owner.base_values_),
       serial_(owner.next_serial_.fetch_add(1, std::memory_order_relaxed)) {}
 
-pepa::Rate RateRebinder::Point::prefix_rate(
-    pepa::ProcessId id, const pepa::ProcessNode& node) const {
-  if (const auto swept = owner_.swept_.find(id); swept != owner_.swept_.end()) {
-    const double value = swept->second.second * values_[swept->second.first];
-    return node.rate.is_passive() ? pepa::Rate::passive(value)
-                                  : pepa::Rate::active(value);
-  }
-  return node.rate;
-}
-
-RateRebinder::Point::NodeMemo& RateRebinder::Point::memo(
-    pepa::ProcessId base) {
-  if (base >= nodes_.size()) {
-    nodes_.resize(std::max<std::size_t>(base + 1,
-                                        owner_.model_.arena().node_count()));
-  }
-  return nodes_[base];
-}
-
-std::span<const RatedMove> RateRebinder::Point::moves(pepa::ProcessId base) {
-  const Range range = move_range(base);
-  return std::span<const RatedMove>(moves_).subspan(range.begin, range.size());
-}
-
-RateRebinder::Point::Range RateRebinder::Point::move_range(
-    pepa::ProcessId base) {
-  if (const Range hit = memo(base).moves; hit.begin != kNone) return hit;
-  const Range computed = compute_moves(base);
-  memo(base).moves = computed;  // re-fetched: the walk may grow nodes_
-  return computed;
-}
-
-pepa::Rate RateRebinder::Point::apparent(pepa::ProcessId base,
-                                         pepa::ActionId action) {
-  for (std::uint32_t e = memo(base).apparent; e != kNone;
-       e = apparent_[e].next) {
-    if (apparent_[e].action == action) return apparent_[e].rate;
-  }
-  const pepa::Rate rate = compute_apparent(base, action);
-  NodeMemo& slot = memo(base);
-  CHOREO_ASSERT(apparent_.size() < kNone);
-  apparent_.push_back({rate, action, slot.apparent});
-  slot.apparent = static_cast<std::uint32_t>(apparent_.size() - 1);
-  return rate;
-}
-
-void RateRebinder::Point::reserve_moves(std::size_t extra) {
-  const std::size_t needed = moves_.size() + extra;
-  if (needed > moves_.capacity()) {
-    moves_.reserve(std::max(needed, 2 * moves_.capacity()));
-  }
-}
-
-std::uint32_t RateRebinder::Point::moves_end() const {
-  CHOREO_ASSERT(moves_.size() < kNone);
-  return static_cast<std::uint32_t>(moves_.size());
-}
-
-// The two compute_ walks mirror Semantics::compute_derivatives and
-// Semantics::compute_apparent case for case — same recursion, same emission
-// order, same multiplicities — except that no derivative target is ever
-// built and swept prefix rates take this point's values.  A node's moves
-// are appended to the buffer after its operands' ranges are complete, and
-// moves are copied by value and index, since appending may reallocate.
-// Guardedness is not re-checked: the base derivation already walked (and
-// validated) every recursion this walk can reach.
-RateRebinder::Point::Range RateRebinder::Point::compute_moves(
-    pepa::ProcessId base) {
-  const pepa::ProcessArena& arena = owner_.model_.arena();
-  const pepa::ProcessNode& node = arena.node(base);  // arena never grows here
-  switch (node.op) {
-    case pepa::Op::kStop:
-      return {0, 0};
-    case pepa::Op::kPrefix: {
-      const std::uint32_t begin = moves_end();
-      moves_.push_back({node.action, prefix_rate(base, node)});
-      return {begin, moves_end()};
-    }
-    case pepa::Op::kChoice: {
-      const Range left = move_range(node.left);
-      const Range right = move_range(node.right);
-      const std::uint32_t begin = moves_end();
-      reserve_moves(left.size() + right.size());
-      for (std::uint32_t k = left.begin; k < left.end; ++k) {
-        moves_.push_back(moves_[k]);
-      }
-      for (std::uint32_t k = right.begin; k < right.end; ++k) {
-        moves_.push_back(moves_[k]);
-      }
-      return {begin, moves_end()};
-    }
-    case pepa::Op::kHiding: {
-      const Range inner = move_range(node.left);
-      const std::uint32_t begin = moves_end();
-      reserve_moves(inner.size());
-      for (std::uint32_t k = inner.begin; k < inner.end; ++k) {
-        RatedMove move = moves_[k];
-        if (pepa::set_contains(node.action_set, move.action)) {
-          move.action = pepa::kTau;
-        }
-        moves_.push_back(move);
-      }
-      return {begin, moves_end()};
-    }
-    case pepa::Op::kCooperation: {
-      const Range left = move_range(node.left);
-      const Range right = move_range(node.right);
-      const std::uint32_t begin = moves_end();
-      reserve_moves(left.size() + right.size());
-      for (std::uint32_t k = left.begin; k < left.end; ++k) {
-        if (pepa::set_contains(node.action_set, moves_[k].action)) continue;
-        moves_.push_back(moves_[k]);
-      }
-      for (std::uint32_t k = right.begin; k < right.end; ++k) {
-        if (pepa::set_contains(node.action_set, moves_[k].action)) continue;
-        moves_.push_back(moves_[k]);
-      }
-      for (const pepa::ActionId shared : node.action_set) {
-        const pepa::Rate apparent_left = apparent(node.left, shared);
-        const pepa::Rate apparent_right = apparent(node.right, shared);
-        if (apparent_left.is_zero() || apparent_right.is_zero()) continue;
-        for (std::uint32_t l = left.begin; l < left.end; ++l) {
-          if (moves_[l].action != shared) continue;
-          for (std::uint32_t r = right.begin; r < right.end; ++r) {
-            if (moves_[r].action != shared) continue;
-            const pepa::Rate rate = pepa::cooperation_rate(
-                moves_[l].rate, apparent_left, moves_[r].rate, apparent_right,
-                arena.action_name(shared));
-            moves_.push_back({shared, rate});
-          }
-        }
-      }
-      return {begin, moves_end()};
-    }
-    case pepa::Op::kConstant:
-      return move_range(arena.body(node.constant));
-  }
-  return {0, 0};
-}
-
-pepa::Rate RateRebinder::Point::compute_apparent(pepa::ProcessId base,
-                                                 pepa::ActionId action) {
-  const pepa::ProcessArena& arena = owner_.model_.arena();
-  const pepa::ProcessNode& node = arena.node(base);
-  switch (node.op) {
-    case pepa::Op::kStop:
-      return pepa::Rate();
-    case pepa::Op::kPrefix:
-      return node.action == action ? prefix_rate(base, node) : pepa::Rate();
-    case pepa::Op::kChoice:
-      return apparent(node.left, action)
-          .plus(apparent(node.right, action), arena.action_name(action));
-    case pepa::Op::kHiding:
-      if (action == pepa::kTau) {
-        pepa::Rate sum = apparent(node.left, pepa::kTau);
-        for (const pepa::ActionId hidden : node.action_set) {
-          sum = sum.plus(apparent(node.left, hidden), "tau");
-        }
-        return sum;
-      }
-      if (pepa::set_contains(node.action_set, action)) return pepa::Rate();
-      return apparent(node.left, action);
-    case pepa::Op::kCooperation: {
-      const pepa::Rate left = apparent(node.left, action);
-      const pepa::Rate right = apparent(node.right, action);
-      if (action != pepa::kTau &&
-          pepa::set_contains(node.action_set, action)) {
-        return pepa::Rate::min(left, right);
-      }
-      return left.plus(right, arena.action_name(action));
-    }
-    case pepa::Op::kConstant:
-      return apparent(arena.body(node.constant), action);
-  }
-  return pepa::Rate();
-}
-
 pepa::ProcessId RateRebinder::Point::term(pepa::ProcessId base) {
   if (identity_) return base;
   if (const auto it = terms_.find(base); it != terms_.end()) {
@@ -502,6 +327,305 @@ pepa::ConstantId RateRebinder::Point::constant(pepa::ConstantId base) {
   constants_.emplace(base, fresh);
   arena.define(fresh, term(arena.body(base)));
   return fresh;
+}
+
+std::vector<pepa::Rate> RateTape::evaluate(
+    std::span<const double> values) const {
+  std::vector<pepa::Rate> rates;
+  rates.reserve(nodes_.size());
+  for (const Node& node : nodes_) {
+    const pepa::Rate rate = apply(node, values, rates);
+    rates.push_back(rate);
+  }
+  return rates;
+}
+
+pepa::Rate RateTape::apply(const Node& node, std::span<const double> values,
+                           std::span<const pepa::Rate> earlier) const {
+  const auto& [a, b, c, d] = node.operands;
+  switch (node.kind) {
+    case Kind::kLiteral:
+      return node.passive ? pepa::Rate::passive(node.value)
+                          : pepa::Rate::active(node.value);
+    case Kind::kAxis: {
+      const double value = node.value * values[node.axis];
+      return node.passive ? pepa::Rate::passive(value)
+                          : pepa::Rate::active(value);
+    }
+    case Kind::kPlus:
+      return earlier[a].plus(earlier[b], arena_->action_name(node.action));
+    case Kind::kMin:
+      return pepa::Rate::min(earlier[a], earlier[b]);
+    case Kind::kCooperation:
+      return pepa::cooperation_rate(earlier[a], earlier[b], earlier[c],
+                                    earlier[d],
+                                    arena_->action_name(node.action));
+  }
+  return pepa::Rate();
+}
+
+std::size_t TapeRecorder::NodeHash::operator()(
+    const RateTape::Node& node) const noexcept {
+  std::uint64_t hash = kFnvOffset;
+  auto mix = [&](std::uint64_t value) { hash = (hash ^ value) * kFnvPrime; };
+  mix(static_cast<std::uint64_t>(node.kind));
+  mix(node.passive ? 1 : 0);
+  mix(node.action);
+  mix(node.axis);
+  mix(std::bit_cast<std::uint64_t>(node.value));
+  for (const RateTape::NodeId operand : node.operands) mix(operand);
+  return static_cast<std::size_t>(hash);
+}
+
+bool TapeRecorder::NodeEq::operator()(
+    const RateTape::Node& a, const RateTape::Node& b) const noexcept {
+  return a.kind == b.kind && a.passive == b.passive && a.action == b.action &&
+         a.axis == b.axis &&
+         std::bit_cast<std::uint64_t>(a.value) ==
+             std::bit_cast<std::uint64_t>(b.value) &&
+         a.operands == b.operands;
+}
+
+TapeRecorder::TapeRecorder(const RateRebinder& rebinder, RateTape& tape)
+    : rebinder_(rebinder), tape_(tape) {
+  CHOREO_ASSERT(tape_.nodes_.empty());
+  tape_.arena_ = &rebinder_.model_.arena();
+}
+
+TapeRecorder::NodeId TapeRecorder::intern(const RateTape::Node& node) {
+  if (const auto hit = ids_.find(node); hit != ids_.end()) return hit->second;
+  // Evaluated before it is appended: a node that fails at the base values
+  // would have failed the base derivation too, and leaves no trace here.
+  const pepa::Rate value =
+      tape_.apply(node, rebinder_.base_values(), base_);
+  CHOREO_ASSERT(tape_.nodes_.size() < kZero);
+  const auto id = static_cast<NodeId>(tape_.nodes_.size());
+  tape_.nodes_.push_back(node);
+  base_.push_back(value);
+  ids_.emplace(node, id);
+  return id;
+}
+
+pepa::Rate TapeRecorder::rate(NodeId id) const {
+  return id == kZero ? pepa::Rate() : base_[id];
+}
+
+TapeRecorder::NodeId TapeRecorder::prefix_rate(pepa::ProcessId id,
+                                               const pepa::ProcessNode& node) {
+  RateTape::Node out;
+  out.passive = node.rate.is_passive();
+  if (const auto swept = rebinder_.swept_.find(id);
+      swept != rebinder_.swept_.end()) {
+    out.kind = RateTape::Kind::kAxis;
+    out.axis = static_cast<std::uint32_t>(swept->second.first);
+    out.value = swept->second.second;
+  } else {
+    out.kind = RateTape::Kind::kLiteral;
+    out.value = node.rate.value();
+  }
+  return intern(out);
+}
+
+// Rate::plus and Rate::min return an operand unchanged when the other is
+// zero, and min returns its active operand against a passive one.  Those
+// cases depend only on zero-ness and kind, which every point shares with the
+// base values, so they fold here instead of becoming nodes.
+TapeRecorder::NodeId TapeRecorder::plus(NodeId a, NodeId b,
+                                        pepa::ActionId context) {
+  if (rate(a).is_zero()) return b;
+  if (rate(b).is_zero()) return a;
+  RateTape::Node out;
+  out.kind = RateTape::Kind::kPlus;
+  out.action = context;
+  out.operands = {a, b, 0, 0};
+  return intern(out);
+}
+
+TapeRecorder::NodeId TapeRecorder::min(NodeId a, NodeId b) {
+  const pepa::Rate left = rate(a);
+  const pepa::Rate right = rate(b);
+  if (left.is_zero() || right.is_zero()) return kZero;
+  if (left.is_passive() != right.is_passive()) {
+    return left.is_passive() ? b : a;
+  }
+  RateTape::Node out;
+  out.kind = RateTape::Kind::kMin;
+  out.operands = {a, b, 0, 0};
+  return intern(out);
+}
+
+TapeRecorder::NodeMemo& TapeRecorder::memo(pepa::ProcessId base) {
+  if (base >= nodes_.size()) {
+    nodes_.resize(std::max<std::size_t>(
+        base + 1, rebinder_.model_.arena().node_count()));
+  }
+  return nodes_[base];
+}
+
+std::span<const TapeMove> TapeRecorder::moves(pepa::ProcessId base) {
+  const Range range = move_range(base);
+  return std::span<const TapeMove>(moves_).subspan(range.begin, range.size());
+}
+
+TapeRecorder::Range TapeRecorder::move_range(pepa::ProcessId base) {
+  if (const Range hit = memo(base).moves; hit.begin != kNone) return hit;
+  const Range computed = compute_moves(base);
+  memo(base).moves = computed;  // re-fetched: the walk may grow nodes_
+  return computed;
+}
+
+TapeRecorder::NodeId TapeRecorder::apparent(pepa::ProcessId base,
+                                            pepa::ActionId action) {
+  for (std::uint32_t e = memo(base).apparent; e != kNone;
+       e = apparent_[e].next) {
+    if (apparent_[e].action == action) return apparent_[e].rate;
+  }
+  const NodeId rate = compute_apparent(base, action);
+  NodeMemo& slot = memo(base);
+  CHOREO_ASSERT(apparent_.size() < kNone);
+  apparent_.push_back({rate, action, slot.apparent});
+  slot.apparent = static_cast<std::uint32_t>(apparent_.size() - 1);
+  return rate;
+}
+
+void TapeRecorder::reserve_moves(std::size_t extra) {
+  const std::size_t needed = moves_.size() + extra;
+  if (needed > moves_.capacity()) {
+    moves_.reserve(std::max(needed, 2 * moves_.capacity()));
+  }
+}
+
+std::uint32_t TapeRecorder::moves_end() const {
+  CHOREO_ASSERT(moves_.size() < kNone);
+  return static_cast<std::uint32_t>(moves_.size());
+}
+
+// The two compute_ walks mirror Semantics::compute_derivatives and
+// Semantics::compute_apparent case for case — same recursion, same emission
+// order, same multiplicities, and the same order of rate computations, so
+// the tape records nodes in the order the walk first needs them — except
+// that no derivative target is ever built and every rate is a tape node.
+// A node's moves are appended to the buffer after its operands' ranges are
+// complete, and moves are copied by value and index, since appending may
+// reallocate.  Guardedness is not re-checked: the base derivation already
+// walked (and validated) every recursion this walk can reach.
+TapeRecorder::Range TapeRecorder::compute_moves(pepa::ProcessId base) {
+  const pepa::ProcessArena& arena = rebinder_.model_.arena();
+  const pepa::ProcessNode& node = arena.node(base);  // arena never grows here
+  switch (node.op) {
+    case pepa::Op::kStop:
+      return {0, 0};
+    case pepa::Op::kPrefix: {
+      const NodeId rate = prefix_rate(base, node);
+      const std::uint32_t begin = moves_end();
+      moves_.push_back({node.action, rate});
+      return {begin, moves_end()};
+    }
+    case pepa::Op::kChoice: {
+      const Range left = move_range(node.left);
+      const Range right = move_range(node.right);
+      const std::uint32_t begin = moves_end();
+      reserve_moves(left.size() + right.size());
+      for (std::uint32_t k = left.begin; k < left.end; ++k) {
+        moves_.push_back(moves_[k]);
+      }
+      for (std::uint32_t k = right.begin; k < right.end; ++k) {
+        moves_.push_back(moves_[k]);
+      }
+      return {begin, moves_end()};
+    }
+    case pepa::Op::kHiding: {
+      const Range inner = move_range(node.left);
+      const std::uint32_t begin = moves_end();
+      reserve_moves(inner.size());
+      for (std::uint32_t k = inner.begin; k < inner.end; ++k) {
+        TapeMove move = moves_[k];
+        if (pepa::set_contains(node.action_set, move.action)) {
+          move.action = pepa::kTau;
+        }
+        moves_.push_back(move);
+      }
+      return {begin, moves_end()};
+    }
+    case pepa::Op::kCooperation: {
+      const Range left = move_range(node.left);
+      const Range right = move_range(node.right);
+      const std::uint32_t begin = moves_end();
+      reserve_moves(left.size() + right.size());
+      for (std::uint32_t k = left.begin; k < left.end; ++k) {
+        if (pepa::set_contains(node.action_set, moves_[k].action)) continue;
+        moves_.push_back(moves_[k]);
+      }
+      for (std::uint32_t k = right.begin; k < right.end; ++k) {
+        if (pepa::set_contains(node.action_set, moves_[k].action)) continue;
+        moves_.push_back(moves_[k]);
+      }
+      for (const pepa::ActionId shared : node.action_set) {
+        const NodeId apparent_left = apparent(node.left, shared);
+        const NodeId apparent_right = apparent(node.right, shared);
+        if (apparent_left == kZero || apparent_right == kZero) continue;
+        for (std::uint32_t l = left.begin; l < left.end; ++l) {
+          if (moves_[l].action != shared) continue;
+          for (std::uint32_t r = right.begin; r < right.end; ++r) {
+            if (moves_[r].action != shared) continue;
+            RateTape::Node law;
+            law.kind = RateTape::Kind::kCooperation;
+            law.action = shared;
+            law.operands = {moves_[l].rate, apparent_left, moves_[r].rate,
+                            apparent_right};
+            const NodeId rate = intern(law);
+            moves_.push_back({shared, rate});
+          }
+        }
+      }
+      return {begin, moves_end()};
+    }
+    case pepa::Op::kConstant:
+      return move_range(arena.body(node.constant));
+  }
+  return {0, 0};
+}
+
+TapeRecorder::NodeId TapeRecorder::compute_apparent(pepa::ProcessId base,
+                                                    pepa::ActionId action) {
+  const pepa::ProcessArena& arena = rebinder_.model_.arena();
+  const pepa::ProcessNode& node = arena.node(base);
+  switch (node.op) {
+    case pepa::Op::kStop:
+      return kZero;
+    case pepa::Op::kPrefix:
+      return node.action == action ? prefix_rate(base, node) : kZero;
+    case pepa::Op::kChoice: {
+      // Named temporaries keep Semantics' left-then-right order, which a
+      // function call's arguments would not guarantee.
+      const NodeId left = apparent(node.left, action);
+      const NodeId right = apparent(node.right, action);
+      return plus(left, right, action);
+    }
+    case pepa::Op::kHiding:
+      if (action == pepa::kTau) {
+        NodeId sum = apparent(node.left, pepa::kTau);
+        for (const pepa::ActionId hidden : node.action_set) {
+          const NodeId term = apparent(node.left, hidden);
+          sum = plus(sum, term, pepa::kTau);
+        }
+        return sum;
+      }
+      if (pepa::set_contains(node.action_set, action)) return kZero;
+      return apparent(node.left, action);
+    case pepa::Op::kCooperation: {
+      const NodeId left = apparent(node.left, action);
+      const NodeId right = apparent(node.right, action);
+      if (action != pepa::kTau &&
+          pepa::set_contains(node.action_set, action)) {
+        return min(left, right);
+      }
+      return plus(left, right, action);
+    }
+    case pepa::Op::kConstant:
+      return apparent(arena.body(node.constant), action);
+  }
+  return kZero;
 }
 
 }  // namespace choreo::sweep

@@ -14,21 +14,30 @@
 //     no derived parameters, no hash-consing conflicts) and refuses
 //     otherwise — a wrong silent rebind would be a corrupted analysis.
 //
-//   * Point::moves() re-runs the SOS over the *base* terms with the point's
-//     values substituted into tagged prefix rates, computing only the
-//     (action, rate) payload — no new term is ever interned, so evaluating
-//     a point is pure arithmetic over the existing DAG.  Because it is the
-//     same syntax-directed recursion that derived the base space, the moves
-//     of a state align one-to-one (same order, same multiplicity) with the
-//     base state's transition row; the sweep runner overwrites just the
-//     rates of the derived transition system (runner.cpp).  The walk's
-//     memo is flat: every node's moves are a [begin, end) range of one
-//     buffer, a constant shares its body's range, and apparent rates are
-//     kept only for the (node, action) pairs the walk asks for.
+//   * A TapeRecorder runs the SOS once, symbolically, over the *base* terms
+//     and compiles every rate it computes into a RateTape: a hash-consed
+//     program over the swept axes whose nodes are literals, scaled axes
+//     (scale * value), apparent-rate sums and minima, and the cooperation
+//     rate law, in the order the walk first computes them.  Because it is
+//     the same syntax-directed recursion that derived the base space
+//     (Semantics::compute_derivatives / compute_apparent), the recorded
+//     moves of a state align one-to-one (same order, same multiplicity)
+//     with the base state's transition row, so each transition's rate is
+//     one tape node.  The walk is memoised on flat storage: every node's
+//     moves are a [begin, end) range of one buffer, a constant shares its
+//     body's range, and apparent rates are kept only for the (node, action)
+//     pairs the walk asks for.  Each recorded node is evaluated at the base
+//     values, so operands that Rate::plus and Rate::min would return
+//     unchanged (a zero, or a passive operand of min) fold away: zero-ness
+//     and kind never depend on a positive value.  A sweep point is then
+//     RateTape::evaluate() — tens of nodes of arithmetic, no term walk —
+//     plus a gather; evaluating in node order raises the first error the
+//     walk would.  The sweep runner records the tape once per sweep
+//     (runner.cpp).
 //
-//   * Point::term() additionally offers a full structural remap — fresh
-//     terms with substituted rates, affected constants freshly declared per
-//     point ("Server@sw3") with the mapping recorded *before* the body is
+//   * Point::term() offers a full structural remap — fresh terms with
+//     substituted rates, affected constants freshly declared per point
+//     ("Server@sw3") with the mapping recorded *before* the body is
 //     remapped so recursive definitions terminate.  Backends that need an
 //     actual process term per point (the fluid ODE translation) use this;
 //     the exact backend never pays for it.
@@ -39,6 +48,7 @@
 // point — together they key per-point service cache entries.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -55,14 +65,6 @@ namespace choreo::sweep {
 /// no rate values.  Every point of a sweep shares this fingerprint; models
 /// differing only in rate values collide on purpose.
 std::uint64_t structure_fingerprint(pepa::Model& model);
-
-/// One enabled activity of a base term at a sweep point: the action and the
-/// substituted rate, in the exact emission order of Semantics::derivatives
-/// on that term.
-struct RatedMove {
-  pepa::ActionId action;
-  pepa::Rate rate;
-};
 
 class RateRebinder {
  public:
@@ -89,21 +91,10 @@ class RateRebinder {
   std::uint64_t rate_fingerprint(std::span<const double> values) const;
 
   /// One sweep point's remapping context.  Not thread-safe; create one per
-  /// evaluation task.  Memoises each base node's moves as a [begin, end)
-  /// range of one flat move buffer (a constant aliases its body's range),
-  /// the apparent rates of the (node, action) pairs the walk reaches, and
-  /// the term and constant mappings, so shared subterms are visited once.
+  /// evaluation task.  Memoises the term and constant mappings, so shared
+  /// subterms are remapped once.
   class Point {
    public:
-    /// The moves of a base term with this point's values substituted — the
-    /// rate payload of Semantics::derivatives(base) recomputed arithmetically
-    /// over the base DAG, without interning any term.  The span stays valid
-    /// until the next moves() call on this point.  Only call after the base
-    /// model has been derived (derivation validates guardedness; this walk
-    /// repeats its recursion without re-checking).
-    std::span<const RatedMove> moves(pepa::ProcessId base);
-    /// Apparent rate of `action` in a base term at this point's values.
-    pepa::Rate apparent(pepa::ProcessId base, pepa::ActionId action);
     /// The rebound counterpart of a base-model term.
     pepa::ProcessId term(pepa::ProcessId base);
     /// The rebound counterpart of a base-model constant (identity for
@@ -118,47 +109,12 @@ class RateRebinder {
     friend class RateRebinder;
     Point(RateRebinder& owner, std::vector<double> values);
 
-    static constexpr std::uint32_t kNone = 0xffffffffu;
-
-    /// A node's moves: moves_[begin, end).
-    struct Range {
-      std::uint32_t begin = kNone;  ///< kNone: not computed yet
-      std::uint32_t end = 0;
-      std::uint32_t size() const noexcept { return end - begin; }
-    };
-    /// Per base node: its move range and the head of its apparent-rate list
-    /// (a chain through apparent_, kNone-terminated).
-    struct NodeMemo {
-      Range moves;
-      std::uint32_t apparent = kNone;
-    };
-    struct ApparentEntry {
-      pepa::Rate rate;
-      pepa::ActionId action;
-      std::uint32_t next;
-    };
-
-    NodeMemo& memo(pepa::ProcessId base);
-    Range move_range(pepa::ProcessId base);
-    Range compute_moves(pepa::ProcessId base);
-    pepa::Rate compute_apparent(pepa::ProcessId base, pepa::ActionId action);
-    /// Makes room for `extra` more moves without a reallocation, so moves
-    /// can be copied from one range of the buffer onto its end.
-    void reserve_moves(std::size_t extra);
-    std::uint32_t moves_end() const;
-    /// The prefix's rate with this point's value substituted when swept.
-    pepa::Rate prefix_rate(pepa::ProcessId id, const pepa::ProcessNode& node)
-        const;
-
     RateRebinder& owner_;
     std::vector<double> values_;
     bool identity_;
     std::uint64_t serial_;
     std::unordered_map<pepa::ProcessId, pepa::ProcessId> terms_;
     std::unordered_map<pepa::ConstantId, pepa::ConstantId> constants_;
-    std::vector<NodeMemo> nodes_;  ///< indexed by base ProcessId
-    std::vector<RatedMove> moves_;
-    std::vector<ApparentEntry> apparent_;
   };
 
   /// A remapping context for one point; `values` align with parameters()
@@ -167,6 +123,7 @@ class RateRebinder {
 
  private:
   friend class Point;
+  friend class TapeRecorder;
 
   pepa::Model& model_;
   std::vector<std::string> parameters_;
@@ -178,6 +135,134 @@ class RateRebinder {
   std::vector<char> constant_affected_;
   /// Distinguishes the fresh constants declared by successive points.
   std::atomic<std::uint64_t> next_serial_{0};
+};
+
+/// A sweep's rates compiled once: a hash-consed program over the swept axes
+/// whose nodes only refer to earlier nodes.  Immutable once recorded, so
+/// concurrent point evaluations share one tape.
+class RateTape {
+ public:
+  using NodeId = std::uint32_t;
+
+  /// Number of nodes.
+  std::size_t size() const noexcept { return nodes_.size(); }
+
+  /// Every node's rate with `values` (one per axis) substituted, evaluated
+  /// in node order.  The first node whose arithmetic fails throws
+  /// util::ModelError: the error the recording walk would raise first at
+  /// these values.
+  std::vector<pepa::Rate> evaluate(std::span<const double> values) const;
+
+ private:
+  friend class TapeRecorder;
+
+  enum class Kind : std::uint8_t {
+    kLiteral,      ///< a fixed rate: `value` and `passive`
+    kAxis,         ///< `value` * values[axis], active or `passive`
+    kPlus,         ///< operands 0 + 1 (Rate::plus, `action` for context)
+    kMin,          ///< min(operand 0, operand 1) (Rate::min)
+    kCooperation,  ///< pepa::cooperation_rate(operands 0..3), `action`
+  };
+  struct Node {
+    Kind kind = Kind::kLiteral;
+    bool passive = false;
+    pepa::ActionId action = 0;
+    std::uint32_t axis = 0;
+    double value = 0.0;
+    std::array<NodeId, 4> operands{};
+  };
+
+  /// One node's rate, given the rates of every earlier node.
+  pepa::Rate apply(const Node& node, std::span<const double> values,
+                   std::span<const pepa::Rate> earlier) const;
+
+  const pepa::ProcessArena* arena_ = nullptr;  ///< action names for errors
+  std::vector<Node> nodes_;
+};
+
+/// One enabled activity of a base term: its action and its rate's tape node.
+struct TapeMove {
+  pepa::ActionId action;
+  RateTape::NodeId rate;
+};
+
+/// Records a RateTape by running the SOS over a rebinder's base terms with
+/// tape nodes in place of rates (see the header comment).  Single-threaded;
+/// drop it once recording is done, which frees its memo.
+class TapeRecorder {
+ public:
+  /// Records into `tape`, which must be empty; `rebinder` and `tape` must
+  /// outlive the recorder.
+  TapeRecorder(const RateRebinder& rebinder, RateTape& tape);
+
+  /// The moves of a base term in the emission order of
+  /// Semantics::derivatives, each rate a tape node (never zero).  The span
+  /// stays valid until the next moves() call.  Only call after the base
+  /// model has been derived (derivation validates guardedness; this walk
+  /// repeats its recursion without re-checking).
+  std::span<const TapeMove> moves(pepa::ProcessId base);
+
+  /// A recorded node's rate at the base values.
+  const pepa::Rate& base_rate(RateTape::NodeId node) const {
+    return base_[node];
+  }
+
+ private:
+  using NodeId = RateTape::NodeId;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  /// The zero rate ("no capacity"), which never becomes a node.
+  static constexpr NodeId kZero = 0xffffffffu;
+
+  /// A node's moves: moves_[begin, end).
+  struct Range {
+    std::uint32_t begin = kNone;  ///< kNone: not computed yet
+    std::uint32_t end = 0;
+    std::uint32_t size() const noexcept { return end - begin; }
+  };
+  /// Per base node: its move range and the head of its apparent-rate list
+  /// (a chain through apparent_, kNone-terminated).
+  struct NodeMemo {
+    Range moves;
+    std::uint32_t apparent = kNone;
+  };
+  struct ApparentEntry {
+    NodeId rate;
+    pepa::ActionId action;
+    std::uint32_t next;
+  };
+  struct NodeHash {
+    std::size_t operator()(const RateTape::Node& node) const noexcept;
+  };
+  struct NodeEq {
+    bool operator()(const RateTape::Node& a,
+                    const RateTape::Node& b) const noexcept;
+  };
+
+  NodeMemo& memo(pepa::ProcessId base);
+  Range move_range(pepa::ProcessId base);
+  Range compute_moves(pepa::ProcessId base);
+  NodeId apparent(pepa::ProcessId base, pepa::ActionId action);
+  NodeId compute_apparent(pepa::ProcessId base, pepa::ActionId action);
+  /// Makes room for `extra` more moves without a reallocation, so moves
+  /// can be copied from one range of the buffer onto its end.
+  void reserve_moves(std::size_t extra);
+  std::uint32_t moves_end() const;
+
+  /// The node of `node`, recording (and evaluating) it when new.
+  NodeId intern(const RateTape::Node& node);
+  /// A node's base rate; the zero rate for kZero.
+  pepa::Rate rate(NodeId id) const;
+  NodeId prefix_rate(pepa::ProcessId id, const pepa::ProcessNode& node);
+  NodeId plus(NodeId a, NodeId b, pepa::ActionId context);
+  NodeId min(NodeId a, NodeId b);
+
+  const RateRebinder& rebinder_;
+  RateTape& tape_;
+  std::vector<pepa::Rate> base_;  ///< per tape node
+  std::unordered_map<RateTape::Node, NodeId, NodeHash, NodeEq> ids_;
+  std::vector<NodeMemo> nodes_;  ///< indexed by base ProcessId
+  std::vector<TapeMove> moves_;
+  std::vector<ApparentEntry> apparent_;
 };
 
 }  // namespace choreo::sweep

@@ -1,5 +1,6 @@
 #include "sweep/runner.hpp"
 
+#include <bit>
 #include <chrono>
 #include <exception>
 #include <functional>
@@ -80,59 +81,79 @@ SharedStructure::SharedStructure(pepa::Model& model,
                                  const pepa::DeriveOptions& options)
     : rebinder_(model, std::move(parameters)),
       semantics_(model.arena()),
-      space_(pepa::StateSpace::derive(semantics_, model.system(), options)),
-      allow_top_level_passive_(options.allow_top_level_passive) {}
-
-std::vector<double> SharedStructure::rebind_rates(RateRebinder::Point& point) {
+      space_(pepa::StateSpace::derive(semantics_, model.system(), options)) {
   const std::vector<pepa::StateTransition>& transitions = space_.transitions();
-  std::vector<double> rates(transitions.size());
-  if (point.is_identity()) {
-    for (std::size_t i = 0; i < transitions.size(); ++i) {
-      rates[i] = transitions[i].rate;
-    }
-    return rates;
-  }
-  const pepa::StateTransition* base = transitions.data();
-  for (std::size_t state = 0; state < space_.state_count(); ++state) {
-    const std::span<const pepa::StateTransition> row = space_.lts().from(state);
-    const std::size_t offset = static_cast<std::size_t>(row.data() - base);
-    // The rate-only SOS walk repeats the recursion that derived this state,
-    // so its moves align index-for-index with the base row; the action
-    // check below is a cheap guard on that invariant.
-    const std::span<const RatedMove> moves =
-        point.moves(space_.state_term(state));
-    std::size_t j = 0;
-    for (const RatedMove& move : moves) {
-      if (move.rate.is_passive()) {
-        // The base derivation either dropped this move under the same
-        // option or refused to derive at all; mirror the filter so the
-        // remaining moves keep their row positions.
-        if (allow_top_level_passive_) continue;
-        throw util::ModelError(
-            "sweep rebind produced a top-level passive move the base "
-            "derivation did not have");
-      }
-      if (j >= row.size() || row[j].action != move.action) {
-        throw util::ModelError(util::msg(
-            "sweep point does not preserve the model structure at state ",
-            state, "; the derived state space cannot be reused"));
-      }
-      rates[offset + j] = move.rate.value();
-      ++j;
-    }
-    if (j != row.size()) {
-      throw util::ModelError(util::msg(
+  rate_nodes_.resize(transitions.size());
+  {
+    // Scoped: the recorder's memo is freed before the pattern is built.
+    TapeRecorder recorder(rebinder_, tape_);
+    const pepa::StateTransition* base = transitions.data();
+    auto misaligned = [](std::size_t state) {
+      return util::ModelError(util::msg(
           "sweep point does not preserve the model structure at state ",
           state, "; the derived state space cannot be reused"));
+    };
+    for (std::size_t state = 0; state < space_.state_count(); ++state) {
+      const std::span<const pepa::StateTransition> row =
+          space_.lts().from(state);
+      const std::size_t offset = static_cast<std::size_t>(row.data() - base);
+      std::size_t j = 0;
+      for (const TapeMove& move : recorder.moves(space_.state_term(state))) {
+        if (recorder.base_rate(move.rate).is_passive()) {
+          // The base derivation either dropped this move under the same
+          // option or refused to derive at all; mirror the filter so the
+          // remaining moves keep their row positions.
+          if (options.allow_top_level_passive) continue;
+          throw util::ModelError(
+              "sweep rebind produced a top-level passive move the base "
+              "derivation did not have");
+        }
+        if (j >= row.size() || row[j].action != move.action) {
+          throw misaligned(state);
+        }
+        rate_nodes_[offset + j] = move.rate;
+        ++j;
+      }
+      if (j != row.size()) throw misaligned(state);
     }
+  }
+  // The tape must reproduce every derived rate bit for bit at the base
+  // values.  Besides a recording fault, this catches a swept rate whose
+  // literal scale does not reproduce what was written (r/3 is parsed as
+  // r/3, swept as (1/3)*r), which would make the base point disagree with
+  // a plain analysis of the same model.
+  const std::vector<pepa::Rate> at_base =
+      tape_.evaluate(rebinder_.base_values());
+  for (std::size_t i = 0; i < transitions.size(); ++i) {
+    const double rebound = at_base[rate_nodes_[i]].value();
+    if (std::bit_cast<std::uint64_t>(rebound) !=
+        std::bit_cast<std::uint64_t>(transitions[i].rate)) {
+      throw util::ModelError(util::msg(
+          "sweep rates do not reproduce the derived rate of a transition "
+          "from state ",
+          transitions[i].source, " (", util::format_double(rebound),
+          " rebound, ", util::format_double(transitions[i].rate),
+          " derived); the derived state space cannot be reused"));
+    }
+  }
+  pattern_ = ctmc::GeneratorPattern(
+      space_.generator(), std::span<const pepa::StateTransition>(transitions));
+}
+
+std::vector<double> SharedStructure::rebind_rates(
+    const RateRebinder::Point& point) const {
+  const std::vector<pepa::Rate> nodes = tape_.evaluate(point.values());
+  std::vector<double> rates(rate_nodes_.size());
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    rates[i] = nodes[rate_nodes_[i]].value();
   }
   return rates;
 }
 
 ctmc::Generator SharedStructure::generator(
     std::span<const double> rates) const {
-  return ctmc::Generator::build_from<pepa::StateTransition>(
-      space_.state_count(), space_.transitions(), rates);
+  return pattern_.fill(
+      std::span<const pepa::StateTransition>(space_.transitions()), rates);
 }
 
 std::vector<double> SharedStructure::throughputs(
@@ -200,15 +221,13 @@ SweepTable sweep(pepa::Model& model, const SweepSpec& spec,
       SweepRow& row = table.rows[p];
       try {
         if (budget != nullptr) budget->check("sweep");
-        std::vector<double> rates;
-        {
-          // The point's memo is dropped before assembly and solve.
-          RateRebinder::Point point = structure->rebinder().at(row.values);
-          rates = structure->rebind_rates(point);
-        }
+        const std::vector<double> rates =
+            structure->rebind_rates(structure->rebinder().at(row.values));
         const ctmc::Generator generator = structure->generator(rates);
         const ctmc::SolveResult solved = ctmc::steady_state(generator, solver);
         row.measures = structure->throughputs(solved.distribution, rates);
+        row.iterations = solved.iterations;
+        row.residual = solved.residual;
       } catch (const util::InterruptedError&) {
         throw;  // aborts the sweep: the budget governs the whole run
       } catch (const util::BudgetError&) {
@@ -342,7 +361,8 @@ std::string SweepTable::to_json() const {
       if (m != 0) out << ", ";
       out << util::format_double(row.measures[m]);
     }
-    out << "]";
+    out << "], \"iterations\": " << row.iterations
+        << ", \"residual\": " << util::format_double(row.residual);
     if (!row.error.empty()) {
       out << ", \"error\": ";
       json_string(out, row.error);

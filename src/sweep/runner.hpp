@@ -1,18 +1,28 @@
 // The design-space sweep runner: derive once, re-solve K times.
 //
 // SharedStructure performs the single state-space derivation of a sweep and
-// turns each point into a rate payload aligned with the shared transition
-// system: because SOS derivation commutes with rate substitution, the j-th
-// move of a state at new rate values is the j-th transition of the base
-// state's CSR row (the exploration engine commits transitions in derivative
-// order, dropping top-level passive moves under the same filter applied
-// here).  Per-point rates come from RateRebinder::Point::moves() — the SOS
-// re-run arithmetically over the base terms on flat per-point storage,
-// interning nothing — and the alignment is still checked per transition
-// (action and row length), so a sweep can never silently solve the wrong
-// chain.  generator() then assembles the point's CTMC straight from the
-// shared transition rows and the rate span, with no per-point copy of the
-// transitions.
+// then compiles everything a point needs that does not depend on its
+// values, once:
+//
+//   * the rate tape (rebind.hpp): a TapeRecorder re-runs the SOS over every
+//     derived state's term with tape nodes in place of rates.  Because SOS
+//     derivation commutes with rate substitution, the j-th recorded move of
+//     a state is the j-th transition of the base state's CSR row (the
+//     exploration engine commits transitions in derivative order, dropping
+//     top-level passive moves under the same filter applied here), so each
+//     transition gets one tape node.  The alignment (action, row length,
+//     passive filter) is checked here, once, together with each node
+//     reproducing its transition's derived rate bit for bit at the base
+//     values; a mismatch fails the sweep before any point runs.  The
+//     recorder's memo is freed before the next step.
+//   * the generator pattern (ctmc::GeneratorPattern) of the base generator.
+//
+// A point then costs arithmetic plus its solve: rebind_rates() evaluates the
+// tape (tens of nodes) and gathers one rate per transition, and generator()
+// fills Q and Q^T over the pattern with the additions build_from() would
+// make, in the same order, so every rate, matrix and table is bit-identical
+// to assembling from scratch.  The tape, the node index and the pattern are
+// immutable, so concurrent point lanes share them read-only.
 //
 // sweep() evaluates every point of a SweepSpec under one util::Budget, one
 // point per chunk of util::ThreadPool::parallel_for_dynamic — the pool's
@@ -32,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "ctmc/generator.hpp"
 #include "ctmc/steady_state.hpp"
 #include "fluid/analysis.hpp"
 #include "pepa/statespace.hpp"
@@ -71,6 +82,10 @@ struct SweepRow {
   std::vector<double> values;    ///< one per axis, in axis order
   std::vector<double> measures;  ///< one per SweepTable::measures column
   std::string error;             ///< non-empty when this point failed
+  /// The exact backend's steady-state solve at this point: its iterations
+  /// and final residual (0 for points that did not run a solve).
+  std::size_t iterations = 0;
+  double residual = 0.0;
   bool ok() const noexcept { return error.empty(); }
 };
 
@@ -91,12 +106,16 @@ struct SweepTable {
   std::string to_json() const;
 };
 
-/// The once-per-sweep artefacts: the rebinder, the semantics and the single
-/// derived state space, plus the per-point payload rebinding.
+/// The once-per-sweep artefacts: the rebinder, the semantics, the single
+/// derived state space, its rate tape and its generator pattern, plus the
+/// per-point payload rebinding.
 class SharedStructure {
  public:
   /// Derives the state space of `model` once (util::ModelError /
-  /// util::BudgetError as usual).  The model must outlive this object.
+  /// util::BudgetError as usual) and records its rate tape and generator
+  /// pattern.  Throws util::ModelError when the recorded moves do not
+  /// align with the derived transitions.  The model must outlive this
+  /// object.
   SharedStructure(pepa::Model& model, std::vector<std::string> parameters,
                   const pepa::DeriveOptions& options = {});
 
@@ -106,16 +125,17 @@ class SharedStructure {
   std::uint64_t structure() const noexcept { return rebinder_.structure(); }
 
   /// The sweep point's transition rates, index-aligned with
-  /// space().transitions().  Thread-safe (the semantics caches and the
-  /// arena are concurrent); each caller brings its own Point.  Throws
-  /// util::ModelError if the rebound derivatives do not align with the
-  /// shared structure — which would mean the point changed the model's
-  /// shape, not just its rates.
-  std::vector<double> rebind_rates(RateRebinder::Point& point);
+  /// space().transitions(): the tape evaluated at the point's values, one
+  /// node gathered per transition.  Thread-safe; throws util::ModelError
+  /// with the first rate error the SOS would raise at these values.
+  std::vector<double> rebind_rates(const RateRebinder::Point& point) const;
 
   /// The CTMC generator for one point's rates (index-aligned with
-  /// space().transitions()), assembled from the shared rows in place.
+  /// space().transitions()), filled over the recorded pattern.
   ctmc::Generator generator(std::span<const double> rates) const;
+
+  /// Nodes in the rate tape: the distinct rate expressions of the sweep.
+  std::size_t tape_size() const noexcept { return tape_.size(); }
 
   /// Steady-state throughput of every non-tau arena action (in action-id
   /// order) under one point's rates — the measure columns of a SweepTable.
@@ -129,7 +149,9 @@ class SharedStructure {
   RateRebinder rebinder_;
   pepa::Semantics semantics_;
   pepa::StateSpace space_;
-  bool allow_top_level_passive_;
+  RateTape tape_;
+  std::vector<RateTape::NodeId> rate_nodes_;  ///< per transition
+  ctmc::GeneratorPattern pattern_;
 };
 
 /// Runs the whole sweep: validates the spec, derives once (exact backend),

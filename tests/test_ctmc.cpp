@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -299,6 +300,90 @@ TEST(AssemblyOracle, FirstNonPositiveRateInInputOrderIsReported) {
                         {1, 2, std::numeric_limits<double>::infinity()},
                         {0, 1, -1.0}}),
             "transition 1 -> 2 has non-positive rate inf");
+}
+
+namespace {
+
+/// A fresh rate payload for `count` transitions: scales from 1e-3 to 1e16,
+/// so the order in which parallel transitions are summed shows in the low
+/// bits.
+std::vector<double> mixed_rates(std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const double scales[] = {1e-3, 0.5, 1.0, 3.7, 1e16, 1.0 / 3.0};
+  std::vector<double> rates(count);
+  for (double& rate : rates) {
+    rate = scales[rng() % std::size(scales)] *
+           (1.0 + static_cast<double>(rng() % 1000) / 7.0);
+  }
+  return rates;
+}
+
+/// A pattern recorded once from `transitions` fills, at three fresh rate
+/// payloads, the generator the reference builds from the same transitions
+/// carrying those rates.
+template <typename Transition>
+void expect_pattern_fills_reference(std::size_t n,
+                                    const std::vector<Transition>& transitions) {
+  const std::span<const Transition> view(transitions);
+  const cc::GeneratorPattern pattern(
+      cc::Generator::build_from<Transition>(n, view), view);
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    const std::vector<double> rates = mixed_rates(transitions.size(), seed);
+    std::vector<Transition> rated = transitions;
+    for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[i];
+    SCOPED_TRACE(::testing::Message() << "payload seed " << seed);
+    expect_same_generator(pattern.fill(view, rates),
+                          reference_generator(n, rated));
+  }
+}
+
+}  // namespace
+
+TEST(AssemblyOracle, PatternFillMatchesReferenceOnScrambledInput) {
+  expect_pattern_fills_reference(40, scrambled_transitions(40));
+}
+
+TEST(AssemblyOracle, PatternFillMatchesReferenceOnGroupedInput) {
+  std::vector<cc::RatedTransition> transitions = scrambled_transitions(40);
+  std::stable_sort(
+      transitions.begin(), transitions.end(),
+      [](const auto& a, const auto& b) { return a.source < b.source; });
+  expect_pattern_fills_reference(40, transitions);
+}
+
+TEST(AssemblyOracle, PatternFillMatchesReferenceOnDerivedSpace) {
+  cp::Model model = cp::ring(14);
+  cp::Semantics semantics(model.arena());
+  const cp::StateSpace space = cp::StateSpace::derive(semantics, model.system());
+  expect_pattern_fills_reference(space.state_count(), space.transitions());
+}
+
+// The fill validates the payload as build_from() does: the first offending
+// rate in input order is reported, with build_from()'s message.
+TEST(AssemblyOracle, PatternFillReportsTheFirstNonPositiveRateInInputOrder) {
+  const std::vector<cc::RatedTransition> transitions = scrambled_transitions(40);
+  const std::span<const cc::RatedTransition> view(transitions);
+  const cc::GeneratorPattern pattern(cc::Generator::build(40, transitions),
+                                     view);
+  std::vector<double> rates = mixed_rates(transitions.size(), 14);
+  rates[200] = 0.0;
+  rates[100] = -1.0;
+  rates[300] = std::numeric_limits<double>::infinity();
+  std::vector<cc::RatedTransition> rated = transitions;
+  for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[i];
+  auto message = [](auto&& assemble) {
+    try {
+      assemble();
+    } catch (const cu::ModelError& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  const std::string expected =
+      message([&] { cc::Generator::build(40, rated); });
+  EXPECT_NE(expected.find("has non-positive rate -1"), std::string::npos)
+      << expected;
+  EXPECT_EQ(message([&] { pattern.fill(view, rates); }), expected);
 }
 
 namespace {

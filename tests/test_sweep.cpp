@@ -266,17 +266,18 @@ TEST(Fingerprint, RatePayloadDistinguishesPoints) {
 /// the fluid backend's route), over the same transitions in the same order.
 void expect_rebind_matches_remap(const std::string& source,
                                  const std::vector<std::string>& parameters,
-                                 const std::vector<std::vector<double>>& points) {
+                                 const std::vector<std::vector<double>>& points,
+                                 const pepa::DeriveOptions& options = {}) {
   pepa::Model model = pepa::parse_model(source, "rebind");
-  sweep::SharedStructure shared(model, parameters);
+  sweep::SharedStructure shared(model, parameters, options);
   const std::vector<pepa::StateTransition>& base =
       shared.space().transitions();
   for (const std::vector<double>& values : points) {
     sweep::RateRebinder::Point point = shared.rebinder().at(values);
     const std::vector<double> rates = shared.rebind_rates(point);
     pepa::Semantics semantics(model.arena());
-    const pepa::StateSpace fresh =
-        pepa::StateSpace::derive(semantics, point.term(model.system()));
+    const pepa::StateSpace fresh = pepa::StateSpace::derive(
+        semantics, point.term(model.system()), options);
     ASSERT_EQ(fresh.state_count(), shared.space().state_count());
     ASSERT_EQ(fresh.transitions().size(), rates.size());
     for (std::size_t i = 0; i < rates.size(); ++i) {
@@ -339,6 +340,150 @@ TEST(SweepRunner, MatchesIndependentDerivationAtEveryPoint) {
       {"r"}, {{0.5}, {1.0}, {4.0}});
   expect_rebind_matches_remap(client_server_source(4), {"r"},
                               {{0.3}, {1.0}, {3.7}});
+}
+
+// Models that reach every kind of rate-tape node (literal, swept axis,
+// apparent sum, minimum, cooperation law) and every fold (a zero operand of
+// a sum or minimum, a passive operand of a minimum), each checked at its
+// base values and at two other points.
+TEST(SweepRunner, RebindMatchesRemapOnEveryTapeNodeKind) {
+  // Hiding a shared action: the cooperation's moves become tau moves, and
+  // an outer cooperation on the hidden action finds no apparent rate.
+  expect_rebind_matches_remap(
+      "r = 1.0; s = 2.0; t = 4.0;\n"
+      "P = (a, r).P1; P1 = (b, s).P;\n"
+      "Q = (a, infty).Q1; Q1 = (c, t).Q;\n"
+      "R = (a, t).R + (d, s).R;\n"
+      "System = ((P <a> Q) / {a}) <a> R;\n"
+      "@system System;\n",
+      {"r", "s"}, {{0.5, 2.0}, {1.0, 2.0}, {3.0, 0.25}});
+  // Weighted passive cooperation: the passive side splits the active rate
+  // 2:1 between its two branches.
+  expect_rebind_matches_remap(
+      "r = 1.0; s = 2.0;\n"
+      "P = (a, r).P;\n"
+      "Q = (a, 2*infty).Q1 + (a, infty).Q2;\n"
+      "Q1 = (b, s).Q; Q2 = (c, s).Q;\n"
+      "System = P <a> Q;\n"
+      "@system System;\n",
+      {"r", "s"}, {{0.2, 7.0}, {1.0, 2.0}, {5.0, 0.5}});
+  // A choice offering one action twice (an apparent-rate sum of two active
+  // rates), against a partner that offers it twice passively.
+  expect_rebind_matches_remap(
+      "r = 1.0; s = 3.0; u = 2.0;\n"
+      "P = (a, r).P1 + (a, s).P2;\n"
+      "P1 = (b, u).P; P2 = (c, u).P;\n"
+      "Q = (a, infty).Q + (a, 3*infty).Q;\n"
+      "System = P <a> Q;\n"
+      "@system System;\n",
+      {"r", "s"}, {{0.1, 3.0}, {1.0, 3.0}, {2.5, 0.7}});
+  // Nested same-action cooperation, each level asking the apparent rate of
+  // the one below: P <a> R offers min(r, infty), which folds to r; against
+  // Q that gives min(r, s), a minimum of two actives; and S's cooperation
+  // law takes the minimum of that and u.
+  expect_rebind_matches_remap(
+      "r = 1.0; s = 2.0; t = 3.0; u = 1.5;\n"
+      "P = (a, r).P1; P1 = (b, t).P;\n"
+      "R = (a, infty).R1; R1 = (d, t).R;\n"
+      "Q = (a, s).Q1; Q1 = (c, t).Q;\n"
+      "S = (a, u).S1; S1 = (e, t).S;\n"
+      "System = ((P <a> R) <a> Q) <a> S;\n"
+      "@system System;\n",
+      {"r", "s"}, {{0.5, 4.0}, {1.0, 2.0}, {6.0, 0.3}});
+  // A self-loop, which the generator drops but the rates keep.
+  expect_rebind_matches_remap(
+      "r = 1.0; s = 2.0;\n"
+      "P = (spin, r).P + (go, s).Q;\n"
+      "Q = (back, s).P;\n"
+      "@system P;\n",
+      {"r"}, {{0.5}, {1.0}, {9.0}});
+  // A top-level passive move, dropped under allow_top_level_passive: the
+  // remaining moves of its row keep their positions.
+  pepa::DeriveOptions passive;
+  passive.allow_top_level_passive = true;
+  expect_rebind_matches_remap(
+      "r = 1.0; s = 2.0;\n"
+      "P = (a, r).P1 + (poke, infty).P;\n"
+      "P1 = (b, s).P;\n"
+      "@system P;\n",
+      {"r", "s"}, {{0.5, 4.0}, {1.0, 2.0}, {3.0, 0.5}}, passive);
+}
+
+// A point whose arithmetic fails records the error the SOS raises there
+// and leaves the other rows alone.
+TEST(SweepRunner, OverflowingPointRecordsTheRateError) {
+  pepa::Model model = pepa::parse_model(
+      "r = 1.0; s = 3.0;\n"
+      "P = (fast, 2*r).Q;\n"
+      "Q = (slow, s).P;\n"
+      "@system P;\n",
+      "overflow");
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::list("r", {1.0, 1e308, 0.5})};
+  sweep::SweepOptions options;
+  options.threads = 1;
+  const sweep::SweepTable table = sweep::sweep(model, spec, options);
+  ASSERT_EQ(table.rows.size(), 3u);
+  EXPECT_TRUE(table.rows[0].ok()) << table.rows[0].error;
+  EXPECT_EQ(table.rows[1].error,
+            "active rate must be positive and finite, got inf");
+  EXPECT_TRUE(table.rows[2].ok()) << table.rows[2].error;
+  EXPECT_EQ(table.rows[0].measures.size(), 2u);
+  EXPECT_EQ(table.rows[2].measures.size(), 2u);
+}
+
+// The set-up check: every transition's tape node must reproduce its derived
+// rate bit for bit at the base values.  A swept rate written as r/3 is
+// parsed as 5/3 but swept as (1/3)*5, which differs in the last bit, so the
+// sweep is refused before any point runs; r/4 scales exactly.
+TEST(SweepRunner, SetUpRefusesRatesTheTapeCannotReproduce) {
+  auto source = [](const std::string& rate) {
+    return "r = 5.0; s = 1.0;\nP = (a, " + rate +
+           ").Q;\nQ = (b, s).P;\n@system P;\n";
+  };
+  pepa::Model inexact = pepa::parse_model(source("r/3"), "inexact");
+  try {
+    const sweep::SharedStructure shared(inexact, {"r"});
+    ADD_FAILURE() << "r/3 at r = 5 was accepted";
+  } catch (const util::ModelError& error) {
+    EXPECT_NE(std::string(error.what()).find("do not reproduce"),
+              std::string::npos)
+        << error.what();
+  }
+  pepa::Model exact = pepa::parse_model(source("r/4"), "exact");
+  EXPECT_NO_THROW(sweep::SharedStructure(exact, {"r"}));
+}
+
+// The tape holds one node per distinct rate expression; a lost hash-cons
+// would grow it with the state space.
+TEST(SweepRunner, TapeStaysSmallOnTheTomcatGrid) {
+  pepa::Model model = pepa::parse_model(tomcat_jsp_source(10), "tomcat");
+  const sweep::SharedStructure shared(model, {"tran", "comp"});
+  EXPECT_EQ(shared.space().state_count(), 26624u);
+  EXPECT_GT(shared.tape_size(), 0u);
+  EXPECT_LE(shared.tape_size(), 64u);
+}
+
+TEST(SweepRunner, RowsRecordTheirSolverStats) {
+  pepa::Model model = pepa::parse_model(tomcat_jsp_source(3), "tomcat");
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::list("tran", {0.2, 0.5, 3.0}),
+               sweep::Axis::list("comp", {0.3, 2.0})};
+  sweep::SweepOptions options;
+  options.threads = 1;
+  options.solver.method = ctmc::Method::kGaussSeidel;
+  const sweep::SweepTable table = sweep::sweep(model, spec, options);
+  ASSERT_EQ(table.rows.size(), 6u);
+  for (const sweep::SweepRow& row : table.rows) {
+    ASSERT_TRUE(row.ok()) << row.error;
+    EXPECT_GT(row.iterations, 0u);
+    EXPECT_LE(row.residual, options.solver.tolerance);
+  }
+  const std::string json = table.to_json();
+  EXPECT_NE(json.find("\"iterations\": " +
+                      std::to_string(table.rows[0].iterations)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"residual\": "), std::string::npos);
 }
 
 TEST(SweepRunner, DerivesExactlyOnceForManyPoints) {
