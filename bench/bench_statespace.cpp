@@ -9,10 +9,18 @@
 // clock changes (and only on hosts with spare cores -- see
 // docs/performance.md).  The Tomcat population and the family rows also
 // time the teardown a finished job pays: destroying the space, the
-// Semantics memo and the model that owns the term arena.
+// Semantics memo and the model that owns the term arena; and they report
+// the packed state key (64-bit words and the bits of them in use) and the
+// derive's resident bytes per transition: the resident-set growth across
+// the derive, with the space alive, over its transition count, measured
+// on a second, untimed derive of a fresh model.
 // Benchmarks: marking-graph derivation throughput.
 #include "bench_common.hpp"
 
+#include <malloc.h>
+#include <unistd.h>
+
+#include <fstream>
 #include <memory>
 
 #include "choreographer/extract_activity.hpp"
@@ -54,6 +62,31 @@ std::string ring_net(std::size_t places, std::size_t tokens) {
               " to ring" + std::to_string((p + 1) % places) + ";\n";
   }
   return source;
+}
+
+/// The process's resident set in bytes (/proc/self/statm), after returning
+/// the allocator's free memory to the system so that a derive's growth is
+/// not hidden by heap an earlier row freed.
+double resident_bytes() {
+  malloc_trim(0);
+  std::ifstream statm("/proc/self/statm");
+  double pages = 0.0;
+  double resident = 0.0;
+  statm >> pages >> resident;
+  return resident * static_cast<double>(sysconf(_SC_PAGESIZE));
+}
+
+/// The resident bytes per transition of deriving `model`, a fresh model.
+/// Run apart from the timed derive, so that the trims resident_bytes()
+/// makes never change the heap a timed derive starts from.
+double resident_bytes_per_transition(pepa::Model& model,
+                                     const pepa::DeriveOptions& options) {
+  pepa::Semantics semantics(model.arena());
+  const double before = resident_bytes();
+  const pepa::StateSpace space =
+      pepa::StateSpace::derive(semantics, model.system(), options);
+  return (resident_bytes() - before) /
+         static_cast<double>(space.transitions().size());
 }
 
 /// Destroys what a derivation left behind in the order a finished job
@@ -124,7 +157,8 @@ void report() {
   // of the end-to-end project_large workload, at one and two lanes.
   util::ThreadPool population_pool(1);  // 2 lanes = 1 worker + the caller
   util::TextTable clients({"clients", "lanes", "states", "transitions",
-                           "derive ms", "teardown ms"});
+                           "key bits", "derive ms", "B/transition",
+                           "teardown ms"});
   for (std::size_t c : {1u, 2u, 4u, 6u, 8u, 10u, 12u}) {
     for (const std::size_t threads : {1u, 2u}) {
       chor::TomcatParams params;
@@ -142,19 +176,29 @@ void report() {
       const double seconds = timer.seconds();
       const std::size_t states = space->state_count();
       const std::size_t transitions = space->transitions().size();
+      const std::size_t key_words = space->key_words();
+      const std::size_t key_bits = space->key_bits();
       const double teardown = timed_teardown(space, semantics, extraction);
+      auto fresh =
+          chor::extract_state_machines(chor::tomcat_model(false, params));
+      const double per_transition =
+          resident_bytes_per_transition(fresh.model, options);
       clients.add_row_values(std::to_string(c),
                              {static_cast<double>(threads),
                               static_cast<double>(states),
-                              static_cast<double>(transitions), seconds * 1e3,
-                              teardown * 1e3});
+                              static_cast<double>(transitions),
+                              static_cast<double>(key_bits), seconds * 1e3,
+                              per_transition, teardown * 1e3});
       bench::json_record(
           bench::JsonObject()
               .field("model", "tomcat[" + std::to_string(c) + "cl]")
               .field("threads", threads)
               .field("states", states)
               .field("transitions", transitions)
+              .field("key_words", key_words)
+              .field("key_bits", key_bits)
               .field("seconds", seconds)
+              .field("bytes_per_transition", per_transition)
               .field("teardown_seconds", teardown)
               .field("states_per_second",
                      static_cast<double>(states) / seconds));
@@ -259,8 +303,8 @@ void report() {
        [] { return pepa::ring(20); }, big_lanes},
   };
   util::ThreadPool sweep_pool(7);  // 8 lanes = 7 workers + the caller
-  util::TextTable sweep({"model", "lanes", "states", "derive ms", "states/s",
-                         "teardown ms"});
+  util::TextTable sweep({"model", "lanes", "states", "key bits", "derive ms",
+                         "states/s", "B/transition", "teardown ms"});
   for (const SweepPoint& point : sweep_points) {
     for (const std::size_t threads : point.lane_counts) {
       auto model = std::make_unique<pepa::Model>(point.build());
@@ -274,19 +318,28 @@ void report() {
       const double seconds = timer.seconds();
       const std::size_t states = space->state_count();
       const std::size_t transitions = space->transitions().size();
+      const std::size_t key_words = space->key_words();
+      const std::size_t key_bits = space->key_bits();
       CHOREO_ASSERT(states == point.expected_states);
       const double teardown = timed_teardown(space, semantics, model);
+      pepa::Model fresh = point.build();
+      const double per_transition =
+          resident_bytes_per_transition(fresh, options);
       const double rate = static_cast<double>(states) / seconds;
       sweep.add_row_values(point.label + " x" + std::to_string(threads),
                            {static_cast<double>(threads),
-                            static_cast<double>(states), seconds * 1e3, rate,
-                            teardown * 1e3});
+                            static_cast<double>(states),
+                            static_cast<double>(key_bits), seconds * 1e3, rate,
+                            per_transition, teardown * 1e3});
       bench::json_record(bench::JsonObject()
                              .field("model", point.label)
                              .field("threads", threads)
                              .field("states", states)
                              .field("transitions", transitions)
+                             .field("key_words", key_words)
+                             .field("key_bits", key_bits)
                              .field("seconds", seconds)
+                             .field("bytes_per_transition", per_transition)
                              .field("teardown_seconds", teardown)
                              .field("states_per_second", rate));
     }

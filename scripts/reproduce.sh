@@ -15,23 +15,26 @@ for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 # service jobs each deriving with multiple lanes.
 cmake -B build-tsan -G Ninja -DCHOREO_SANITIZE=thread
 cmake --build build-tsan --target test_parallel_statespace test_service \
-  test_metrics test_util test_quotient test_pepa_semantics test_pepa_ast
+  test_metrics test_util test_quotient test_pepa_semantics test_pepa_ast \
+  test_leaf_vector_derive
 ./build-tsan/tests/test_parallel_statespace 2>&1 | tee tsan_output.txt
 ./build-tsan/tests/test_service 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_metrics 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_util \
-  --gtest_filter='ThreadPool.*:StripedMap.*:SegmentedVector.*:SlotArray.*:BumpArena.*' \
+  --gtest_filter='ThreadPool.*:SegmentedVector.*:SlotArray.*:BumpArena.*' \
   2>&1 | tee -a tsan_output.txt
-# Quotient-direct derivation shares one canonicalizer memo across the
+# Quotient-direct derivation sorts keys (PEPA) and markings (nets) in the
 # expansion lanes; the lane-count determinism checks run under TSan too.
 ./build-tsan/tests/test_quotient 2>&1 | tee -a tsan_output.txt
+# The leaf-vector derive against the term derive at several lane counts.
+./build-tsan/tests/test_leaf_vector_derive 2>&1 | tee -a tsan_output.txt
 # The semantics memo and the arena's intern tables under concurrent use.
 ./build-tsan/tests/test_pepa_semantics 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_pepa_ast 2>&1 | tee -a tsan_output.txt
 
-# Memory-safety check: one quotient-direct derivation (the canonical
-# rewrite path: spine flattening, sibling sorting, balanced rebuild and
-# the memo) end to end under ASan+UBSan.
+# Memory-safety check: one quotient-direct derivation (the layout's union
+# tables and the key sort, and the canonicalizer that builds them) end to
+# end under ASan+UBSan.
 cmake -B build-asan -G Ninja -DCHOREO_SANITIZE=address,undefined
 cmake --build build-asan --target pepa_workbench test_quotient
 ./build-asan/src/tools/pepa_workbench models/file.pepa --quotient --aggregate \

@@ -14,24 +14,26 @@
 //     an atomic cursor (util::ThreadPool::parallel_for_dynamic), so a lane
 //     that draws cheap states immediately steals the next chunk instead of
 //     idling at a static split until the slowest lane finishes;
-//   - batched pre-resolution: each chunk resolves all of its transition
-//     targets against the interning index with one StripedMap::find_batch
-//     call, which locks each touched stripe once per chunk instead of once
-//     per move;
+//   - lock-free pre-resolution: the state index (explore::StateIndex, a
+//     flat {hash tag, state id} table over `states`) is read-only while a
+//     level expands, so each lane looks its transition targets up without a
+//     lock and keeps each target's hash for the serial phase;
+//   - one move buffer per chunk, reused from level to level, instead of
+//     one vector per expanded state;
 //   - a latch instead of a future join: the calling thread is itself a
 //     lane and, once the cursor runs dry, helps drain the pool's task
 //     queue while the remaining lanes finish — no per-level sleep on a
 //     vector of futures.
 //
-// The serial phase stays the ordering authority.  It numbers discoveries
-// against a level-local set (the shared index is immutable during a level,
-// so any unresolved target is either new or a duplicate within the level)
-// and publishes the whole level to the index with one
-// StripedMap::try_emplace_batch call — again one stripe visit per level,
-// not one per state.
+// The serial phase stays the ordering authority.  It walks the chunks in
+// canonical order and finds or inserts each target the lanes left
+// unresolved directly in the index, so a state discovered twice in one
+// level is numbered once, by its canonically first occurrence; it is the
+// only writer of `states` and the index.
 //
-// The engine is parameterised over the state type, the interning map, the
-// successor function and the move-commit callback, and preserves the
+// The engine is parameterised over the state type and its hash, the
+// successor function, the canonicalization stage and the move-commit
+// callback, and preserves the
 // guarantees the two former copies established:
 //
 //   - canonical FIFO numbering: state ids, transition order and every
@@ -53,13 +55,13 @@
 //
 // Requirements on the policy types:
 //
-//   State       value interned into `states`/`index`; moved, hashed (Hash)
-//               and compared for equality.
+//   State       value stored in `states` and indexed by `index`; moved,
+//               hashed (Hash, to 64 bits) and compared for equality.
 //   Successors  callable State-const-ref -> a range of Move: a
 //               std::vector<Move> by value, or a view (such as
-//               std::span<const Move>) that stays valid until the run
-//               ends.  Must be safe to call concurrently from expansion
-//               lanes.
+//               std::span<const Move>) that stays valid until the same
+//               thread calls it again.  Must be safe to call concurrently
+//               from expansion lanes.
 //   Move        exposes `.target` (State) and `.rate` (with is_passive()).
 //   Canonicalize callable State-ref -> bool, rewriting the state to its
 //               canonical representative in place (returning whether it
@@ -78,17 +80,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
-#include <limits>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "explore/state_index.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
-#include "util/striped_map.hpp"
 #include "util/thread_pool.hpp"
 
 namespace choreo::explore {
@@ -125,10 +126,6 @@ struct EngineOptions {
   /// path, 0 sizes to the pool (worker count + the calling thread).  The
   /// explored space is identical for every setting.
   std::size_t threads = 0;
-  /// States per work-stealing expansion chunk; 0 sizes automatically from
-  /// the level and lane count.  A pure throughput knob — chunk boundaries
-  /// never affect the explored space.
-  std::size_t chunk_grain = 0;
   /// Pool expansion chunks run on; nullptr means util::ThreadPool::shared().
   util::ThreadPool* pool = nullptr;
   /// Resource governor: cancellation, deadline and state/byte accounting.
@@ -149,51 +146,27 @@ struct EngineOptions {
 };
 
 /// Sentinel for "target not yet numbered" in the expansion buffers.
-inline constexpr std::size_t kUnresolved =
-    std::numeric_limits<std::size_t>::max();
+inline constexpr std::size_t kUnresolved = StateIndex::kAbsent;
 
-/// One move recorded by an expansion worker: the move itself plus the
-/// target's state index when it was already numbered in an earlier level.
+/// One move recorded by an expansion lane: the move itself, its target's
+/// hash, and the target's state index when it was already numbered in an
+/// earlier level.
 template <typename Move>
 struct PendingMove {
   Move move;
+  std::uint64_t hash = 0;
   std::size_t resolved = kUnresolved;
 };
 
-/// A not-yet-numbered successor, looked up in the level-local dedup set
-/// through FreshHash / FreshEq's transparent overloads without a copy.
-template <typename State>
-struct FreshCandidate {
-  const State* state;
-};
-
-/// Hash of the level-local dedup set, whose keys are indices into `states`.
-template <typename State, typename Hash>
-struct FreshHash {
-  using is_transparent = void;
-  const std::vector<State>* states;
-  std::size_t operator()(std::size_t idx) const {
-    return Hash{}((*states)[idx]);
-  }
-  std::size_t operator()(FreshCandidate<State> c) const {
-    return Hash{}(*c.state);
-  }
-};
-
-/// Equality of the level-local dedup set (see FreshHash).
-template <typename State>
-struct FreshEq {
-  using is_transparent = void;
-  const std::vector<State>* states;
-  bool operator()(std::size_t a, std::size_t b) const {
-    return (*states)[a] == (*states)[b];
-  }
-  bool operator()(std::size_t a, FreshCandidate<State> c) const {
-    return (*states)[a] == *c.state;
-  }
-  bool operator()(FreshCandidate<State> c, std::size_t a) const {
-    return *c.state == (*states)[a];
-  }
+/// The moves of one work-stealing chunk of a level, states [begin, end),
+/// in canonical order; `ends[k]` closes the moves of state begin + k.
+template <typename Move>
+struct ExpandedChunk {
+  bool used = false;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::vector<PendingMove<Move>> moves;
+  std::vector<std::size_t> ends;
 };
 
 /// The identity canonicalization: every state is its own representative, so
@@ -206,30 +179,31 @@ struct NoCanonicalize {
 };
 
 /// Explores from `initial`, appending discovered states to `states` (state
-/// 0 is the initial state) and publishing them in `index`; both are expected
-/// empty.  Every state — the initial one and each successor target — passes
-/// through `canonicalize` before lookup or interning, so the explored space
-/// is the quotient of the derivation graph under the canonicalizer's
-/// equivalence (pass NoCanonicalize for the full space).  Transitions are
-/// handed to `commit` in canonical order.  Returns the exploration counters
-/// (seconds covers the exploration loop only; callers usually overwrite it
-/// with their own stopwatch).
-template <typename State, typename Hash, typename Successors,
+/// 0 is the initial state) and indexing them in `index` under Hash; both
+/// are expected empty.  Every state — the initial one and each successor
+/// target — passes through `canonicalize` before lookup or interning, so
+/// the explored space is the quotient of the derivation graph under the
+/// canonicalizer's equivalence (pass NoCanonicalize for the full space).
+/// Transitions are handed to `commit` in canonical order.  Returns the
+/// exploration counters (seconds covers the exploration loop only; callers
+/// usually overwrite it with their own stopwatch).
+template <typename Hash, typename State, typename Successors,
           typename Canonicalize, typename ActionName, typename Commit>
-DeriveStats run(std::vector<State>& states,
-                util::StripedMap<State, std::size_t, Hash>& index,
-                State initial, Successors&& successors,
-                Canonicalize&& canonicalize, ActionName&& action_name,
-                Commit&& commit, const EngineOptions& options) {
+DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
+                Successors&& successors, Canonicalize&& canonicalize,
+                ActionName&& action_name, Commit&& commit,
+                const EngineOptions& options) {
   util::Stopwatch timer;
   DeriveStats stats;
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::ThreadPool::shared();
   const std::size_t lanes =
       options.threads == 0 ? pool.worker_count() + 1 : options.threads;
+  const Hash hash;
 
   // The states of the level being expanded, in canonical (index) order.
   std::vector<std::size_t> frontier;
+  std::vector<std::size_t> level;
 
   // Expansion lanes count their rewrites locally and fold them in here once
   // per chunk; the serial phases add theirs directly to `stats`.
@@ -237,7 +211,7 @@ DeriveStats run(std::vector<State>& states,
 
   if (canonicalize(initial)) ++stats.canonical_rewrites;
   states.push_back(std::move(initial));
-  index.try_emplace(states[0], 0);
+  index.insert(hash(states[0]), 0);
   ++stats.dedup_misses;
   frontier.push_back(0);
   if (options.budget != nullptr) {
@@ -247,17 +221,10 @@ DeriveStats run(std::vector<State>& states,
   using Move = typename std::decay_t<
       decltype(successors(std::declval<const State&>()))>::value_type;
 
-  // The level-local dedup set for the serial phase: keys are indices into
-  // `states`, and lookups against a not-yet-numbered candidate go through a
-  // transparent wrapper so the candidate is never copied before it wins a
-  // number (the wrapper also keeps the overloads unambiguous when State is
-  // itself an integer type).  The shared index is never consulted here — it
-  // is immutable while a level runs, so a target the expansion phase left
-  // unresolved is either genuinely new or a duplicate within the level, and
-  // this set holds exactly those.
-  using Candidate = FreshCandidate<State>;
-  std::unordered_set<std::size_t, FreshHash<State, Hash>, FreshEq<State>>
-      fresh(16, FreshHash<State, Hash>{&states}, FreshEq<State>{&states});
+  // Chunk buffers live across levels, so a level reuses the capacity the
+  // previous ones grew.
+  std::vector<ExpandedChunk<Move>> chunks;
+  std::vector<std::exception_ptr> errors;
 
   while (!frontier.empty()) {
     ++stats.levels;
@@ -270,65 +237,60 @@ DeriveStats run(std::vector<State>& states,
       options.budget->note_level(frontier.size());
       options.budget->check("derive");
     }
-    const std::vector<std::size_t> level = std::move(frontier);
+    level.swap(frontier);
     frontier.clear();
 
-    // Parallel phase: expand every level state into its move buffer.  The
-    // workers call the successor function concurrently (the policy must be
-    // thread-safe) and pre-resolve targets against the index — one batched
-    // lookup per chunk — which only the serial phase below mutates, between
-    // levels.  Errors are captured per state so the canonically-first one
-    // can be rethrown deterministically.
-    std::vector<std::vector<PendingMove<Move>>> moves(level.size());
-    std::vector<std::exception_ptr> errors(level.size());
+    // Parallel phase: expand every level state into its chunk's buffer.
+    // The lanes call the successor function concurrently (the policy must
+    // be thread-safe) and resolve targets against the index, which only the
+    // serial phase below writes, between levels.  Errors are captured per
+    // state so the canonically-first one can be rethrown deterministically.
+    const std::size_t grain =
+        lanes <= 1 ? std::max<std::size_t>(level.size(), 1)
+                   : std::clamp<std::size_t>(level.size() / (lanes * 8), 1,
+                                             128);
+    const std::size_t chunk_count = (level.size() + grain - 1) / grain;
+    if (chunks.size() < chunk_count) chunks.resize(chunk_count);
+    for (std::size_t c = 0; c < chunk_count; ++c) chunks[c].used = false;
+    errors.assign(level.size(), nullptr);
     auto expand = [&](std::size_t begin, std::size_t end) {
+      ExpandedChunk<Move>& chunk = chunks[begin / grain];
+      chunk.used = true;
+      chunk.begin = begin;
+      chunk.end = end;
+      chunk.moves.clear();
+      chunk.ends.clear();
       std::size_t local_rewrites = 0;
       for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t first = chunk.moves.size();
         try {
           auto&& found = successors(states[level[i]]);
-          moves[i].reserve(found.size());
           for (auto& move : found) {
             // Moves out of an owned vector, copies out of a view.
-            moves[i].push_back({std::move(move), kUnresolved});
-            // Canonicalize before the batched lookup below, so the index
-            // only ever sees (and interns) canonical representatives.
-            if (canonicalize(moves[i].back().move.target)) ++local_rewrites;
+            chunk.moves.push_back({std::move(move)});
+            PendingMove<Move>& pending = chunk.moves.back();
+            // Canonicalize before the lookup, so the index only ever sees
+            // (and interns) canonical representatives.
+            if (canonicalize(pending.move.target)) ++local_rewrites;
+            pending.hash = hash(pending.move.target);
+            pending.resolved = index.find(
+                pending.hash, [&states, &pending](std::size_t id) {
+                  return states[id] == pending.move.target;
+                });
           }
         } catch (...) {
           errors[i] = std::current_exception();
+          chunk.moves.erase(chunk.moves.begin() + first, chunk.moves.end());
         }
+        chunk.ends.push_back(chunk.moves.size());
       }
       if (local_rewrites != 0) {
         rewrites.fetch_add(local_rewrites, std::memory_order_relaxed);
-      }
-      // Batched pre-resolution over the whole chunk: one stripe visit per
-      // touched stripe instead of one lock round-trip per move.
-      std::vector<const State*> keys;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (errors[i]) continue;
-        for (const PendingMove<Move>& pending : moves[i]) {
-          keys.push_back(&pending.move.target);
-        }
-      }
-      if (keys.empty()) return;
-      std::vector<const std::size_t*> found(keys.size());
-      index.find_batch(keys, found);
-      std::size_t k = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (errors[i]) continue;
-        for (PendingMove<Move>& pending : moves[i]) {
-          const std::size_t* known = found[k++];
-          if (known != nullptr) pending.resolved = *known;
-        }
       }
     };
     if (lanes <= 1 || level.size() <= 1) {
       expand(0, level.size());
     } else {
-      const std::size_t grain =
-          options.chunk_grain != 0
-              ? options.chunk_grain
-              : std::clamp<std::size_t>(level.size() / (lanes * 8), 1, 128);
       pool.parallel_for_dynamic(level.size(), grain, lanes, expand);
     }
 
@@ -344,37 +306,45 @@ DeriveStats run(std::vector<State>& states,
       }
     };
     try {
-      for (std::size_t i = 0; i < level.size(); ++i) {
-        if (errors[i]) std::rethrow_exception(errors[i]);
-        const std::size_t source = level[i];
-        for (PendingMove<Move>& pending_move : moves[i]) {
-          Move& move = pending_move.move;
-          if (move.rate.is_passive()) {
-            if (options.allow_top_level_passive) continue;
-            throw util::ModelError(util::msg("activity '", action_name(move),
-                                             options.passive_suffix));
-          }
-          std::size_t target = pending_move.resolved;
-          if (target != kUnresolved) {
-            ++stats.dedup_hits;
-          } else if (const auto it = fresh.find(Candidate{&move.target});
-                     it != fresh.end()) {
-            target = *it;
-            ++stats.dedup_hits;
-          } else {
-            if (states.size() >= options.max_states) {
-              throw util::BudgetError(util::msg(
-                  options.space_noun, " exceeds the configured bound of ",
-                  options.max_states, " ", options.state_noun,
-                  " (state-space explosion)"));
+      for (std::size_t c = 0; c < chunk_count; ++c) {
+        ExpandedChunk<Move>& chunk = chunks[c];
+        if (!chunk.used) continue;  // covered by an earlier, wider call
+        std::size_t at = 0;
+        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+          if (errors[i]) std::rethrow_exception(errors[i]);
+          const std::size_t source = level[i];
+          for (const std::size_t stop = chunk.ends[i - chunk.begin]; at < stop;
+               ++at) {
+            PendingMove<Move>& pending = chunk.moves[at];
+            Move& move = pending.move;
+            if (move.rate.is_passive()) {
+              if (options.allow_top_level_passive) continue;
+              throw util::ModelError(util::msg(
+                  "activity '", action_name(move), options.passive_suffix));
             }
-            target = states.size();
-            states.push_back(std::move(move.target));
-            fresh.insert(target);
-            ++stats.dedup_misses;
-            frontier.push_back(target);
+            std::size_t target = pending.resolved;
+            if (target == kUnresolved) {
+              target = index.find(pending.hash, [&states, &move](std::size_t id) {
+                return states[id] == move.target;
+              });
+            }
+            if (target != kUnresolved) {
+              ++stats.dedup_hits;
+            } else {
+              if (states.size() >= options.max_states) {
+                throw util::BudgetError(util::msg(
+                    options.space_noun, " exceeds the configured bound of ",
+                    options.max_states, " ", options.state_noun,
+                    " (state-space explosion)"));
+              }
+              target = states.size();
+              states.push_back(std::move(move.target));
+              index.insert(pending.hash, target);
+              ++stats.dedup_misses;
+              frontier.push_back(target);
+            }
+            commit(source, move, target);
           }
-          commit(source, move, target);
         }
       }
     } catch (...) {
@@ -384,40 +354,11 @@ DeriveStats run(std::vector<State>& states,
       charge_level();
       throw;
     }
-    // Bulk-intern the level: publish every state this serial pass numbered
-    // with a single batched insert (each touched stripe locked once), then
-    // charge the budget for them.
-    if (states.size() > known_before) {
-      std::vector<const State*> keys;
-      std::vector<std::size_t> values;
-      keys.reserve(states.size() - known_before);
-      values.reserve(states.size() - known_before);
-      for (std::size_t s = known_before; s < states.size(); ++s) {
-        keys.push_back(&states[s]);
-        values.push_back(s);
-      }
-      index.try_emplace_batch(keys, values);
-    }
-    fresh.clear();
     charge_level();
   }
   stats.canonical_rewrites += rewrites.load(std::memory_order_relaxed);
   stats.seconds = timer.seconds();
   return stats;
-}
-
-/// The historical signature: explore the full space (no canonicalization).
-template <typename State, typename Hash, typename Successors,
-          typename ActionName, typename Commit>
-DeriveStats run(std::vector<State>& states,
-                util::StripedMap<State, std::size_t, Hash>& index,
-                State initial, Successors&& successors,
-                ActionName&& action_name, Commit&& commit,
-                const EngineOptions& options) {
-  return run(states, index, std::move(initial),
-             std::forward<Successors>(successors), NoCanonicalize{},
-             std::forward<ActionName>(action_name),
-             std::forward<Commit>(commit), options);
 }
 
 }  // namespace choreo::explore

@@ -14,7 +14,7 @@
 //                               emission order (so per-action measure sums
 //                               accumulate in the exact order the flat scan
 //                               used — floating-point results are
-//                               bit-identical)
+//                               bit-identical), held in 32 bits each
 //   deadlock_states()           states whose CSR row is empty
 //
 // The transition record type is a template parameter: PEPA uses the minimal
@@ -24,7 +24,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -48,8 +50,14 @@ class TransitionSystem {
 
   /// Builds the source-row and action indexes.  Call once, after
   /// exploration, with the final state count; O(transitions + states +
-  /// actions).
+  /// actions).  Throws util::ModelError when the transition positions do
+  /// not fit in 32 bits.
   void finalize(std::size_t state_count) {
+    if (transitions_.size() > kMaxTransitions) {
+      throw util::ModelError(
+          "transition system of " + std::to_string(transitions_.size()) +
+          " transitions is too large for 32-bit transition positions");
+    }
     row_offsets_.assign(state_count + 1, 0);
     std::size_t max_action = 0;
     for (const Transition& t : transitions_) {
@@ -75,7 +83,7 @@ class TransitionSystem {
                                     action_offsets_.begin() + actions);
     for (std::size_t i = 0; i < transitions_.size(); ++i) {
       by_action_[cursor[static_cast<std::size_t>(transitions_[i].action)]++] =
-          i;
+          static_cast<std::uint32_t>(i);
     }
   }
 
@@ -112,9 +120,9 @@ class TransitionSystem {
 
   /// Positions (into transitions(), in emission order) of the transitions
   /// carrying `action`; empty for actions outside the index.
-  std::span<const std::size_t> action_transitions(std::size_t action) const {
+  std::span<const std::uint32_t> action_transitions(std::size_t action) const {
     if (action + 1 >= action_offsets_.size()) return {};
-    return std::span<const std::size_t>(by_action_)
+    return std::span<const std::uint32_t>(by_action_)
         .subspan(action_offsets_[action],
                  action_offsets_[action + 1] - action_offsets_[action]);
   }
@@ -135,20 +143,23 @@ class TransitionSystem {
   double action_throughput(const Distribution& distribution,
                            std::size_t action) const {
     double sum = 0.0;
-    for (const std::size_t i : action_transitions(action)) {
+    for (const std::uint32_t i : action_transitions(action)) {
       sum += distribution[transitions_[i].source] * transitions_[i].rate;
     }
     return sum;
   }
 
  private:
+  /// The largest transition count the 32-bit positions index.
+  static constexpr std::size_t kMaxTransitions = 0xFFFFFFFFu;
+
   std::vector<Transition> transitions_;
   /// row_offsets_[s]..row_offsets_[s+1]: the transitions leaving state s.
   std::vector<std::size_t> row_offsets_;
   /// action_offsets_[a]..action_offsets_[a+1]: slice of by_action_ holding
   /// the positions of action a's transitions, in emission order.
   std::vector<std::size_t> action_offsets_;
-  std::vector<std::size_t> by_action_;
+  std::vector<std::uint32_t> by_action_;
 };
 
 }  // namespace choreo::explore

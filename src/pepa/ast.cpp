@@ -265,10 +265,6 @@ ProcessId ProcessArena::intern(const NodeKey& key) {
   return id;
 }
 
-bool set_contains(const std::vector<ActionId>& set, ActionId action) {
-  return std::binary_search(set.begin(), set.end(), action);
-}
-
 std::vector<ActionId> set_union(const std::vector<ActionId>& a,
                                 const std::vector<ActionId>& b) {
   std::vector<ActionId> out;

@@ -31,6 +31,7 @@
 //       | Stop           the inert process (also used for empty net cells)
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -173,8 +174,11 @@ class ProcessArena {
   std::unique_ptr<State> state_;
 };
 
-/// True when `action` belongs to the sorted action set.
-bool set_contains(const std::vector<ActionId>& set, ActionId action);
+/// True when `action` belongs to the sorted action set.  Inline: the
+/// derive asks it for every move at every cooperation and hiding node.
+inline bool set_contains(const std::vector<ActionId>& set, ActionId action) {
+  return std::binary_search(set.begin(), set.end(), action);
+}
 
 /// Sorted union of two action sets.
 std::vector<ActionId> set_union(const std::vector<ActionId>& a,

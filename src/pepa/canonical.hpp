@@ -1,5 +1,9 @@
-// Sort-canonical representatives of PEPA terms: the state policy behind
-// on-the-fly aggregation (explore::run's canonicalization stage).
+// Sort-canonical representatives of PEPA terms: the reference for
+// on-the-fly aggregation.  pepa::StateSpace::derive builds its static tree
+// from the canonical initial term and canonicalizes packed keys by sorting
+// same-shape siblings over tables closed under these representatives
+// (pepa/leaf_layout.hpp); PEPA-net markings canonicalize their slot terms
+// here directly (pepanet::MarkingCanonicalizer).
 //
 // PEPA cooperation over one action set L is commutative and associative up
 // to strong equivalence (the apparent-rate minimum is symmetric and
@@ -47,7 +51,7 @@ inline bool structural_less(const ProcessArena& arena, ProcessId a,
 /// layout pepa::Semantics uses) published by compare-and-swap, and the
 /// arena interns concurrently; racing computations of the same term produce
 /// the same id, so the first publisher winning is harmless.  Usable directly
-/// as explore::run's canonicalization stage.
+/// as explore::run's canonicalization stage over terms.
 class Canonicalizer {
  public:
   explicit Canonicalizer(ProcessArena& arena) : arena_(arena) {}

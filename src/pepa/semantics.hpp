@@ -2,15 +2,23 @@
 //
 // Provides memoised apparent rates r_alpha(P) and one-step derivatives.
 // Because terms are hash-consed, both memos are keyed by node id and every
-// semantically-identical subterm is evaluated once, which is what makes
-// state-space derivation of cooperating replicas tractable.
+// semantically-identical subterm is evaluated once.
+//
+// compute_derivatives and compute_apparent are the reference composition
+// of the SOS: pepa::StateSpace::derive asks this class only for the local
+// terms of its leaves (pepa/leaf_layout.hpp) and composes their moves over
+// the static cooperation/hiding tree in the same emission order and with
+// the same rate arithmetic, so any change to the composition here must be
+// mirrored there (tests/term_derive_oracle.hpp keeps the two in step).
+// PEPA-net marking graphs and sweep tape recording call it on whole terms.
 //
 // The memo is flat: one dense slot per node (util::SlotArray, segments
 // allocated on demand, lock-free reads) holding an atomic pointer to the
 // node's derivative list and the head of a short (action, rate) chain of
 // its apparent rates.  Lists and chain entries live in a util::BumpArena
 // owned by the Semantics and freed in bulk with it; a constant's slot
-// shares its body's list.  Parallel exploration workers call
+// shares its body's list.  Callers on several threads (the net
+// exploration's lanes, concurrent jobs sharing one model) call
 // derivatives()/apparent_rate() concurrently, compute misses without any
 // lock, and publish by compare-and-swap: the first publisher wins (the
 // computations are deterministic, so racing results are identical).  A

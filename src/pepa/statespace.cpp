@@ -1,10 +1,12 @@
 #include "pepa/statespace.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
 
 #include "pepa/canonical.hpp"
+#include "pepa/leaf_layout.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
@@ -38,13 +40,45 @@ void for_each_position(const ProcessArena& arena, ProcessId term,
 }  // namespace
 
 LocalStateIndex::LocalStateIndex(const ProcessArena& arena,
-                                 std::span<const ProcessId> states) {
+                                 const LeafLayout& layout,
+                                 std::span<const std::uint64_t> keys,
+                                 std::size_t state_count) {
   constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  if (states.size() > kNone) {
-    throw util::ModelError("state space of " + std::to_string(states.size()) +
+  if (state_count > kNone) {
+    throw util::ModelError("state space of " + std::to_string(state_count) +
                            " states is too large for 32-bit state ids");
   }
   const std::size_t constants = arena.constant_count();
+  const std::size_t words = layout.words();
+
+  // The constants at the sequential positions of every local term, per
+  // table: a state's positions are its leaves' terms' positions, in leaf
+  // order — those for_each_position finds in the rendered state term.
+  struct Positions {
+    std::vector<std::uint32_t> begin;
+    std::vector<ConstantId> constants;
+  };
+  std::vector<Positions> positions(layout.table_count());
+  for (std::uint32_t t = 0; t < layout.table_count(); ++t) {
+    Positions& table = positions[t];
+    auto add = [&table](ConstantId c) { table.constants.push_back(c); };
+    for (const ProcessId term : layout.table(t).terms) {
+      table.begin.push_back(static_cast<std::uint32_t>(table.constants.size()));
+      for_each_position(arena, term, add);
+    }
+    table.begin.push_back(static_cast<std::uint32_t>(table.constants.size()));
+  }
+  auto for_each_constant = [&](std::size_t s, auto&& visit) {
+    const std::uint64_t* key = keys.data() + s * words;
+    for (std::uint32_t l = 0; l < layout.leaf_count(); ++l) {
+      const Positions& table = positions[layout.leaf(l).table];
+      const std::uint32_t local = layout.local(key, l);
+      for (std::uint32_t p = table.begin[local]; p < table.begin[local + 1];
+           ++p) {
+        visit(table.constants[p]);
+      }
+    }
+  };
 
   // Count pass: distinct (constant, state) pairs per constant.  `last`
   // holds the newest state counted for each constant, so a second position
@@ -52,9 +86,9 @@ LocalStateIndex::LocalStateIndex(const ProcessArena& arena,
   std::vector<std::uint32_t> last(constants, kNone);
   offsets_.assign(constants + 1, 0);
   bool repeats = false;
-  for (std::size_t s = 0; s < states.size(); ++s) {
+  for (std::size_t s = 0; s < state_count; ++s) {
     const auto state = static_cast<std::uint32_t>(s);
-    auto count = [&](ConstantId c) {
+    for_each_constant(s, [&](ConstantId c) {
       CHOREO_ASSERT(c < constants);
       if (last[c] == state) {
         repeats = true;
@@ -62,8 +96,7 @@ LocalStateIndex::LocalStateIndex(const ProcessArena& arena,
         last[c] = state;
         ++offsets_[c + 1];
       }
-    };
-    for_each_position(arena, states[s], count);
+    });
   }
   for (std::size_t c = 0; c < constants; ++c) offsets_[c + 1] += offsets_[c];
 
@@ -72,9 +105,9 @@ LocalStateIndex::LocalStateIndex(const ProcessArena& arena,
   states_.resize(offsets_[constants]);
   if (repeats) counts_.assign(offsets_[constants], 0);
   std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (std::size_t s = 0; s < states.size(); ++s) {
+  for (std::size_t s = 0; s < state_count; ++s) {
     const auto state = static_cast<std::uint32_t>(s);
-    auto fill = [&](ConstantId c) {
+    for_each_constant(s, [&](ConstantId c) {
       std::size_t& end = cursor[c];
       if (end > offsets_[c] && states_[end - 1] == state) {
         ++counts_[end - 1];
@@ -82,8 +115,7 @@ LocalStateIndex::LocalStateIndex(const ProcessArena& arena,
       }
       if (repeats) counts_[end] = 1;
       states_[end++] = state;
-    };
-    for_each_position(arena, states[s], fill);
+    });
   }
 }
 
@@ -120,64 +152,290 @@ std::size_t LocalStateIndex::bytes() const noexcept {
          (states_.capacity() + counts_.capacity()) * sizeof(std::uint32_t);
 }
 
+namespace {
+
+/// The successor function of packed states: each leaf's local moves,
+/// composed over the static tree exactly as Semantics::compute_derivatives
+/// composes a term's — the same emission order, the same apparent-rate
+/// recursion and the same rate arithmetic — so the moves, rates and errors
+/// are those of the term derive without interning a term.
+template <typename Key>
+class LeafMoves {
+ public:
+  struct Move {
+    ActionId action;
+    Rate rate;
+    Key target;
+  };
+
+  LeafMoves(const LeafLayout& layout, const ProcessArena& arena)
+      : layout_(layout), arena_(arena) {}
+
+  /// The moves of `source`, in a per-thread buffer that the next call on
+  /// the same thread reuses.
+  std::span<const Move> operator()(const Key& source) const {
+    thread_local std::vector<Move> moves;
+    // Operand moves of the cooperations, one buffer per nesting depth.
+    thread_local std::vector<std::vector<Move>> operands;
+    if (operands.size() <= layout_.depth()) operands.resize(layout_.depth() + 1);
+    moves.clear();
+    compose(layout_.root(), 0, source, operands, moves);
+    return moves;
+  }
+
+ private:
+  using Buffers = std::vector<std::vector<Move>>;
+
+  /// Appends node n's moves from `source` to `out`; a cooperation below
+  /// composes its operands in operands[depth].
+  void compose(std::uint32_t n, std::size_t depth, const Key& source,
+               Buffers& operands, std::vector<Move>& out) const {
+    const LeafLayout::Node& node = layout_.node(n);
+    switch (node.kind) {
+      case LeafLayout::Kind::kLeaf: {
+        const LeafLayout::Table& table =
+            layout_.table(layout_.leaf(node.leaf).table);
+        const std::uint32_t local = layout_.local(source.data(), node.leaf);
+        if (table.errors[local]) std::rethrow_exception(table.errors[local]);
+        for (const LeafLayout::LocalMove& move : table.moves_of(local)) {
+          out.push_back({move.action, move.rate, source});
+          layout_.set_local(out.back().target.data(), node.leaf, move.target);
+        }
+        return;
+      }
+      case LeafLayout::Kind::kHiding: {
+        const std::size_t begin = out.size();
+        compose(node.left, depth, source, operands, out);
+        for (std::size_t i = begin; i < out.size(); ++i) {
+          if (set_contains(*node.set, out[i].action)) out[i].action = kTau;
+        }
+        return;
+      }
+      case LeafLayout::Kind::kCooperation:
+        if (node.set->empty()) {
+          // Over the empty set every operand move is independent, in order.
+          compose(node.left, depth, source, operands, out);
+          compose(node.right, depth, source, operands, out);
+        } else {
+          compose_cooperation(node, depth, source, operands, out);
+        }
+        return;
+    }
+  }
+
+  void compose_cooperation(const LeafLayout::Node& node, std::size_t depth,
+                           const Key& source, Buffers& operands,
+                           std::vector<Move>& out) const {
+    std::vector<Move>& both = operands[depth];
+    both.clear();
+    compose(node.left, depth + 1, source, operands, both);
+    const std::size_t middle = both.size();
+    compose(node.right, depth + 1, source, operands, both);
+    const std::vector<ActionId>& set = *node.set;
+    // The independent moves of each side, then the shared pairs.
+    for (const Move& move : both) {
+      if (!set_contains(set, move.action)) out.push_back(move);
+    }
+    const std::uint64_t* right_mask = layout_.mask(node.right);
+    auto offers = [&both](std::size_t from, std::size_t to, ActionId action) {
+      for (std::size_t i = from; i < to; ++i) {
+        if (both[i].action == action) return true;
+      }
+      return false;
+    };
+    for (const ActionId shared : set) {
+      // An operand with no move of the action has apparent rate zero and
+      // cannot raise computing it, so only an offering operand is asked.
+      const bool left_offers = offers(0, middle, shared);
+      const bool right_offers = offers(middle, both.size(), shared);
+      if (!left_offers && !right_offers) continue;
+      const std::string& name = arena_.action_name(shared);
+      const Rate left_rate =
+          left_offers ? apparent(node.left, source, shared, name) : Rate();
+      const Rate right_rate =
+          right_offers ? apparent(node.right, source, shared, name) : Rate();
+      if (left_rate.is_zero() || right_rate.is_zero()) continue;
+      for (std::size_t i = 0; i < middle; ++i) {
+        if (both[i].action != shared) continue;
+        for (std::size_t j = middle; j < both.size(); ++j) {
+          if (both[j].action != shared) continue;
+          Move& pair = out.emplace_back(
+              Move{shared,
+                   cooperation_rate(both[i].rate, left_rate, both[j].rate,
+                                    right_rate, name),
+                   both[i].target});
+          // The right operand's leaves move as in the right move.
+          std::uint64_t* target = pair.target.data();
+          const std::uint64_t* right = both[j].target.data();
+          for (std::size_t w = 0; w < pair.target.size(); ++w) {
+            target[w] = (target[w] & ~right_mask[w]) | (right[w] & right_mask[w]);
+          }
+        }
+      }
+    }
+  }
+
+  /// Semantics::compute_apparent over the static tree, the leaves' terms'
+  /// rates read from their tables; `name` is the action's, for Rate::plus.
+  /// Asked only for a cooperation set's actions, never tau.  A zero operand
+  /// of a sum is skipped: Rate::plus returns the other operand as it is.
+  Rate apparent(std::uint32_t n, const Key& source, ActionId action,
+                const std::string& name) const {
+    const LeafLayout::Node& node = layout_.node(n);
+    switch (node.kind) {
+      case LeafLayout::Kind::kLeaf:
+        return layout_.table(layout_.leaf(node.leaf).table)
+            .apparent_rate(layout_.local(source.data(), node.leaf), action);
+      case LeafLayout::Kind::kHiding:
+        if (set_contains(*node.set, action)) return Rate();
+        return apparent(node.left, source, action, name);
+      case LeafLayout::Kind::kCooperation: {
+        const Rate left = apparent(node.left, source, action, name);
+        const Rate right = apparent(node.right, source, action, name);
+        if (set_contains(*node.set, action)) return Rate::min(left, right);
+        if (left.is_zero()) return right;
+        if (right.is_zero()) return left;
+        return left.plus(right, name);
+      }
+    }
+    CHOREO_ASSERT(false);
+    return Rate();
+  }
+
+  const LeafLayout& layout_;
+  const ProcessArena& arena_;
+};
+
+}  // namespace
+
+template <typename Key>
+void StateSpace::explore_keys(const explore::EngineOptions& engine) {
+  using Move = typename LeafMoves<Key>::Move;
+  const LeafLayout& layout = *layout_;
+  const ProcessArena& arena = *arena_;
+  const LeafMoves<Key> moves(layout, arena);
+  Key initial(layout.words());
+  layout.encode_initial(initial.data());
+  std::vector<Key> states;
+  auto run_with = [&](auto&& canonicalize) {
+    return explore::run<KeyHash>(
+        states, index_, std::move(initial), moves,
+        std::forward<decltype(canonicalize)>(canonicalize),
+        [&arena](const Move& move) -> const std::string& {
+          return arena.action_name(move.action);
+        },
+        [this, &layout, &states, &engine](std::size_t source, const Move& move,
+                                          std::size_t target) {
+          // A state past a truncated closure: the engine's own count did
+          // not trip, but the closure cannot represent it.
+          if (layout.truncated() && layout.outside(states[target].data())) {
+            throw util::BudgetError(util::msg(
+                engine.space_noun, " exceeds the configured bound of ",
+                engine.max_states, " ", engine.state_noun,
+                " (state-space explosion)"));
+          }
+          lts_.push_back({source, target, move.action, move.rate.value()});
+        },
+        engine);
+  };
+  if (aggregated_) {
+    stats_ = run_with(
+        [&layout](Key& key) { return layout.canonicalize(key.data()); });
+  } else {
+    stats_ = run_with(explore::NoCanonicalize{});
+  }
+  state_count_ = states.size();
+  keys_.reserve(states.size() * layout.words());
+  for (const Key& key : states) {
+    keys_.insert(keys_.end(), key.data(), key.data() + key.size());
+  }
+}
+
+StateSpace::StateSpace() = default;
+StateSpace::~StateSpace() = default;
+StateSpace::StateSpace(StateSpace&&) noexcept = default;
+StateSpace& StateSpace::operator=(StateSpace&&) noexcept = default;
+
 StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
                               const DeriveOptions& options) {
   util::Stopwatch timer;
   StateSpace space;
+  ProcessArena& arena = semantics.arena();
+  space.arena_ = &arena;
+  space.aggregated_ = options.aggregate;
+  const ProcessId expanded = expand_static(arena, initial);
+  bool initial_rewritten = false;
+  if (options.aggregate) {
+    // Quotient-direct derivation: the tree is the canonical initial term,
+    // and successors collapse to sort-canonical keys before interning;
+    // parallel moves into one block are committed separately and summed by
+    // the generator build, which is exactly the lumped rate.  The
+    // canonicalizer serves the layout only (its representatives of local
+    // terms), so its memo lives for the build.
+    Canonicalizer canonicalizer(arena);
+    const ProcessId canonical = canonicalizer.canonical(expanded);
+    initial_rewritten = canonical != expanded;
+    space.layout_ = std::make_unique<const LeafLayout>(
+        semantics, canonical, &canonicalizer, options.max_states,
+        options.budget);
+  } else {
+    space.layout_ = std::make_unique<const LeafLayout>(
+        semantics, expanded, nullptr, options.max_states, options.budget);
+  }
 
   explore::EngineOptions engine;
   engine.max_states = options.max_states;
   engine.allow_top_level_passive = options.allow_top_level_passive;
   engine.threads = options.threads;
-  engine.chunk_grain = options.chunk_grain;
   engine.pool = options.pool;
   engine.budget = options.budget;
-  // Approximate per-state footprint: the term id plus its interning entry.
-  engine.bytes_per_state = sizeof(ProcessId) + 2 * sizeof(std::size_t);
+  // Approximate per-state footprint: the packed key plus its index share.
+  engine.bytes_per_state = space.layout_->words() * sizeof(std::uint64_t) +
+                           explore::StateIndex::kBytesPerState;
   engine.space_noun = "state space";
   engine.state_noun = "states";
   engine.passive_suffix =
       "' occurs passively at the top level of the model: it would never"
       " be performed; synchronise it with an active partner";
 
-  auto run_with = [&](auto&& canonicalize) {
-    return explore::run(
-        space.states_, space.index_, expand_static(semantics.arena(), initial),
-        [&semantics](const ProcessId& term) {
-          return semantics.derivatives(term);
-        },
-        std::forward<decltype(canonicalize)>(canonicalize),
-        [&semantics](const Derivative& move) {
-          return semantics.arena().action_name(move.action);
-        },
-        [&space](std::size_t source, const Derivative& move,
-                 std::size_t target) {
-          space.lts_.push_back(
-              {source, target, move.action, move.rate.value()});
-        },
-        engine);
-  };
-  if (options.aggregate) {
-    // Quotient-direct derivation: successors collapse to sort-canonical
-    // representatives before interning; parallel moves into one block are
-    // committed separately and summed by the generator build, which is
-    // exactly the lumped rate.  The memo lives for this derivation only.
-    space.aggregated_ = true;
-    Canonicalizer canonicalizer(semantics.arena());
-    space.stats_ = run_with(
-        [&canonicalizer](ProcessId& term) { return canonicalizer(term); });
+  if (space.layout_->words() == 1) {
+    space.explore_keys<WordKey>(engine);
   } else {
-    space.stats_ = run_with(explore::NoCanonicalize{});
+    space.explore_keys<HeapKey>(engine);
   }
-  space.lts_.finalize(space.states_.size());
+  // The term derive counted the initial state's rewrite to its canonical
+  // form; here the tree is built from that form.
+  if (initial_rewritten) ++space.stats_.canonical_rewrites;
+  space.lts_.finalize(space.state_count_);
   space.stats_.seconds = timer.seconds();
   return space;
 }
 
+ProcessId StateSpace::state_term(std::size_t index) const {
+  CHOREO_ASSERT(index < state_count_);
+  return layout_->render(*arena_, keys_.data() + index * layout_->words());
+}
+
 std::optional<std::size_t> StateSpace::index_of(ProcessId term) const {
-  const std::size_t* found = index_.find(term);
-  if (found == nullptr) return std::nullopt;
-  return *found;
+  if (!layout_) return std::nullopt;
+  const std::size_t words = layout_->words();
+  std::vector<std::uint64_t> key(words, 0);
+  if (!layout_->decompose(*arena_, term, key.data())) return std::nullopt;
+  const std::size_t found = index_.find(
+      hash_key_words(key.data(), words), [&](std::size_t id) {
+        return std::equal(key.begin(), key.end(),
+                          keys_.begin() + static_cast<std::ptrdiff_t>(id * words));
+      });
+  if (found == explore::StateIndex::kAbsent) return std::nullopt;
+  return found;
+}
+
+std::size_t StateSpace::key_words() const noexcept {
+  return layout_ ? layout_->words() : 0;
+}
+
+std::size_t StateSpace::key_bits() const noexcept {
+  return layout_ ? layout_->bits() : 0;
 }
 
 ctmc::Generator StateSpace::generator() const {
@@ -203,7 +461,10 @@ std::vector<std::size_t> StateSpace::deadlock_states() const {
 const LocalStateIndex& StateSpace::local_states(
     const ProcessArena& arena) const {
   std::call_once(local_states_->built, [&] {
-    local_states_->index = LocalStateIndex(arena, states_);
+    if (layout_) {
+      local_states_->index =
+          LocalStateIndex(arena, *layout_, keys_, state_count_);
+    }
   });
   return local_states_->index;
 }

@@ -2,22 +2,32 @@
 // of a PEPA term, yielding the labelled transition system from which the
 // CTMC generator matrix is assembled.
 //
+// A state is the vector of its leaves' local states over the static
+// cooperation/hiding tree of the system equation (pepa/leaf_layout.hpp),
+// bit-packed into a fixed-width key: successors compose the leaves' local
+// moves over the tree in Semantics' emission order and arithmetic, so no
+// compound term is interned while deriving.  state_term() renders a state's
+// term on demand; the numbering, transitions and rates are those of the
+// term-level derivation bit for bit.
+//
 // The exploration loop itself lives in explore::run (src/explore/engine.hpp)
 // — the level-synchronous multi-lane BFS shared with PEPA-net marking-graph
-// derivation.  State ids, transition order and every downstream artifact
-// (generator matrix, annotated XMI, DOT dumps, cache keys) are byte-identical
-// for every lane count — including errors, which are raised for the first
-// offending state in canonical order.
+// derivation, over a flat lock-free state index.  State ids, transition
+// order and every downstream artifact (generator matrix, annotated XMI, DOT
+// dumps, cache keys) are byte-identical for every lane count — including
+// errors, which are raised for the first offending state in canonical
+// order.
 //
 // Transitions are held in a CSR-indexed explore::TransitionSystem: the
 // generator builds straight off the payload array, per-action measures are
 // O(degree) slice lookups, and deadlock detection reads the row index.
 //
 // Local states get the same treatment: the first state measure asked of a
-// space builds a LocalStateIndex (constant -> states occupying it), so each
-// UML state's probability or population is one slice sum, not a walk of
-// every state term.  Derive-only callers (sweeps, activity graphs, the
-// state-space benches) never build it and pay neither its time nor bytes.
+// space builds a LocalStateIndex (constant -> states occupying it) in one
+// pass over the leaf columns, so each UML state's probability or population
+// is one slice sum, not a walk of every state term.  Derive-only callers
+// (sweeps, activity graphs, the state-space benches) never build it and pay
+// neither its time nor bytes.
 #pragma once
 
 #include <cstddef>
@@ -30,18 +40,22 @@
 
 #include "ctmc/generator.hpp"
 #include "explore/engine.hpp"
+#include "explore/state_index.hpp"
 #include "explore/transition_system.hpp"
 #include "pepa/semantics.hpp"
 #include "util/budget.hpp"
-#include "util/striped_map.hpp"
 #include "util/thread_pool.hpp"
 
 namespace choreo::pepa {
 
+class LeafLayout;
+
 struct DeriveOptions {
   /// Exploration aborts (util::BudgetError) beyond this many states; the
   /// paper's Section 1.1 names state-space explosion as the known hazard of
-  /// the numerical approach.
+  /// the numerical approach.  A dynamic leaf (one whose local states become
+  /// cooperations) also expands at most this many composite local states
+  /// (see pepa/leaf_layout.hpp).
   std::size_t max_states = 4'000'000;
   /// When false, passive transitions at the top level (unsynchronised
   /// passive activities) raise util::ModelError instead of being dropped.
@@ -50,20 +64,18 @@ struct DeriveOptions {
   /// path, 0 sizes to the pool (worker count + the calling thread).  The
   /// derived space is identical for every setting.
   std::size_t threads = 0;
-  /// States per work-stealing expansion chunk; 0 sizes automatically from
-  /// the frontier and lane count.  A pure throughput knob — the derived
-  /// space is identical for every setting.
-  std::size_t chunk_grain = 0;
   /// Pool expansion chunks run on; nullptr means util::ThreadPool::shared().
   util::ThreadPool* pool = nullptr;
   /// Resource governor: cancellation, deadline and state/byte accounting.
   /// Checked once per breadth-first level (deterministic; an interrupted
   /// derivation stops within one frontier level of the request) and charged
-  /// with every discovered state.  nullptr disables governance.
+  /// with every discovered state; the leaves' local closures, built before
+  /// the first level, are checked every 1,024 terms and charged with their
+  /// approximate bytes.  nullptr disables governance.
   util::Budget* budget = nullptr;
   /// Derive the strong-equivalence quotient directly: every successor is
-  /// rewritten to its sort-canonical representative (replicated siblings of
-  /// same-set cooperation spines reordered, see pepa/canonical.hpp) before
+  /// rewritten to its sort-canonical representative (same-shape siblings of
+  /// same-set cooperation spines sorted, see pepa/leaf_layout.hpp) before
   /// interning, so permutation-equivalent states collapse at discovery time
   /// and the explored space — and therefore max_states, the budget's
   /// state/byte accounting and peak memory — is the quotient, not the full
@@ -97,11 +109,14 @@ class LocalStateIndex {
  public:
   LocalStateIndex() = default;
 
-  /// Indexes `states` (state id = position) by a counting sort on constant:
-  /// one pass counts, a second fills, so the build needs little beyond the
+  /// Indexes the `state_count` packed states in `keys` (state id =
+  /// position) by a counting sort on constant: one pass over the leaf
+  /// columns counts, a second fills, so the build needs little beyond the
   /// index itself.  Throws util::ModelError when the state ids do not fit
   /// in 32 bits.
-  LocalStateIndex(const ProcessArena& arena, std::span<const ProcessId> states);
+  LocalStateIndex(const ProcessArena& arena, const LeafLayout& layout,
+                  std::span<const std::uint64_t> keys,
+                  std::size_t state_count);
 
   /// The states occupying `constant`, ascending; empty for a constant no
   /// state holds, including one declared after the index was built.
@@ -136,12 +151,23 @@ class LocalStateIndex {
 
 class StateSpace {
  public:
+  /// An empty space (no states).
+  StateSpace();
+  ~StateSpace();
+  StateSpace(StateSpace&&) noexcept;
+  StateSpace& operator=(StateSpace&&) noexcept;
+
   /// Explores from `initial`.  State 0 is the initial state.
   static StateSpace derive(Semantics& semantics, ProcessId initial,
                            const DeriveOptions& options = {});
 
-  std::size_t state_count() const noexcept { return states_.size(); }
-  ProcessId state_term(std::size_t index) const { return states_[index]; }
+  std::size_t state_count() const noexcept { return state_count_; }
+  /// The term of state `index`, rendered on demand: its cooperation and
+  /// hiding nodes are interned in the arena the space was derived over
+  /// (which must outlive the space), so equal states render to equal ids.
+  ProcessId state_term(std::size_t index) const;
+  /// The state whose term is `term`; nullopt when the term does not have
+  /// the space's static shape or is not a derived state.
   std::optional<std::size_t> index_of(ProcessId term) const;
 
   /// The CSR-indexed labelled transition system.
@@ -156,6 +182,11 @@ class StateSpace {
 
   /// Counters from the derivation that produced this space.
   const DeriveStats& stats() const noexcept { return stats_; }
+
+  /// Width of a packed state key: 64-bit words per state, and the bits of
+  /// them the leaves' local indices use.
+  std::size_t key_words() const noexcept;
+  std::size_t key_bits() const noexcept;
 
   /// True when this space was derived quotient-direct (DeriveOptions::
   /// aggregate): states are canonical representatives of strong-equivalence
@@ -189,11 +220,19 @@ class StateSpace {
     LocalStateIndex index;
   };
 
-  std::vector<ProcessId> states_;
-  /// Sharded so concurrent expansion workers can pre-resolve transition
-  /// targets against earlier levels while the serial renumbering pass owns
-  /// the writes.
-  util::StripedMap<ProcessId, std::size_t> index_;
+  /// Runs the exploration over keys of type Key (one, two or more words).
+  template <typename Key>
+  void explore_keys(const explore::EngineOptions& engine);
+
+  /// The arena of the derive; state_term() interns rendered terms in it.
+  ProcessArena* arena_ = nullptr;
+  /// The static tree, local tables and key geometry of the derive.
+  std::unique_ptr<const LeafLayout> layout_;
+  /// State i's packed key: words [i * words, (i + 1) * words).
+  std::vector<std::uint64_t> keys_;
+  std::size_t state_count_ = 0;
+  /// Key -> state id, as built by the exploration.
+  explore::StateIndex index_;
   explore::TransitionSystem<StateTransition> lts_;
   DeriveStats stats_;
   bool aggregated_ = false;

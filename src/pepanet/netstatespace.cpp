@@ -24,20 +24,19 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
   engine.max_states = options.max_markings;
   engine.allow_top_level_passive = options.allow_top_level_passive;
   engine.threads = options.threads;
-  engine.chunk_grain = options.chunk_grain;
   engine.pool = options.pool;
   engine.budget = options.budget;
   // Approximate per-marking footprint: every marking of one net holds the
-  // same number of slots, plus its interning entry.
-  engine.bytes_per_state =
-      initial.size() * sizeof(pepa::ProcessId) + 2 * sizeof(std::size_t);
+  // same number of slots, plus its share of the index.
+  engine.bytes_per_state = initial.size() * sizeof(pepa::ProcessId) +
+                           explore::StateIndex::kBytesPerState;
   engine.space_noun = "marking graph";
   engine.state_noun = "markings";
   engine.passive_suffix =
       "' occurs passively at the net level: no active partner sets its rate";
 
   auto run_with = [&](Marking start, auto&& canonicalize) {
-    return explore::run(
+    return explore::run<MarkingHash>(
         space.markings_, space.index_, std::move(start),
         // NetSemantics is stateless over the thread-safe arena/semantics
         // caches, so expansion workers may call moves() concurrently.
@@ -79,9 +78,12 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
 }
 
 std::optional<std::size_t> NetStateSpace::index_of(const Marking& marking) const {
-  const std::size_t* found = index_.find(marking);
-  if (found == nullptr) return std::nullopt;
-  return *found;
+  const std::size_t found =
+      index_.find(MarkingHash{}(marking), [&](std::size_t id) {
+        return markings_[id] == marking;
+      });
+  if (found == explore::StateIndex::kAbsent) return std::nullopt;
+  return found;
 }
 
 ctmc::Generator NetStateSpace::generator() const {

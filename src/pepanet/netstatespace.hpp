@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "ctmc/generator.hpp"
+#include "explore/state_index.hpp"
 #include "explore/transition_system.hpp"
 #include "pepa/statespace.hpp"
 #include "pepanet/netsemantics.hpp"
 #include "util/budget.hpp"
-#include "util/striped_map.hpp"
 #include "util/thread_pool.hpp"
 
 namespace choreo::pepanet {
@@ -37,10 +37,6 @@ struct NetDeriveOptions {
   /// path, 0 sizes to the pool (worker count + the calling thread).  The
   /// derived graph is identical for every setting.
   std::size_t threads = 0;
-  /// Markings per work-stealing expansion chunk; 0 sizes automatically from
-  /// the frontier and lane count.  A pure throughput knob — the derived
-  /// graph is identical for every setting.
-  std::size_t chunk_grain = 0;
   /// Pool expansion chunks run on; nullptr means util::ThreadPool::shared().
   util::ThreadPool* pool = nullptr;
   /// Resource governor: cancellation, deadline and marking/byte accounting,
@@ -106,9 +102,9 @@ class NetStateSpace {
 
  private:
   std::vector<Marking> markings_;
-  /// Sharded so expansion workers can pre-resolve move targets against
-  /// earlier levels while the serial renumbering pass owns the writes.
-  util::StripedMap<Marking, std::size_t, MarkingHash> index_;
+  /// Marking -> index: expansion lanes read it without locks while a level
+  /// expands; only the serial renumbering pass writes it.
+  explore::StateIndex index_;
   explore::TransitionSystem<MarkingTransition> lts_;
   DeriveStats stats_;
   bool aggregated_ = false;

@@ -1,26 +1,30 @@
 // Edge cases of the generic exploration engine (explore::run) exercised on
 // a synthetic state graph, away from the PEPA/PEPA-net policies: the
 // max_states bound tripping mid-level under multiple lanes, an initial
-// state with no successors, and successor exceptions raised from non-first
-// expansion chunks — all required to behave identically at every lane
-// count.
+// state with no successors, successor exceptions raised from non-first
+// expansion chunks, and a long multi-level run that grows the flat state
+// index many times — all required to behave identically at every lane
+// count.  The flat index itself (explore::StateIndex) is tested directly
+// too.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "explore/engine.hpp"
+#include "explore/state_index.hpp"
 #include "pepa/rate.hpp"
 #include "util/error.hpp"
-#include "util/striped_map.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using choreo::explore::DeriveStats;
 using choreo::explore::EngineOptions;
+using choreo::explore::StateIndex;
 using choreo::pepa::Rate;
 
 /// One synthetic move: an active rate and a target state value.
@@ -50,11 +54,12 @@ template <typename Successors>
 Run run_engine(Successors successors, std::size_t lanes,
                choreo::util::ThreadPool& pool, EngineOptions options = {}) {
   Run run;
-  choreo::util::StripedMap<std::size_t, std::size_t> index;
+  StateIndex index;
   options.threads = lanes;
   options.pool = &pool;
-  run.stats = choreo::explore::run(
+  run.stats = choreo::explore::run<std::hash<std::size_t>>(
       run.states, index, std::size_t{0}, successors,
+      choreo::explore::NoCanonicalize{},
       [](const Move&) { return std::string("synthetic"); },
       [&run](std::size_t source, const Move& move, std::size_t target) {
         run.transitions.push_back({source, target, move.rate.value()});
@@ -200,29 +205,64 @@ TEST(ExploreEngine, CommitSequenceIsIdenticalAtEveryLaneCount) {
   }
 }
 
-TEST(ExploreEngine, ChunkGrainNeverChangesTheExploredSpace) {
+TEST(ExploreEngine, ManyLevelsGrowTheIndexIdenticallyAtEveryLaneCount) {
   choreo::util::ThreadPool pool(4);
-  // Same shared/cyclic graph as the lane-count test: chunk_grain moves the
-  // work-stealing chunk boundaries, which must be invisible in the output.
-  const auto graph = [](const std::size_t& state) {
+  // A 300 x 300 grid walked from one corner: 599 levels of up to 300
+  // states, 90,000 states in all, so the flat index regrows a dozen times
+  // between levels while lanes read it.  Diagonal moves make most targets
+  // duplicates within a level (found by the serial phase) or of an earlier
+  // level (found by the lanes).
+  constexpr std::size_t kSide = 300;
+  const auto grid = [](const std::size_t& state) {
+    const std::size_t row = state / kSide;
+    const std::size_t column = state % kSide;
     std::vector<Move> moves;
-    moves.push_back({Rate::active(1.0 + static_cast<double>(state)),
-                     (state + 1) % 97});
-    moves.push_back({Rate::active(2.0), (state * 2) % 97});
-    moves.push_back({Rate::active(3.0), state / 2});
+    if (column + 1 < kSide) moves.push_back({Rate::active(1.0), state + 1});
+    if (row + 1 < kSide) moves.push_back({Rate::active(2.0), state + kSide});
+    if (row > 0 && column + 1 < kSide) {
+      moves.push_back({Rate::active(3.0), state - kSide + 1});
+    }
     return moves;
   };
-  const auto baseline = run_engine(graph, 1, pool);
-  for (const std::size_t grain : {1u, 3u, 1024u}) {
-    EngineOptions options;
-    options.chunk_grain = grain;
-    const auto run = run_engine(graph, 8, pool, options);
-    EXPECT_EQ(run.states, baseline.states);
-    EXPECT_EQ(run.transitions, baseline.transitions);
-    EXPECT_EQ(run.stats.dedup_misses, baseline.stats.dedup_misses);
+  const auto baseline = run_engine(grid, 1, pool);
+  ASSERT_EQ(baseline.states.size(), kSide * kSide);
+  EXPECT_EQ(baseline.stats.levels, 2 * kSide - 1);
+  EXPECT_EQ(baseline.stats.dedup_misses, kSide * kSide);
+  EXPECT_EQ(baseline.transitions.size(),
+            baseline.stats.dedup_hits + baseline.stats.dedup_misses - 1);
+  for (const std::size_t lanes : {2u, 4u, 8u}) {
+    const auto run = run_engine(grid, lanes, pool);
+    EXPECT_EQ(run.states, baseline.states) << lanes << " lanes";
+    EXPECT_EQ(run.transitions, baseline.transitions) << lanes << " lanes";
     EXPECT_EQ(run.stats.dedup_hits, baseline.stats.dedup_hits);
     EXPECT_EQ(run.stats.levels, baseline.stats.levels);
+    EXPECT_EQ(run.stats.peak_frontier, baseline.stats.peak_frontier);
   }
+}
+
+TEST(StateIndex, FindsWhatWasInsertedAcrossGrowth) {
+  // Keys whose hashes collide in their low bits and in whole: a hash that
+  // keeps only key / 7 puts runs of seven keys on one tag, so equality, not
+  // the tag, must tell them apart.
+  std::vector<std::size_t> keys;
+  StateIndex index;
+  EXPECT_EQ(index.find(0, [](std::size_t) { return true; }),
+            StateIndex::kAbsent);
+  for (std::size_t k = 0; k < 5000; ++k) {
+    keys.push_back(k * 3);
+    index.insert(k * 3 / 7, k);
+    EXPECT_LE(2 * index.size(), index.bytes() / 8);  // at most half full
+  }
+  EXPECT_EQ(index.size(), 5000u);
+  for (std::size_t k = 0; k < 5000; ++k) {
+    const std::size_t value = k * 3;
+    EXPECT_EQ(index.find(value / 7,
+                         [&](std::size_t id) { return keys[id] == value; }),
+              k);
+  }
+  // A value never inserted, sharing a tag with inserted ones, is absent.
+  EXPECT_EQ(index.find(1, [&](std::size_t id) { return keys[id] == 8u; }),
+            StateIndex::kAbsent);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for choreo_util: strings, RNG, statistics, thread pool,
-// striped map, segmented vector, slot array, bump arena, tables.
+// segmented vector, slot array, bump arena, tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "util/slot_array.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
-#include "util/striped_map.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -370,100 +369,6 @@ TEST(ThreadPool, ParallelForDynamicPropagatesExceptions) {
                                            }
                                          }),
                cu::Error);
-}
-
-TEST(StripedMap, MoveConstructionTransfersAndLeavesSourceUsable) {
-  cu::StripedMap<int, int> source;
-  source.try_emplace(1, 10);
-  source.try_emplace(2, 20);
-
-  cu::StripedMap<int, int> moved(std::move(source));
-  ASSERT_NE(moved.find(1), nullptr);
-  EXPECT_EQ(*moved.find(1), 10);
-  EXPECT_EQ(moved.size(), 2u);
-
-  EXPECT_EQ(source.size(), 0u);
-  EXPECT_EQ(source.find(1), nullptr);
-  source.try_emplace(3, 30);  // the moved-from map must stay usable
-  ASSERT_NE(source.find(3), nullptr);
-  EXPECT_EQ(*source.find(3), 30);
-}
-
-TEST(StripedMap, MoveAssignmentTransfersAndLeavesSourceUsable) {
-  cu::StripedMap<int, int> source;
-  source.try_emplace(1, 10);
-  cu::StripedMap<int, int> target;
-  target.try_emplace(9, 90);  // overwritten by the assignment
-
-  target = std::move(source);
-  EXPECT_EQ(target.size(), 1u);
-  ASSERT_NE(target.find(1), nullptr);
-  EXPECT_EQ(*target.find(1), 10);
-  EXPECT_EQ(target.find(9), nullptr);
-
-  EXPECT_EQ(source.size(), 0u);
-  source.try_emplace(2, 20);
-  ASSERT_NE(source.find(2), nullptr);
-  EXPECT_EQ(*source.find(2), 20);
-}
-
-TEST(StripedMap, FindBatchMatchesScalarFind) {
-  cu::StripedMap<int, std::size_t> map;
-  for (int k = 0; k < 200; k += 2) {
-    map.try_emplace(k, static_cast<std::size_t>(k) * 10);
-  }
-  // Both sides of the grouping threshold: a large batch (counting sort,
-  // one lock per touched stripe) and a small one (scalar fallback).
-  for (const std::size_t batch : {std::size_t{256}, std::size_t{4}}) {
-    std::vector<int> queries(batch);
-    std::vector<const int*> keys(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      queries[i] = static_cast<int>(i);
-      keys[i] = &queries[i];
-    }
-    std::vector<const std::size_t*> found(batch);
-    map.find_batch(keys, found);
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::size_t* scalar = map.find(queries[i]);
-      ASSERT_EQ(found[i], scalar) << "key " << queries[i];
-      if (queries[i] % 2 == 0 && queries[i] < 200) {
-        ASSERT_NE(found[i], nullptr);
-        EXPECT_EQ(*found[i], static_cast<std::size_t>(queries[i]) * 10);
-      } else {
-        EXPECT_EQ(found[i], nullptr);
-      }
-    }
-  }
-}
-
-TEST(StripedMap, TryEmplaceBatchKeepsStoredAndFirstBatchValues) {
-  cu::StripedMap<int, std::size_t> map;
-  for (int k = 0; k < 10; ++k) {
-    map.try_emplace(k, 1000 + static_cast<std::size_t>(k));
-  }
-  std::vector<int> batch_keys;
-  std::vector<std::size_t> batch_values;
-  for (int k = 0; k < 64; ++k) {
-    batch_keys.push_back(k);
-    batch_values.push_back(static_cast<std::size_t>(k));
-  }
-  batch_keys.push_back(70);  // within-batch duplicate: first wins
-  batch_values.push_back(7000);
-  batch_keys.push_back(70);
-  batch_values.push_back(7001);
-  std::vector<const int*> keys;
-  for (const int& k : batch_keys) keys.push_back(&k);
-
-  map.try_emplace_batch(keys, batch_values);
-  EXPECT_EQ(map.size(), 65u);
-  for (int k = 0; k < 64; ++k) {
-    ASSERT_NE(map.find(k), nullptr);
-    const std::size_t expected = k < 10 ? 1000 + static_cast<std::size_t>(k)
-                                        : static_cast<std::size_t>(k);
-    EXPECT_EQ(*map.find(k), expected) << "key " << k;
-  }
-  ASSERT_NE(map.find(70), nullptr);
-  EXPECT_EQ(*map.find(70), 7000u);
 }
 
 namespace {
