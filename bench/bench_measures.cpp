@@ -53,7 +53,9 @@ explore::TransitionSystem<pepa::StateTransition> synthetic_system(
         i % probe_stride == 0
             ? 0
             : static_cast<pepa::ActionId>(1 + i % kOtherActions);
-    system.push_back({source, target, action, 1.0 + 0.001 * (i % 7)});
+    system.push_back({static_cast<std::uint32_t>(source),
+                      static_cast<std::uint32_t>(target), action,
+                      1.0 + 0.001 * (i % 7)});
   }
   system.finalize(states);
   return system;

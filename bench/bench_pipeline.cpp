@@ -11,6 +11,7 @@
 #include "choreographer/pipeline.hpp"
 #include "uml/layout.hpp"
 #include "uml/xmi.hpp"
+#include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 #include "xml/parse.hpp"
@@ -26,7 +27,7 @@ xml::Document project_with_layout(std::size_t transmitters) {
   xml::Node& layout = document.root().add_element("Poseidon.layout");
   for (std::size_t i = 0; i < transmitters * 7; ++i) {
     layout.add_element("node")
-        .set_attr("ref", "n" + std::to_string(i))
+        .set_attr("ref", util::msg("n", i))
         .set_attr("x", std::to_string(40 * i))
         .set_attr("y", std::to_string(60 + 10 * (i % 7)));
   }

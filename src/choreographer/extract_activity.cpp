@@ -53,7 +53,7 @@ class BehaviourBuilder {
     // Create (and memoise) the constant before computing the body so that
     // control cycles close over it.
     const std::string label = graph_.nodes()[node].name.empty()
-                                  ? "n" + std::to_string(node)
+                                  ? util::msg("n", node)
                                   : graph_.nodes()[node].name;
     const pepa::ConstantId constant =
         arena_.declare(pool_.unique(prefix_ + "_" + label));

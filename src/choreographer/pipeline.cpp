@@ -32,8 +32,12 @@ const char* to_string(Aggregation aggregation) {
 
 StageTimings& StageTimings::operator+=(const StageTimings& other) {
   extract_seconds += other.extract_seconds;
+  assemble_seconds += other.assemble_seconds;
   solve_seconds += other.solve_seconds;
   reflect_seconds += other.reflect_seconds;
+  if (method_used == ctmc::Method::kAuto) method_used = other.method_used;
+  iterations += other.iterations;
+  residual = std::max(residual, other.residual);
   derive_stats.seconds += other.derive_stats.seconds;
   derive_stats.levels += other.derive_stats.levels;
   derive_stats.dedup_hits += other.derive_stats.dedup_hits;
@@ -61,6 +65,26 @@ ctmc::SolveOptions governed_solver(const AnalysisOptions& options) {
   ctmc::SolveOptions solver = options.solver;
   if (solver.budget == nullptr) solver.budget = options.budget;
   return solver;
+}
+
+/// Assembles the space's generator and solves it, clocking the two stages
+/// apart and recording the solver's method, iterations and residual.  The
+/// generator is freed before the measures run.
+template <typename Space>
+ctmc::SolveResult assemble_and_solve(const Space& space,
+                                     const AnalysisOptions& options,
+                                     StageTimings& timings) {
+  util::Stopwatch timer;
+  const ctmc::Generator generator = space.generator();
+  timings.assemble_seconds = timer.seconds();
+  timer.restart();
+  ctmc::SolveResult solved =
+      ctmc::steady_state(generator, governed_solver(options));
+  timings.solve_seconds = timer.seconds();
+  timings.method_used = solved.method_used;
+  timings.iterations = solved.iterations;
+  timings.residual = solved.residual;
+  return solved;
 }
 
 /// The fluid backend's knobs from the analysis options: the ODE tolerance
@@ -150,11 +174,8 @@ ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,
   result.timings.derive_stats = space.stats();
 
   checkpoint(options);
-  timer.restart();
   Throughputs throughputs;
-  const auto solved =
-      ctmc::steady_state(space.generator(), governed_solver(options));
-  result.timings.solve_seconds = timer.seconds();
+  const auto solved = assemble_and_solve(space, options, result.timings);
   checkpoint(options);
   timer.restart();
   for (const auto& action_name : extraction.action_names) {
@@ -238,10 +259,7 @@ StateMachineResult analyse_state_machines(uml::Model& model,
   result.timings.derive_stats = space.stats();
 
   checkpoint(options);
-  timer.restart();
-  const auto solved =
-      ctmc::steady_state(space.generator(), governed_solver(options));
-  result.timings.solve_seconds = timer.seconds();
+  const auto solved = assemble_and_solve(space, options, result.timings);
 
   checkpoint(options);
   timer.restart();

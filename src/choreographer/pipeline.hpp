@@ -84,14 +84,22 @@ struct AnalysisOptions {
   util::Budget* budget = nullptr;
 };
 
-/// Per-stage wall-clock breakdown of one analysis: extraction, CTMC
-/// solution, measure computation + reflection, and the derivation counters.
-/// Shared by the activity-graph and state-machine results, the scheduler's
-/// per-job timings and the service metrics export.
+/// Per-stage wall-clock breakdown of one analysis: extraction, generator
+/// assembly, CTMC solution, measure computation + reflection, the
+/// derivation counters and the solver's record.  Shared by the
+/// activity-graph and state-machine results, the scheduler's per-job
+/// timings and the service metrics export.
 struct StageTimings {
   double extract_seconds = 0.0;
+  /// CTMC generator assembly; solve_seconds excludes it.
+  double assemble_seconds = 0.0;
   double solve_seconds = 0.0;
   double reflect_seconds = 0.0;
+  /// The steady-state solve: the method that ran (kAuto when none did),
+  /// its iterations and its final residual.
+  ctmc::Method method_used = ctmc::Method::kAuto;
+  std::size_t iterations = 0;
+  double residual = 0.0;
   /// State-space derivation counters and wall clock (derive_stats.seconds).
   pepa::DeriveStats derive_stats;
   /// Fluid (ODE) integration counters; zero unless the fluid backend ran.
@@ -101,9 +109,10 @@ struct StageTimings {
   /// Derivation wall clock, for symmetry with the other stage clocks.
   double derive_seconds() const noexcept { return derive_stats.seconds; }
 
-  /// Folds another breakdown in: clocks, levels and discovery counters
-  /// accumulate; peak_frontier takes the maximum (the largest single
-  /// parallel round across the folded runs).
+  /// Folds another breakdown in: clocks, levels, discovery counters and
+  /// solver iterations accumulate; peak_frontier and residual take the
+  /// maximum (the largest single parallel round, the worst residual across
+  /// the folded runs); method_used keeps the first solve's method.
   StageTimings& operator+=(const StageTimings& other);
 };
 

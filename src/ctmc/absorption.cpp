@@ -39,7 +39,7 @@ Absorption absorption_probabilities(const Generator& generator) {
     result.probabilities[result.absorbing[i]][i] = 1.0;
   }
 
-  const CsrMatrix& q = generator.matrix();
+  const CsrMatrix q = generator.rows();
   const std::size_t max_iterations = 1000000;
   for (std::size_t iteration = 0; iteration < max_iterations; ++iteration) {
     double residual = 0.0;

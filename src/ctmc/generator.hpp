@@ -2,34 +2,38 @@
 //
 // A Generator is built from the labelled transitions produced by PEPA /
 // PEPA-net state-space derivation: parallel transitions between the same
-// pair of states accumulate, and the diagonal holds the negated exit rates.
+// pair of states accumulate, and self-loops are dropped.  It is held in the
+// form the solvers sweep: Q^T without its diagonal, one row per target
+// state listing that row's source states in ascending order with 32-bit
+// columns, plus the per-state exit rates (the negated diagonal of Q).  Each
+// row also records its split point, the first entry whose column exceeds
+// the row: where the sorted row of Q^T holds its diagonal, so a product
+// with Q^T adds the diagonal term there and sums in the order a full row
+// would.  Q itself is built only on demand (rows()).
 //
-// A one-off generator is assembled by one serial, row-wise pass
-// (build_from()): the transitions are validated in input order, bucketed by
-// source with a stable counting sort (skipped when they already arrive
-// grouped by source, as derived spaces do), and each row is merged by
-// CsrBuilder with its diagonal written in place as the negated exit sum in
-// input order.  Q^T is a counting transpose of Q.  build_from() reads any
-// contiguous transition-like records (anything exposing .source, .target
-// and .rate — in particular the payload of an explore::TransitionSystem)
-// in place, so building the generator of a derived state space needs no
-// intermediate copy of the transition vector.
-//
-// Generators of one transition structure at many rate payloads (the points
-// of a sweep) go through a GeneratorPattern instead.  With every rate
-// positive, the sparsity of Q and Q^T does not depend on the rates, so the
-// pattern records it once from a generator build_from() assembled: each
-// transition's Q entry and its source's diagonal entry, and each Q entry's
-// Q^T slot.  fill() then writes a payload's values with no sort or merge,
-// scatter-adding the rates in input order — the additions build_from()
-// makes, in the same order, so both routes give bit-identical matrices.
+// The sparsity (Generator::Structure) is immutable and shared: every
+// generator filled over one GeneratorPattern points at the same structure
+// and owns only its values and exit rates.  Assembly has one path.  The
+// pattern records the structure from transitions: a stable counting sort by
+// source (skipped when they already arrive grouped by source, as derived
+// spaces do), then a counting sort by target in which adjacent transitions
+// of one source merge into one entry.  Each transition gets its entry slot
+// (a self-loop none).  fill() then scatter-adds a payload's rates into the
+// slots, and into the exit sums, in input order, validating each rate on
+// the way; build_from() is record then fill.  Every entry and every exit
+// rate is therefore the sum of its rates in input order from 0.0, whichever
+// route assembled it.  build_from() reads any contiguous transition-like
+// records (anything exposing .source, .target and .rate — in particular the
+// payload of an explore::TransitionSystem) in place.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ctmc/sparse.hpp"
@@ -44,14 +48,26 @@ struct RatedTransition {
   double rate;
 };
 
+class GeneratorPattern;
+
 class Generator {
  public:
+  /// Q^T's off-diagonal sparsity.  Row j lists the states with a transition
+  /// into j: columns[row_ptr[j] .. row_ptr[j + 1]), ascending, never j.
+  /// split[j] is the first of them whose column exceeds j.
+  struct Structure {
+    std::vector<std::uint32_t> row_ptr;
+    std::vector<std::uint32_t> split;
+    std::vector<std::uint32_t> columns;
+  };
+
   Generator() = default;
 
   /// Builds the generator of a CTMC with `state_count` states from rated
   /// transitions.  Self-loops are dropped (they do not affect the CTMC).
   /// Throws util::ModelError naming the first transition, in input order,
-  /// whose rate is not positive and finite.
+  /// whose rate is not positive and finite, and when the state ids or the
+  /// entries do not fit in 32 bits.
   static Generator build(std::size_t state_count,
                          const std::vector<RatedTransition>& transitions);
 
@@ -62,15 +78,31 @@ class Generator {
   static Generator build_from(std::size_t state_count,
                               std::span<const Transition> transitions);
 
-  std::size_t state_count() const noexcept { return matrix_.size(); }
-  const CsrMatrix& matrix() const noexcept { return matrix_; }
-  /// Q transposed, which the iterative steady-state solvers run on.
-  const CsrMatrix& matrix_transposed() const noexcept { return transposed_; }
+  std::size_t state_count() const noexcept { return exit_.size(); }
 
-  /// Total exit rate of a state (= -Q[state][state]).
-  double exit_rate(std::size_t state) const;
+  /// The sparsity of Q^T, shared by every generator of one pattern (an
+  /// empty structure for a default-constructed generator).
+  const Structure& structure() const noexcept;
+  /// Q^T's off-diagonal values, index-aligned with structure().columns.
+  std::span<const double> values() const noexcept { return values_; }
+
+  /// Total exit rate of each state: its transitions' rates summed in input
+  /// order, = -Q[state][state].
+  std::span<const double> exit_rates() const noexcept { return exit_; }
+  double exit_rate(std::size_t state) const { return exit_[state]; }
   /// Largest exit rate over all states (the uniformisation constant basis).
   double max_exit_rate() const noexcept { return max_exit_rate_; }
+
+  /// y = Q^T x, each row summed in column order with the diagonal term
+  /// -exit[j] * x[j] at the split point (none for an exit rate of 0).
+  /// Parallelised over rows when `parallel` and the chain is large enough
+  /// to amortise the fork.
+  void multiply(std::span<const double> x, std::span<double> y,
+                bool parallel = true) const;
+
+  /// Q itself, with the diagonal in place: a counting transpose of this
+  /// form, for the analyses that walk a state's outgoing rates.
+  CsrMatrix rows() const;
 
   /// States with no outgoing transitions.  A deadlocked state makes the
   /// steady-state distribution degenerate; PEPA tooling reports these.
@@ -83,23 +115,25 @@ class Generator {
  private:
   friend class GeneratorPattern;
 
-  CsrMatrix matrix_;
-  CsrMatrix transposed_;
+  std::shared_ptr<const Structure> structure_;
+  std::vector<double> values_;
+  std::vector<double> exit_;
   double max_exit_rate_ = 0.0;
 };
 
-/// The sparsity of a generator, recorded once so that the generators of the
-/// same transitions at other positive rates are filled in place.  Immutable
-/// after construction: concurrent fills share one pattern.
+/// The sparsity of a generator, recorded once from its transitions so that
+/// the generators of the same transitions at any positive rates are filled
+/// in place.  Immutable after construction: concurrent fills share one
+/// pattern, and the generators they return share its structure.
 class GeneratorPattern {
  public:
   GeneratorPattern() = default;
 
-  /// Records the pattern of `base`, the generator build_from() assembled
-  /// from `transitions` (at any rates).  Throws util::ModelError when Q has
-  /// too many entries for 32-bit indices.
+  /// Records the structure of the generator of `transitions` (at any
+  /// rates) over `state_count` states.  Throws util::ModelError when the
+  /// state ids or the entries do not fit in 32 bits.
   template <typename Transition>
-  GeneratorPattern(const Generator& base,
+  GeneratorPattern(std::size_t state_count,
                    std::span<const Transition> transitions);
 
   /// The generator of the recorded transitions with transition i at rate
@@ -108,29 +142,34 @@ class GeneratorPattern {
   /// order, that is not positive and finite.
   template <typename Transition>
   Generator fill(std::span<const Transition> transitions,
-                 std::span<const double> rates) const;
+                 std::span<const double> rates) const {
+    CHOREO_ASSERT(rates.size() == slots_.size());
+    return fill_with(transitions, [&](std::size_t i) { return rates[i]; });
+  }
 
  private:
+  friend class Generator;
+
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  /// Where one transition's rate goes: its Q entry and its source's
-  /// diagonal entry, which accumulates the exit sum (both kNone for a
-  /// self-loop).
-  struct Slots {
+  /// Where one transition's rate goes: its Q^T entry (kNone for a
+  /// self-loop) and its source's exit sum.
+  struct Slot {
     std::uint32_t entry;
-    std::uint32_t diagonal;
+    std::uint32_t source;
   };
 
-  CsrMatrix q_;   ///< Q's row pointers and columns; no values
-  CsrMatrix qt_;  ///< Q^T's row pointers and columns; no values
-  std::vector<Slots> slots_;               ///< per transition
-  std::vector<std::uint32_t> diagonal_;    ///< per state; kNone: no exit
-  std::vector<std::uint32_t> transposed_;  ///< per Q entry: its Q^T slot
+  template <typename Transition, typename RateOf>
+  Generator fill_with(std::span<const Transition> transitions,
+                      RateOf rate_of) const;
+
+  std::shared_ptr<const Generator::Structure> structure_;
+  std::vector<Slot> slots_;  ///< per transition
 };
 
 namespace detail {
 
-/// build_from()'s validation of one transition's rate.
+/// The assembly's validation of one transition's rate.
 template <typename Transition>
 void check_rate(const Transition& t, double rate) {
   if (!(rate > 0.0) || !std::isfinite(rate)) {
@@ -144,121 +183,103 @@ void check_rate(const Transition& t, double rate) {
 template <typename Transition>
 Generator Generator::build_from(std::size_t state_count,
                                 std::span<const Transition> transitions) {
-  // Validate in input order, so the transition reported is the first bad
-  // one in the caller's order.
-  for (const Transition& t : transitions) {
-    CHOREO_ASSERT(t.source < state_count && t.target < state_count);
-    detail::check_rate(t, t.rate);
+  return GeneratorPattern(state_count, transitions)
+      .fill_with(transitions,
+                 [&](std::size_t i) { return transitions[i].rate; });
+}
+
+template <typename Transition>
+GeneratorPattern::GeneratorPattern(std::size_t state_count,
+                                   std::span<const Transition> transitions) {
+  const std::size_t n = state_count;
+  if (n > kNone) {
+    throw util::ModelError(util::msg("a chain with ", n,
+                                     " states is too large for 32-bit ids"));
   }
-  const RowBuckets sources(state_count, transitions.size(), [&](std::size_t i) {
+  for (const Transition& t : transitions) {
+    CHOREO_ASSERT(t.source < n && t.target < n);
+  }
+  auto structure = std::make_shared<Generator::Structure>();
+  std::vector<std::uint32_t>& row_ptr = structure->row_ptr;
+  const RowBuckets sources(n, transitions.size(), [&](std::size_t i) {
     return transitions[i].source;
   });
 
-  CsrBuilder rows(state_count, transitions.size() + state_count);
-  double max_exit = 0.0;
-  for (std::size_t s = 0; s < state_count; ++s) {
-    double exit = 0.0;
+  // Count each target row's entries, sources ascending: a run of one
+  // source's transitions into one target is a single entry.
+  row_ptr.assign(n + 1, 0);
+  std::vector<std::uint32_t> last(n, kNone);  ///< per row: its last source
+  for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t k = sources.begin(s); k < sources.end(s); ++k) {
       const Transition& t = transitions[sources.at(k)];
-      if (t.target == s) continue;  // a self-loop does not change the CTMC
-      rows.add(t.target, t.rate);
-      exit += t.rate;
+      if (t.target == s || last[t.target] == s) continue;
+      last[t.target] = static_cast<std::uint32_t>(s);
+      ++row_ptr[t.target + 1];
     }
-    // Self-loops are skipped, so the diagonal has its column to itself.
-    if (exit > 0.0) rows.add(s, -exit);
-    rows.finish_row();
-    max_exit = std::max(max_exit, exit);
   }
-
-  Generator generator;
-  generator.matrix_ = rows.finish();
-  generator.transposed_ = generator.matrix_.transposed();
-  generator.max_exit_rate_ = max_exit;
-  return generator;
-}
-
-template <typename Transition>
-GeneratorPattern::GeneratorPattern(const Generator& base,
-                                   std::span<const Transition> transitions) {
-  const CsrMatrix& q = base.matrix_;
-  const CsrMatrix& qt = base.transposed_;
-  if (q.nonzeros() >= kNone) {
-    throw util::ModelError(util::msg("a generator with ", q.nonzeros(),
-                                     " entries is too large to pattern"));
-  }
-  const std::size_t n = q.size();
-  q_.row_ptr_ = q.row_ptr_;
-  q_.col_ = q.col_;
-  qt_.row_ptr_ = qt.row_ptr_;
-  qt_.col_ = qt.col_;
-
-  // An entry's index in Q, by binary search in its column-sorted row.
-  auto find = [&](std::size_t row, std::size_t col) {
-    const auto first = q.col_.begin();
-    const auto begin = first + static_cast<std::ptrdiff_t>(q.row_ptr_[row]);
-    const auto end = first + static_cast<std::ptrdiff_t>(q.row_ptr_[row + 1]);
-    const auto it = std::lower_bound(begin, end, col);
-    return it != end && *it == col ? static_cast<std::uint32_t>(it - first)
-                                   : kNone;
-  };
-  diagonal_.resize(n);
-  for (std::size_t s = 0; s < n; ++s) diagonal_[s] = find(s, s);
-  slots_.resize(transitions.size());
-  for (std::size_t i = 0; i < transitions.size(); ++i) {
-    const Transition& t = transitions[i];
-    if (t.source == t.target) {
-      slots_[i] = {kNone, kNone};
-      continue;
-    }
-    slots_[i] = {find(t.source, t.target), diagonal_[t.source]};
-    CHOREO_ASSERT(slots_[i].entry != kNone && slots_[i].diagonal != kNone);
-  }
-
-  // The counting pass of CsrMatrix::transposed(), keeping slots, not values.
-  transposed_.resize(q.nonzeros());
-  std::vector<std::size_t> cursor(qt.row_ptr_.begin(), qt.row_ptr_.end() - 1);
+  std::size_t entries = 0;
   for (std::size_t row = 0; row < n; ++row) {
-    for (std::size_t k = q.row_ptr_[row]; k < q.row_ptr_[row + 1]; ++k) {
-      transposed_[k] = static_cast<std::uint32_t>(cursor[q.col_[k]]++);
+    entries += row_ptr[row + 1];
+    if (entries >= kNone) {
+      throw util::ModelError(util::msg("a generator with ", entries,
+                                       " or more entries is too large for"
+                                       " 32-bit indices"));
+    }
+    row_ptr[row + 1] = static_cast<std::uint32_t>(entries);
+  }
+
+  // Place the entries and give each transition its slot.  Sources are
+  // placed in ascending order and a row has no entry in its own column, so
+  // a row's cursor when its own source comes up is its split point.
+  std::vector<std::uint32_t>& columns = structure->columns;
+  columns.resize(entries);
+  structure->split.resize(n);
+  slots_.resize(transitions.size());
+  std::vector<std::uint32_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  std::fill(last.begin(), last.end(), kNone);
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto source = static_cast<std::uint32_t>(s);
+    structure->split[s] = cursor[s];
+    for (std::size_t k = sources.begin(s); k < sources.end(s); ++k) {
+      const std::size_t i = sources.at(k);
+      const std::size_t target = transitions[i].target;
+      if (target == s) {  // a self-loop does not change the CTMC
+        slots_[i] = {kNone, source};
+        continue;
+      }
+      if (last[target] != source) {
+        last[target] = source;
+        columns[cursor[target]++] = source;
+      }
+      slots_[i] = {cursor[target] - 1, source};
     }
   }
+  structure_ = std::move(structure);
 }
 
-template <typename Transition>
-Generator GeneratorPattern::fill(std::span<const Transition> transitions,
-                                 std::span<const double> rates) const {
-  CHOREO_ASSERT(transitions.size() == slots_.size() &&
-                rates.size() == slots_.size());
+template <typename Transition, typename RateOf>
+Generator GeneratorPattern::fill_with(std::span<const Transition> transitions,
+                                      RateOf rate_of) const {
+  CHOREO_ASSERT(transitions.size() == slots_.size());
   Generator generator;
-  CsrMatrix& q = generator.matrix_;
-  q.row_ptr_ = q_.row_ptr_;
-  q.col_ = q_.col_;
-  q.values_.assign(q_.col_.size(), 0.0);
-  // Each entry, and each exit sum (held in its diagonal entry until it is
-  // negated), starts from 0.0 and takes its rates in input order:
-  // CsrBuilder's per-column sums and build_from()'s exit sums.  Rates are
-  // validated on the way, in input order, so the first bad one is reported.
+  generator.structure_ = structure_;
+  generator.values_.assign(structure_->columns.size(), 0.0);
+  generator.exit_.assign(structure_->split.size(), 0.0);
+  // Each entry and each exit sum starts from 0.0 and takes its rates in
+  // input order.  Rates are validated on the way, in input order, so the
+  // first bad one is reported.
+  double* values = generator.values_.data();
+  double* exit = generator.exit_.data();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    detail::check_rate(transitions[i], rates[i]);
-    const Slots slots = slots_[i];
-    if (slots.entry == kNone) continue;  // a self-loop
-    q.values_[slots.entry] += rates[i];
-    q.values_[slots.diagonal] += rates[i];
+    const double rate = rate_of(i);
+    detail::check_rate(transitions[i], rate);
+    const Slot slot = slots_[i];
+    if (slot.entry == kNone) continue;  // a self-loop
+    values[slot.entry] += rate;
+    exit[slot.source] += rate;
   }
   double max_exit = 0.0;
-  for (const std::uint32_t diagonal : diagonal_) {
-    if (diagonal == kNone) continue;  // an exit sum of 0
-    max_exit = std::max(max_exit, q.values_[diagonal]);
-    q.values_[diagonal] = -q.values_[diagonal];
-  }
-
-  CsrMatrix& qt = generator.transposed_;
-  qt.row_ptr_ = qt_.row_ptr_;
-  qt.col_ = qt_.col_;
-  qt.values_.resize(q.values_.size());
-  for (std::size_t k = 0; k < q.values_.size(); ++k) {
-    qt.values_[transposed_[k]] = q.values_[k];
-  }
+  for (const double rate : generator.exit_) max_exit = std::max(max_exit, rate);
   generator.max_exit_rate_ = max_exit;
   return generator;
 }

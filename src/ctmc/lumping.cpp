@@ -17,11 +17,11 @@ namespace {
 /// lumpability (whose coarsest solution is always the useless one-block
 /// partition) while still guaranteeing an exact quotient.
 std::vector<std::pair<std::size_t, double>> signature_of(
-    const Generator& generator, std::size_t state,
+    const CsrMatrix& q, std::size_t state,
     const std::vector<std::size_t>& block_of) {
   std::map<std::size_t, double> into;
-  const auto columns = generator.matrix().row_columns(state);
-  const auto values = generator.matrix().row_values(state);
+  const auto columns = q.row_columns(state);
+  const auto values = q.row_values(state);
   for (std::size_t k = 0; k < columns.size(); ++k) {
     if (columns[k] == state) continue;  // diagonal
     into[block_of[columns[k]]] += values[k];
@@ -45,6 +45,7 @@ Lumping compute_lumping(const Generator& generator,
 
   Lumping lumping;
   lumping.block_of = std::move(initial_partition);
+  const CsrMatrix q = generator.rows();
 
   while (true) {
     // Group states by (current block, outgoing block-rate signature).  The
@@ -57,7 +58,7 @@ Lumping compute_lumping(const Generator& generator,
     std::vector<std::size_t> next(n);
     for (std::size_t s = 0; s < n; ++s) {
       auto key = std::make_pair(lumping.block_of[s],
-                                signature_of(generator, s, lumping.block_of));
+                                signature_of(q, s, lumping.block_of));
       const auto [it, inserted] = groups.emplace(std::move(key), groups.size());
       next[s] = it->second;
     }
@@ -89,11 +90,12 @@ Lumping compute_lumping(const Generator& generator,
 Generator Lumping::quotient(const Generator& full) const {
   CHOREO_ASSERT(block_of.size() == full.state_count());
   std::vector<RatedTransition> transitions;
+  const CsrMatrix q = full.rows();
   for (std::size_t b = 0; b < block_count; ++b) {
     const std::size_t representative = representatives[b];
     std::map<std::size_t, double> into;
-    const auto columns = full.matrix().row_columns(representative);
-    const auto values = full.matrix().row_values(representative);
+    const auto columns = q.row_columns(representative);
+    const auto values = q.row_values(representative);
     for (std::size_t k = 0; k < columns.size(); ++k) {
       if (columns[k] == representative) continue;
       const std::size_t target_block = block_of[columns[k]];
@@ -134,13 +136,14 @@ std::vector<double> Lumping::lift_uniform(
 void check_lumpable(const Generator& generator, const Lumping& lumping,
                     double tolerance) {
   const std::size_t n = generator.state_count();
+  const CsrMatrix q = generator.rows();
   // For each block, every member must share the representative's
   // block-level outgoing rates.
   for (std::size_t s = 0; s < n; ++s) {
     const std::size_t b = lumping.block_of[s];
-    const auto mine = signature_of(generator, s, lumping.block_of);
+    const auto mine = signature_of(q, s, lumping.block_of);
     const auto reference =
-        signature_of(generator, lumping.representatives[b], lumping.block_of);
+        signature_of(q, lumping.representatives[b], lumping.block_of);
     if (mine.size() != reference.size()) {
       throw util::NumericError(util::msg("partition not lumpable: state ", s,
                                          " disagrees with block ", b,

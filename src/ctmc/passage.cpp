@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 
 #include "ctmc/transient.hpp"
@@ -27,7 +28,7 @@ std::vector<bool> target_mask(std::size_t n, const std::vector<std::size_t>& tar
 std::vector<bool> can_reach(const Generator& generator,
                             const std::vector<bool>& is_target) {
   const std::size_t n = generator.state_count();
-  const CsrMatrix& qt = generator.matrix_transposed();
+  const Generator::Structure& structure = generator.structure();
   std::vector<bool> reach(n, false);
   std::deque<std::size_t> frontier;
   for (std::size_t s = 0; s < n; ++s) {
@@ -40,13 +41,12 @@ std::vector<bool> can_reach(const Generator& generator,
     const std::size_t state = frontier.front();
     frontier.pop_front();
     // Predecessors of `state` are the column indices of Q^T's row.
-    const auto columns = qt.row_columns(state);
-    const auto values = qt.row_values(state);
-    for (std::size_t k = 0; k < columns.size(); ++k) {
-      if (columns[k] == state || values[k] <= 0.0) continue;
-      if (!reach[columns[k]]) {
-        reach[columns[k]] = true;
-        frontier.push_back(columns[k]);
+    for (std::uint32_t k = structure.row_ptr[state];
+         k < structure.row_ptr[state + 1]; ++k) {
+      const std::size_t predecessor = structure.columns[k];
+      if (!reach[predecessor]) {
+        reach[predecessor] = true;
+        frontier.push_back(predecessor);
       }
     }
   }
@@ -58,10 +58,11 @@ Generator absorbing_variant(const Generator& generator,
                             const std::vector<bool>& is_target) {
   std::vector<RatedTransition> transitions;
   const std::size_t n = generator.state_count();
+  const CsrMatrix q = generator.rows();
   for (std::size_t s = 0; s < n; ++s) {
     if (is_target[s]) continue;
-    const auto columns = generator.matrix().row_columns(s);
-    const auto values = generator.matrix().row_values(s);
+    const auto columns = q.row_columns(s);
+    const auto values = q.row_values(s);
     for (std::size_t k = 0; k < columns.size(); ++k) {
       if (columns[k] == s) continue;
       transitions.push_back({s, columns[k], values[k]});
@@ -90,7 +91,7 @@ std::vector<double> mean_passage_times(const Generator& generator,
   // diagonally dominant M-matrix, for which the sweep converges), with a
   // dense fallback not needed in practice.
   std::vector<double> m(n, 0.0);
-  const CsrMatrix& q = generator.matrix();
+  const CsrMatrix q = generator.rows();
   const std::size_t max_iterations = 1000000;
   double residual = 0.0;
   for (std::size_t iteration = 0; iteration < max_iterations; ++iteration) {
@@ -140,10 +141,11 @@ std::vector<double> passage_pdf(const Generator& generator,
 
   // rate(s -> T) per transient state, from the *original* generator.
   std::vector<double> into_target(n, 0.0);
+  const CsrMatrix q = generator.rows();
   for (std::size_t s = 0; s < n; ++s) {
     if (is_target[s]) continue;
-    const auto columns = generator.matrix().row_columns(s);
-    const auto values = generator.matrix().row_values(s);
+    const auto columns = q.row_columns(s);
+    const auto values = q.row_values(s);
     for (std::size_t k = 0; k < columns.size(); ++k) {
       if (columns[k] != s && is_target[columns[k]]) {
         into_target[s] += values[k];

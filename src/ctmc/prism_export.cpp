@@ -13,9 +13,10 @@ std::string to_prism_tra(const Generator& generator) {
   const std::size_t n = generator.state_count();
   std::size_t count = 0;
   std::ostringstream body;
+  const CsrMatrix q = generator.rows();
   for (std::size_t s = 0; s < n; ++s) {
-    const auto columns = generator.matrix().row_columns(s);
-    const auto values = generator.matrix().row_values(s);
+    const auto columns = q.row_columns(s);
+    const auto values = q.row_values(s);
     for (std::size_t k = 0; k < columns.size(); ++k) {
       if (columns[k] == s) continue;
       body << s << ' ' << columns[k] << ' ' << util::format_double(values[k])

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
@@ -22,12 +24,11 @@ const char* method_name(Method method) {
 
 namespace {
 
-void normalise(std::vector<double>& pi) {
-  // L1 normalisation: over-relaxed sweeps can transiently drive entries
-  // negative, so the signed sum is not a safe divisor.  At a converged
-  // fixed point all entries are non-negative and this is the plain sum.
-  double sum = 0.0;
-  for (double p : pi) sum += std::abs(p);
+/// Divides pi by `sum`, its L1 norm.  Over-relaxed sweeps can transiently
+/// drive entries negative, so the signed sum is not a safe divisor.  At a
+/// converged fixed point all entries are non-negative and this is the plain
+/// sum.
+void divide_by(std::vector<double>& pi, double sum) {
   if (!(sum > 0.0) || !std::isfinite(sum)) {
     throw util::NumericError("steady-state iteration diverged (zero or"
                              " non-finite iterate)");
@@ -35,11 +36,16 @@ void normalise(std::vector<double>& pi) {
   for (double& p : pi) p /= sum;
 }
 
-/// ||pi Q||_inf, evaluated as (Q^T pi) to reuse the row-oriented kernel.
+void normalise(std::vector<double>& pi) {
+  double sum = 0.0;
+  for (double p : pi) sum += std::abs(p);
+  divide_by(pi, sum);
+}
+
+/// ||pi Q||_inf, evaluated as Q^T pi into `product`.
 double residual_norm(const Generator& generator, const std::vector<double>& pi,
-                     bool parallel) {
-  std::vector<double> product(pi.size(), 0.0);
-  generator.matrix_transposed().multiply(pi, product, parallel);
+                     std::vector<double>& product, bool parallel) {
+  generator.multiply(pi, product, parallel);
   double norm = 0.0;
   for (double v : product) norm = std::max(norm, std::abs(v));
   return norm;
@@ -49,11 +55,20 @@ SolveResult solve_dense_lu(const Generator& generator) {
   const std::size_t n = generator.state_count();
   // Assemble Q^T and overwrite the last equation with the normalisation
   // condition sum(pi) = 1, then LU-factorise with partial pivoting.
-  std::vector<double> a = generator.matrix_transposed().to_dense();
+  std::vector<double> a(n * n, 0.0);
+  const Generator::Structure& structure = generator.structure();
+  const std::span<const double> values = generator.values();
+  const std::span<const double> exit = generator.exit_rates();
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::uint32_t k = structure.row_ptr[j]; k < structure.row_ptr[j + 1];
+         ++k) {
+      a[j * n + structure.columns[k]] = values[k];
+    }
+    if (exit[j] > 0.0) a[j * n + j] = -exit[j];
+  }
   std::vector<double> b(n, 0.0);
   for (std::size_t col = 0; col < n; ++col) a[(n - 1) * n + col] = 1.0;
   b[n - 1] = 1.0;
-
   std::vector<std::size_t> perm(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
 
@@ -102,60 +117,60 @@ SolveResult solve_dense_lu(const Generator& generator) {
   return result;
 }
 
-/// Shared driver for Jacobi / Gauss-Seidel / SOR sweeps over Q^T.
+/// Shared driver for Jacobi / Gauss-Seidel / SOR sweeps over Q^T.  Each
+/// sweep accumulates the normalisation sum as it goes, in index order.
 SolveResult solve_sweeps(const Generator& generator, const SolveOptions& options,
                          Method method) {
   const std::size_t n = generator.state_count();
-  const CsrMatrix& qt = generator.matrix_transposed();
-
-  // exit[j] = -Q[j][j]; a zero exit rate (absorbing state) breaks the sweep
-  // update, which divides by it.
-  std::vector<double> exit(n, 0.0);
+  const std::span<const double> exit = generator.exit_rates();
+  // A zero exit rate (absorbing state) breaks the sweep update, which
+  // divides by it.
   for (std::size_t j = 0; j < n; ++j) {
-    const double diag = qt.at(j, j);
-    if (diag >= 0.0) {
+    if (exit[j] <= 0.0) {
       throw util::NumericError(util::msg(
           "state ", j, " is absorbing; ", method_name(method),
           " cannot solve chains with absorbing states (use dense-lu)"));
     }
-    exit[j] = -diag;
   }
+  const std::uint32_t* row_ptr = generator.structure().row_ptr.data();
+  const std::uint32_t* columns = generator.structure().columns.data();
+  const double* values = generator.values().data();
 
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
   std::vector<double> next(method == Method::kJacobi ? n : 0, 0.0);
+  std::vector<double> product(n, 0.0);
   const double omega = method == Method::kSor ? options.relaxation : 1.0;
 
   SolveResult result;
   result.method_used = method;
   for (std::size_t iteration = 1; iteration <= options.max_iterations; ++iteration) {
+    double sum = 0.0;
     if (method == Method::kJacobi) {
       // Damped Jacobi: the undamped iteration oscillates on strongly cyclic
       // chains (e.g. a two-state toggle); averaging with the previous
       // iterate breaks the period-2 cycle while preserving the fixed point.
       constexpr double kDamping = 0.5;
       for (std::size_t j = 0; j < n; ++j) {
-        const auto columns = qt.row_columns(j);
-        const auto values = qt.row_values(j);
         double inflow = 0.0;
-        for (std::size_t k = 0; k < columns.size(); ++k) {
-          if (columns[k] != j) inflow += values[k] * pi[columns[k]];
+        for (std::uint32_t k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
+          inflow += values[k] * pi[columns[k]];
         }
         next[j] = (1.0 - kDamping) * pi[j] + kDamping * inflow / exit[j];
+        sum += std::abs(next[j]);
       }
       pi.swap(next);
     } else {  // Gauss-Seidel / SOR update in place
       for (std::size_t j = 0; j < n; ++j) {
-        const auto columns = qt.row_columns(j);
-        const auto values = qt.row_values(j);
         double inflow = 0.0;
-        for (std::size_t k = 0; k < columns.size(); ++k) {
-          if (columns[k] != j) inflow += values[k] * pi[columns[k]];
+        for (std::uint32_t k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
+          inflow += values[k] * pi[columns[k]];
         }
         const double updated = inflow / exit[j];
         pi[j] = (1.0 - omega) * pi[j] + omega * updated;
+        sum += std::abs(pi[j]);
       }
     }
-    normalise(pi);
+    divide_by(pi, sum);
 
     // The residual check costs a mat-vec, so amortise it; the cooperative
     // budget check rides on the same cadence, bounding how long a cancelled
@@ -167,7 +182,8 @@ SolveResult solve_sweeps(const Generator& generator, const SolveOptions& options
             util::Budget::kSolverCheckStride);
         options.budget->check("solve");
       }
-      const double residual = residual_norm(generator, pi, options.parallel);
+      const double residual =
+          residual_norm(generator, pi, product, options.parallel);
       if (residual <= options.tolerance) {
         result.distribution = std::move(pi);
         result.iterations = iteration;
@@ -179,12 +195,11 @@ SolveResult solve_sweeps(const Generator& generator, const SolveOptions& options
   throw util::NumericError(util::msg(
       method_name(method), " did not converge within ", options.max_iterations,
       " iterations (residual ",
-      residual_norm(generator, pi, options.parallel), ")"));
+      residual_norm(generator, pi, product, options.parallel), ")"));
 }
 
 SolveResult solve_power(const Generator& generator, const SolveOptions& options) {
   const std::size_t n = generator.state_count();
-  const CsrMatrix& qt = generator.matrix_transposed();
 
   // Uniformise: P = I + Q / lambda.  Iterating pi <- pi P preserves the
   // stationary distribution and is guaranteed aperiodic because lambda
@@ -203,14 +218,16 @@ SolveResult solve_power(const Generator& generator, const SolveOptions& options)
           util::Budget::kSolverCheckStride);
       options.budget->check("solve");
     }
-    qt.multiply(pi, flow, options.parallel);  // flow = (pi Q)^T
+    generator.multiply(pi, flow, options.parallel);  // flow = (pi Q)^T
     double residual = 0.0;
+    double sum = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
       residual = std::max(residual, std::abs(flow[j]));
       pi[j] += flow[j] / lambda;
       pi[j] = std::max(pi[j], 0.0);
+      sum += std::abs(pi[j]);
     }
-    normalise(pi);
+    divide_by(pi, sum);
     if (residual <= options.tolerance) {
       result.distribution = std::move(pi);
       result.iterations = iteration;
@@ -258,7 +275,9 @@ SolveResult steady_state(const Generator& generator, const SolveOptions& options
       CHOREO_ASSERT(false);
   }
   if (result.residual == 0.0 && method == Method::kDenseLU) {
-    result.residual = residual_norm(generator, result.distribution, options.parallel);
+    std::vector<double> product(generator.state_count(), 0.0);
+    result.residual = residual_norm(generator, result.distribution, product,
+                                    options.parallel);
   }
   result.seconds = timer.seconds();
   return result;

@@ -34,7 +34,6 @@ TransientResult transient(const Generator& generator,
 
   const double lambda = generator.max_exit_rate() * 1.02;
   const double mean = lambda * t;
-  const CsrMatrix& qt = generator.matrix_transposed();
 
   // Choose the truncation point: walk right from the mode until the
   // cumulative mass reaches 1 - epsilon.
@@ -69,7 +68,7 @@ TransientResult transient(const Generator& generator,
     for (std::size_t j = 0; j < n; ++j) sum[j] += weight * term[j];
     if (k == k_max) break;
     // term <- term P = term + (term Q) / lambda
-    qt.multiply(term, flow, options.parallel);
+    generator.multiply(term, flow, options.parallel);
     for (std::size_t j = 0; j < n; ++j) {
       term[j] = std::max(term[j] + flow[j] / lambda, 0.0);
     }

@@ -334,7 +334,9 @@ void StateSpace::explore_keys(const explore::EngineOptions& engine) {
                 engine.max_states, " ", engine.state_noun,
                 " (state-space explosion)"));
           }
-          lts_.push_back({source, target, move.action, move.rate.value()});
+          lts_.push_back({static_cast<std::uint32_t>(source),
+                         static_cast<std::uint32_t>(target), move.action,
+                         move.rate.value()});
         },
         engine);
   };

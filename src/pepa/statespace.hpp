@@ -91,13 +91,15 @@ struct DeriveOptions {
 /// service's exploration metrics (shared with the PEPA-net derivation).
 using DeriveStats = explore::DeriveStats;
 
-/// One transition of the explored labelled transition system.
+/// One transition of the explored labelled transition system.  State ids
+/// are 32-bit, as explore::StateIndex numbers them.
 struct StateTransition {
-  std::size_t source;
-  std::size_t target;
+  std::uint32_t source;
+  std::uint32_t target;
   ActionId action;
   double rate;
 };
+static_assert(sizeof(StateTransition) == 24);
 
 /// Where each local state sits across a derived space: a CSR index keyed by
 /// ConstantId, the local-state counterpart of the transition system's action

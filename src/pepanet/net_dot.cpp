@@ -19,10 +19,13 @@ std::string structure_to_dot(const PepaNet& net) {
     for (const Slot& slot : place.slots) {
       label += "\\n";
       if (slot.kind == Slot::Kind::kCell) {
-        label += "[" + net.token_type(slot.cell_type).name +
-                 (slot.initial == kVacant ? ": _]" : ": o]");
+        label += '[';
+        label += net.token_type(slot.cell_type).name;
+        label += slot.initial == kVacant ? ": _]" : ": o]";
       } else {
-        label += "|" + pepa::to_string(net.arena(), slot.initial) + "|";
+        label += '|';
+        label += pepa::to_string(net.arena(), slot.initial);
+        label += '|';
       }
     }
     out << "  p" << p << " [shape=ellipse, label=\"" << pepa::dot_escape(label)

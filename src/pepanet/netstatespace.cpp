@@ -49,8 +49,8 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
         },
         [&space](std::size_t source, const NetMove& move, std::size_t target) {
           MarkingTransition t;
-          t.source = source;
-          t.target = target;
+          t.source = static_cast<std::uint32_t>(source);
+          t.target = static_cast<std::uint32_t>(target);
           t.action = move.action;
           t.rate = move.rate.value();
           t.is_firing = move.kind == NetMove::Kind::kFiring;

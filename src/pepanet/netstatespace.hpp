@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -53,9 +54,11 @@ struct NetDeriveOptions {
   bool aggregate = false;
 };
 
+/// One transition of the marking graph.  Marking ids are 32-bit, as
+/// explore::StateIndex numbers them.
 struct MarkingTransition {
-  std::size_t source;
-  std::size_t target;
+  std::uint32_t source;
+  std::uint32_t target;
   pepa::ActionId action;
   double rate;
   bool is_firing;
@@ -64,6 +67,7 @@ struct MarkingTransition {
   /// Valid when !is_firing: the place whose context moved.
   PlaceId place;
 };
+static_assert(sizeof(MarkingTransition) == 40);
 
 class NetStateSpace {
  public:

@@ -163,6 +163,9 @@ struct Scheduler::Impl {
         derive_seconds(registry.histogram(
             "choreo_stage_derive_seconds",
             "State-space exploration per job")),
+        assemble_seconds(registry.histogram(
+            "choreo_stage_assemble_seconds",
+            "CTMC generator assembly per job")),
         solve_seconds(registry.histogram("choreo_stage_solve_seconds",
                                          "CTMC solution per job")),
         reflect_seconds(registry.histogram(
@@ -256,6 +259,7 @@ struct Scheduler::Impl {
   Histogram& total_seconds;
   Histogram& extract_seconds;
   Histogram& derive_seconds;
+  Histogram& assemble_seconds;
   Histogram& solve_seconds;
   Histogram& reflect_seconds;
   Histogram& explore_rate;
@@ -572,6 +576,7 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
     const chor::StageTimings& stages = result.timings.stages;
     extract_seconds.observe(stages.extract_seconds);
     derive_seconds.observe(stages.derive_seconds());
+    assemble_seconds.observe(stages.assemble_seconds);
     solve_seconds.observe(stages.solve_seconds);
     reflect_seconds.observe(stages.reflect_seconds);
     explored_states_total.increment(stages.derive_stats.dedup_misses);

@@ -137,7 +137,8 @@ SharedStructure::SharedStructure(pepa::Model& model,
     }
   }
   pattern_ = ctmc::GeneratorPattern(
-      space_.generator(), std::span<const pepa::StateTransition>(transitions));
+      space_.state_count(),
+      std::span<const pepa::StateTransition>(transitions));
 }
 
 std::vector<double> SharedStructure::rebind_rates(

@@ -15,14 +15,18 @@
 //     reproducing its transition's derived rate bit for bit at the base
 //     values; a mismatch fails the sweep before any point runs.  The
 //     recorder's memo is freed before the next step.
-//   * the generator pattern (ctmc::GeneratorPattern) of the base generator.
+//   * the generator pattern (ctmc::GeneratorPattern), recorded straight
+//     from the derived transitions: the shared Q^T structure and each
+//     transition's entry slot.
 //
 // A point then costs arithmetic plus its solve: rebind_rates() evaluates the
 // tape (tens of nodes) and gathers one rate per transition, and generator()
-// fills Q and Q^T over the pattern with the additions build_from() would
-// make, in the same order, so every rate, matrix and table is bit-identical
-// to assembling from scratch.  The tape, the node index and the pattern are
-// immutable, so concurrent point lanes share them read-only.
+// fills the point's Q^T values and exit rates over the pattern with the
+// additions build_from() would make, in the same order, so every rate,
+// generator and table is bit-identical to assembling from scratch.  A point
+// copies no index array: its generator shares the pattern's structure.  The
+// tape, the node index and the pattern are immutable, so concurrent point
+// lanes share them read-only.
 //
 // sweep() evaluates every point of a SweepSpec under one util::Budget, one
 // point per chunk of util::ThreadPool::parallel_for_dynamic — the pool's

@@ -87,8 +87,9 @@ inline TermSpace term_derive(pepa::Semantics& semantics,
           ++out.stats.dedup_misses;
           next.push_back(id);
         }
-        out.transitions.push_back(
-            {source, id, move.action, move.rate.value()});
+        out.transitions.push_back({static_cast<std::uint32_t>(source),
+                                   static_cast<std::uint32_t>(id), move.action,
+                                   move.rate.value()});
       }
     }
     frontier = std::move(next);

@@ -19,6 +19,7 @@
 #include "ctmc/sparse.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
+#include "generator_oracle.hpp"
 #include "pepa/families.hpp"
 #include "pepa/semantics.hpp"
 #include "pepa/statespace.hpp"
@@ -27,67 +28,75 @@
 namespace cc = choreo::ctmc;
 namespace cu = choreo::util;
 namespace cp = choreo::pepa;
+namespace ct = choreo::test;
 
-TEST(Sparse, FromTripletsAccumulatesDuplicates) {
-  auto m = cc::CsrMatrix::from_triplets(
-      3, {{0, 1, 1.0}, {0, 1, 2.0}, {2, 0, 5.0}, {1, 1, -3.0}});
-  EXPECT_EQ(m.size(), 3u);
-  EXPECT_EQ(m.nonzeros(), 3u);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 1), -3.0);
-  EXPECT_DOUBLE_EQ(m.at(2, 0), 5.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
-}
+using ct::scrambled_transitions;
 
-TEST(Sparse, ZeroSumEntriesAreDropped) {
-  auto m = cc::CsrMatrix::from_triplets(2, {{0, 1, 2.0}, {0, 1, -2.0}});
-  EXPECT_EQ(m.nonzeros(), 0u);
+// Parallel transitions accumulate in input order: 1e16 + 1 + 1 summed left
+// to right rounds back to 1e16, while any other order gives 1e16 + 2.
+TEST(Sparse, DuplicatesSumInInsertionOrder) {
+  const double big = 1e16;
+  const auto g = cc::Generator::build(
+      2, {{0, 1, big}, {0, 1, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}});
+  const double expected = (big + 1.0) + 1.0;
+  ASSERT_NE(expected, big + 2.0);
+  EXPECT_EQ(g.values()[g.structure().row_ptr[1]], expected);  // Q^T[1][0]
+  EXPECT_EQ(g.rows().at(0, 1), expected);
+  EXPECT_EQ(g.exit_rate(0), expected);
 }
 
 // at() binary-searches the column-sorted row, so lookups on wide rows must
 // stay exact for every present column and zero everywhere between them.
 TEST(Sparse, AtBinarySearchesWideRows) {
-  std::vector<cc::Triplet> triplets;
+  std::vector<cc::RatedTransition> transitions;
+  double exit = 0.0;
   for (std::size_t col = 1; col < 101; col += 2) {
-    triplets.push_back({0, col, static_cast<double>(col)});
+    transitions.push_back({0, col, static_cast<double>(col)});
+    exit += static_cast<double>(col);
   }
-  auto m = cc::CsrMatrix::from_triplets(128, std::move(triplets));
-  EXPECT_EQ(m.nonzeros(), 50u);
+  const cc::CsrMatrix m = cc::Generator::build(128, transitions).rows();
+  EXPECT_EQ(m.nonzeros(), 51u);  // 50 rates and the diagonal
   for (std::size_t col = 0; col < 128; ++col) {
-    const double expected =
-        (col % 2 == 1 && col < 101) ? static_cast<double>(col) : 0.0;
+    const double expected = col == 0 ? -exit
+                            : (col % 2 == 1 && col < 101)
+                                ? static_cast<double>(col)
+                                : 0.0;
     EXPECT_DOUBLE_EQ(m.at(0, col), expected) << "column " << col;
   }
   EXPECT_DOUBLE_EQ(m.at(1, 1), 0.0);  // empty row
 }
 
-// Duplicates accumulate in insertion order — the order that keeps the
-// parallel assembly bit-identical to the sequential one.
-TEST(Sparse, DuplicatesSumInInsertionOrder) {
-  const double big = 1e16;
-  // 1e16 + 1 - 1e16 == 2 in doubles when summed left to right (1e16 + 1
-  // rounds to 1e16); any other order gives a different bit pattern.
-  auto m = cc::CsrMatrix::from_triplets(
-      2, {{0, 1, big}, {0, 1, 1.0}, {0, 1, 1.0}, {0, 1, -big}});
-  EXPECT_EQ(m.at(0, 1), ((big + 1.0) + 1.0) - big);
-}
-
+// rows() is the counting transpose of the solver form: transposing Q back
+// gives every Q^T entry, and Q's diagonal is the negated exit rate.
 TEST(Sparse, TransposeInvolution) {
-  auto m = cc::CsrMatrix::from_triplets(
-      4, {{0, 1, 1.5}, {1, 3, -2.0}, {3, 0, 4.0}, {2, 2, 7.0}});
-  auto twice = m.transposed().transposed();
-  EXPECT_EQ(twice.to_dense(), m.to_dense());
-  EXPECT_DOUBLE_EQ(m.transposed().at(1, 0), 1.5);
+  const auto g = cc::Generator::build(
+      4, {{0, 1, 1.5}, {1, 3, 2.0}, {3, 0, 4.0}, {2, 2, 7.0}, {3, 1, 0.5}});
+  const cc::CsrMatrix q = g.rows();
+  std::size_t entries = 0;
+  for (std::size_t j = 0; j < g.state_count(); ++j) {
+    for (std::uint32_t k = g.structure().row_ptr[j];
+         k < g.structure().row_ptr[j + 1]; ++k) {
+      EXPECT_EQ(q.at(g.structure().columns[k], j), g.values()[k]);
+      ++entries;
+    }
+    EXPECT_EQ(q.at(j, j), g.exit_rate(j) > 0.0 ? -g.exit_rate(j) : 0.0);
+    if (g.exit_rate(j) > 0.0) ++entries;
+  }
+  EXPECT_EQ(q.nonzeros(), entries);
+  EXPECT_DOUBLE_EQ(q.at(0, 1), 1.5);
+  EXPECT_TRUE(q.row_columns(2).empty());  // only a self-loop
 }
 
+// y = Q^T x, with the diagonal term at its place in each row.
 TEST(Sparse, MultiplyMatchesDense) {
-  auto m = cc::CsrMatrix::from_triplets(
-      3, {{0, 0, 1.0}, {0, 2, 2.0}, {1, 1, 3.0}, {2, 0, -1.0}});
+  // Q = [[-3, 2, 1], [3, -3, 0], [0, 0.5, -0.5]]
+  const auto g = cc::Generator::build(
+      3, {{0, 1, 2.0}, {0, 2, 1.0}, {1, 0, 3.0}, {2, 1, 0.5}});
   std::vector<double> x{1.0, 2.0, 3.0}, y(3);
-  m.multiply(x, y);
-  EXPECT_DOUBLE_EQ(y[0], 7.0);
-  EXPECT_DOUBLE_EQ(y[1], 6.0);
-  EXPECT_DOUBLE_EQ(y[2], -1.0);
+  g.multiply(x, y);
+  EXPECT_DOUBLE_EQ(y[0], 3.0);
+  EXPECT_DOUBLE_EQ(y[1], -2.5);
+  EXPECT_DOUBLE_EQ(y[2], -0.5);
 }
 
 TEST(Generator, DiagonalBalancesRows) {
@@ -108,6 +117,12 @@ TEST(Generator, RejectsNonPositiveRates) {
   EXPECT_THROW(cc::Generator::build(2, {{0, 1, -1.0}}), cu::ModelError);
 }
 
+// Columns are 32-bit state ids: a larger chain is refused before anything
+// is allocated.
+TEST(Generator, RejectsStateCountsBeyond32Bits) {
+  EXPECT_THROW(cc::Generator::build(std::size_t{1} << 32, {}), cu::ModelError);
+}
+
 TEST(Generator, DetectsAbsorbingStates) {
   auto g = cc::Generator::build(3, {{0, 1, 1.0}, {1, 2, 1.0}});
   const auto absorbing = g.absorbing_states();
@@ -120,7 +135,8 @@ TEST(Generator, DetectsAbsorbingStates) {
 // A deliberately naive reference assembly: every (row, col) entry is summed
 // in input order from 0.0, each diagonal is the negated exit sum (also in
 // input order, self-loops excluded), and zero sums are dropped.  The
-// library's Q, Q^T and max exit rate must match it bit for bit, whatever
+// library's solver form (Q^T without its diagonal, and the exit rates), its
+// Q from rows() and its max exit rate must match it bit for bit, whatever
 // the input order.
 
 namespace {
@@ -192,30 +208,35 @@ void expect_same_matrix(const cc::CsrMatrix& matrix, const SparseRows& rows,
 
 void expect_same_generator(const cc::Generator& generator,
                            const ReferenceGenerator& ref) {
-  expect_same_matrix(generator.matrix(), ref.q, "Q");
-  expect_same_matrix(generator.matrix_transposed(), ref.qt, "Q^T");
-  EXPECT_EQ(bits(generator.max_exit_rate()), bits(ref.max_exit_rate));
-}
-
-/// Unsorted sources, repeated (source, target) pairs, self-loops, a row of
-/// self-loops only and rows with no transitions at all.  Rates mix scales
-/// so the summation order shows in the low bits.
-std::vector<cc::RatedTransition> scrambled_transitions(std::size_t n) {
-  std::mt19937_64 rng(20060425);
-  const double rates[] = {0.5, 1.0, 1e-3, 1e16, 3.7, 1.0 / 3.0};
-  std::vector<cc::RatedTransition> out;
-  for (std::size_t i = 0; i < 600; ++i) {
-    std::size_t source = rng() % n;
-    if (source % 7 == 3) continue;  // rows 3, 10, 17, ... stay empty
-    const std::size_t target = i % 11 == 0 ? source : rng() % n;
-    out.push_back({source, target, rates[rng() % std::size(rates)]});
-    if (i % 5 == 0) out.push_back(out.back());  // an exact duplicate
+  expect_same_matrix(generator.rows(), ref.q, "Q");
+  const cc::Generator::Structure& structure = generator.structure();
+  ASSERT_EQ(generator.state_count(), ref.qt.size());
+  for (std::size_t j = 0; j < ref.qt.size(); ++j) {
+    std::uint32_t k = structure.row_ptr[j];
+    bool split_checked = false;
+    for (const auto& [col, value] : ref.qt[j]) {
+      if (col == j) continue;  // the diagonal: -exit rate, checked below
+      if (col > j && !split_checked) {
+        EXPECT_EQ(structure.split[j], k) << "split of row " << j;
+        split_checked = true;
+      }
+      ASSERT_LT(k, structure.row_ptr[j + 1]) << "Q^T row " << j;
+      EXPECT_EQ(structure.columns[k], col) << "Q^T row " << j;
+      EXPECT_EQ(bits(generator.values()[k]), bits(value))
+          << "Q^T[" << j << "][" << col << "] = " << generator.values()[k]
+          << ", reference " << value;
+      ++k;
+    }
+    EXPECT_EQ(k, structure.row_ptr[j + 1]) << "Q^T row " << j;
+    if (!split_checked) {
+      EXPECT_EQ(structure.split[j], k) << "split of row " << j;
+    }
+    const auto diagonal = ref.q[j].find(j);
+    EXPECT_EQ(bits(generator.exit_rate(j)),
+              bits(diagonal == ref.q[j].end() ? 0.0 : -diagonal->second))
+        << "exit rate of " << j;
   }
-  out.push_back({5, 5, 2.0});  // row 5 holds only self-loops
-  std::erase_if(out, [](const cc::RatedTransition& t) {
-    return t.source == 5 && t.target != 5;
-  });
-  return out;
+  EXPECT_EQ(bits(generator.max_exit_rate()), bits(ref.max_exit_rate));
 }
 
 }  // namespace
@@ -229,8 +250,8 @@ TEST(AssemblyOracle, ScrambledInputMatchesReferenceBitForBit) {
       [](const auto& a, const auto& b) { return a.source < b.source; }));
   const cc::Generator generator = cc::Generator::build(n, transitions);
   expect_same_generator(generator, reference_generator(n, transitions));
-  EXPECT_TRUE(generator.matrix().row_columns(3).empty());
-  EXPECT_TRUE(generator.matrix().row_columns(5).empty());
+  EXPECT_TRUE(generator.rows().row_columns(3).empty());
+  EXPECT_TRUE(generator.rows().row_columns(5).empty());
 }
 
 TEST(AssemblyOracle, GroupedInputMatchesReferenceBitForBit) {
@@ -241,24 +262,6 @@ TEST(AssemblyOracle, GroupedInputMatchesReferenceBitForBit) {
       [](const auto& a, const auto& b) { return a.source < b.source; });
   expect_same_generator(cc::Generator::build(n, transitions),
                         reference_generator(n, transitions));
-}
-
-TEST(AssemblyOracle, TripletsSumInInputOrderAndDropZeros) {
-  const std::size_t n = 12;
-  std::mt19937_64 rng(7);
-  const double values[] = {1e16, 1.0, -1e16, -1.0, 0.25, 2.5};
-  std::vector<cc::Triplet> triplets;
-  for (std::size_t i = 0; i < 300; ++i) {
-    triplets.push_back({rng() % n, rng() % n, values[rng() % std::size(values)]});
-  }
-  triplets.push_back({4, 9, 3.0});
-  triplets.push_back({4, 9, -3.0});  // a cancelling pair: dropped
-  SparseRows reference(n);
-  for (const cc::Triplet& t : triplets) reference[t.row][t.col] += t.value;
-  drop_zero_sums(reference);
-  const cc::CsrMatrix matrix = cc::CsrMatrix::from_triplets(n, triplets);
-  expect_same_matrix(matrix, reference, "A");
-  expect_same_matrix(matrix.transposed(), transpose(reference), "A^T");
 }
 
 // A derived state space is grouped by source; this one is larger than the
@@ -325,8 +328,7 @@ template <typename Transition>
 void expect_pattern_fills_reference(std::size_t n,
                                     const std::vector<Transition>& transitions) {
   const std::span<const Transition> view(transitions);
-  const cc::GeneratorPattern pattern(
-      cc::Generator::build_from<Transition>(n, view), view);
+  const cc::GeneratorPattern pattern(n, view);
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     const std::vector<double> rates = mixed_rates(transitions.size(), seed);
     std::vector<Transition> rated = transitions;
@@ -363,8 +365,7 @@ TEST(AssemblyOracle, PatternFillMatchesReferenceOnDerivedSpace) {
 TEST(AssemblyOracle, PatternFillReportsTheFirstNonPositiveRateInInputOrder) {
   const std::vector<cc::RatedTransition> transitions = scrambled_transitions(40);
   const std::span<const cc::RatedTransition> view(transitions);
-  const cc::GeneratorPattern pattern(cc::Generator::build(40, transitions),
-                                     view);
+  const cc::GeneratorPattern pattern(40, view);
   std::vector<double> rates = mixed_rates(transitions.size(), 14);
   rates[200] = 0.0;
   rates[100] = -1.0;
@@ -394,13 +395,18 @@ cc::Generator two_state(double lambda, double mu) {
 }
 
 /// M/M/1/K birth-death chain with arrival lambda and service mu.
-cc::Generator mm1k(std::size_t k, double lambda, double mu) {
+std::vector<cc::RatedTransition> mm1k_transitions(std::size_t k, double lambda,
+                                                  double mu) {
   std::vector<cc::RatedTransition> transitions;
   for (std::size_t i = 0; i < k; ++i) {
     transitions.push_back({i, i + 1, lambda});
     transitions.push_back({i + 1, i, mu});
   }
-  return cc::Generator::build(k + 1, transitions);
+  return transitions;
+}
+
+cc::Generator mm1k(std::size_t k, double lambda, double mu) {
+  return cc::Generator::build(k + 1, mm1k_transitions(k, lambda, mu));
 }
 
 std::vector<double> mm1k_exact(std::size_t k, double lambda, double mu) {
@@ -572,5 +578,56 @@ TEST(Transient, TighterEpsilonUsesMoreTerms) {
   EXPECT_GT(fine.terms, coarse.terms);
   for (std::size_t s = 0; s < g.state_count(); ++s) {
     EXPECT_NEAR(coarse.distribution[s], fine.distribution[s], 1e-3);
+  }
+}
+
+// --- the solver form against the oracle ----------------------------------
+//
+// tests/generator_oracle.hpp holds the full-Q/Q^T assembly and the solver
+// loops over it; the solver form must reproduce them bit for bit.
+
+TEST(GeneratorOracle, ScrambledTransitionsMatchBitForBit) {
+  const std::size_t n = 40;
+  std::vector<cc::RatedTransition> transitions = scrambled_transitions(n);
+  for (const bool grouped : {false, true}) {
+    if (grouped) {
+      std::stable_sort(
+          transitions.begin(), transitions.end(),
+          [](const auto& a, const auto& b) { return a.source < b.source; });
+    }
+    const std::string what = grouped ? "grouped" : "scrambled";
+    const cc::Generator generator = cc::Generator::build(n, transitions);
+    const ct::OracleGenerator oracle = ct::oracle_generator(n, transitions);
+    ct::expect_generator_matches_oracle(generator, oracle, what);
+    ct::expect_every_solve_matches_oracle(generator, oracle, what);
+  }
+}
+
+// The transient cases above, bit for bit against the oracle's
+// uniformisation over the full Q^T.
+TEST(Transient, MatchesTheOracleBitForBit) {
+  auto expect_same = [](std::size_t n,
+                        const std::vector<cc::RatedTransition>& transitions,
+                        std::size_t from, double t, double epsilon) {
+    const cc::Generator generator = cc::Generator::build(n, transitions);
+    const ct::OracleGenerator oracle = ct::oracle_generator(n, transitions);
+    std::vector<double> initial(n, 0.0);
+    initial[from] = 1.0;
+    cc::TransientOptions options;
+    options.epsilon = epsilon;
+    const cc::TransientResult result =
+        cc::transient(generator, initial, t, options);
+    ct::expect_same_doubles(result.distribution,
+                            ct::oracle_transient(oracle, initial, t, epsilon),
+                            "transient at t=" + std::to_string(t));
+  };
+  expect_same(9, mm1k_transitions(8, 1.0, 2.0), 0, 200.0, 1e-10);
+  expect_same(2, {{0, 1, 1.0}, {1, 0, 1.0}}, 1, 0.0, 1e-10);
+  for (const double t : {0.1, 0.5, 1.0, 2.0}) {
+    expect_same(2, {{0, 1, 2.0}, {1, 0, 3.0}}, 0, t, 1e-10);
+  }
+  expect_same(2, {{0, 1, 100.0}, {1, 0, 150.0}}, 0, 50.0, 1e-10);
+  for (const double epsilon : {1e-4, 1e-12}) {
+    expect_same(7, mm1k_transitions(6, 1.0, 2.0), 0, 3.0, epsilon);
   }
 }

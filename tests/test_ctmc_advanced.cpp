@@ -10,6 +10,7 @@
 #include "ctmc/passage.hpp"
 #include "ctmc/prism_export.hpp"
 #include "ctmc/steady_state.hpp"
+#include "generator_oracle.hpp"
 #include "pepa/parser.hpp"
 #include "pepa/semantics.hpp"
 #include "pepa/statespace.hpp"
@@ -184,6 +185,60 @@ TEST(Passage, PepaResponseTimeOrdering) {
   };
   EXPECT_GT(passage(1.0), passage(4.0));
   EXPECT_NEAR(passage(2.0), 0.5, 1e-9);
+}
+
+// Every Passage.* model above: mean passage times, CDFs and densities bit
+// for bit against the oracle's full-Q analysis (tests/generator_oracle.hpp).
+TEST(Passage, MatchesTheOracleBitForBit) {
+  namespace ct = choreo::test;
+  auto expect_same = [](std::size_t n,
+                        const std::vector<cc::RatedTransition>& transitions,
+                        const std::vector<std::size_t>& targets,
+                        const std::vector<double>& times) {
+    const cc::Generator g = cc::Generator::build(n, transitions);
+    const ct::OracleGenerator oracle = ct::oracle_generator(n, transitions);
+    const std::string what = std::to_string(n) + "-state chain";
+    ct::expect_same_doubles(cc::mean_passage_times(g, targets),
+                            ct::oracle_mean_passage_times(oracle, targets),
+                            what + " mean passage");
+    std::vector<double> initial(n, 0.0);
+    initial[0] = 1.0;
+    ct::expect_same_doubles(
+        cc::passage_cdf(g, initial, targets, times),
+        ct::oracle_passage(oracle, initial, targets, times, false),
+        what + " cdf");
+    ct::expect_same_doubles(
+        cc::passage_pdf(g, initial, targets, times),
+        ct::oracle_passage(oracle, initial, targets, times, true),
+        what + " pdf");
+  };
+  expect_same(2, {{0, 1, 2.5}, {1, 0, 1.0}}, {1}, {0.0, 0.1, 0.2, 0.5, 1.0, 2.0});
+  expect_same(4, {{0, 1, 2.0}, {1, 2, 4.0}, {2, 3, 8.0}, {3, 0, 1.0}}, {3},
+              {0.5, 1.0});
+  expect_same(3, {{0, 1, 1.0}, {0, 2, 3.0}, {1, 0, 5.0}, {2, 0, 1.0}}, {2},
+              {0.5, 2.0});
+  std::vector<double> grid;
+  for (int i = 0; i <= 200; ++i) grid.push_back(0.05 * i);
+  grid.push_back(50.0);
+  expect_same(4,
+              {{0, 1, 1.0}, {1, 2, 2.0}, {2, 3, 1.5}, {1, 0, 0.5}, {3, 0, 1.0}},
+              {3}, grid);
+  expect_same(4, {{0, 1, 2.0}, {1, 2, 2.0}, {2, 3, 2.0}, {3, 0, 1.0}}, {3},
+              {0.0, 0.5, 1.0, 4.0});
+  for (const double service : {1.0, 2.0, 4.0}) {
+    auto model = cp::parse_model("Idle = (req, 1.0).Busy; Busy = (serve, " +
+                                 std::to_string(service) +
+                                 ").Idle; @system Idle;");
+    cp::Semantics semantics(model.arena());
+    const auto space = cp::StateSpace::derive(semantics, model.system());
+    const auto idle = *space.index_of(model.term("Idle"));
+    ct::expect_same_doubles(
+        cc::mean_passage_times(space.generator(), {idle}),
+        ct::oracle_mean_passage_times(
+            ct::oracle_generator(space.state_count(), space.transitions()),
+            {idle}),
+        "response time at service " + std::to_string(service));
+  }
 }
 
 TEST(PrismExport, TraFormat) {

@@ -14,6 +14,7 @@
 #include "ctmc/lumping.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
+#include "generator_oracle.hpp"
 #include "pepa/measures.hpp"
 #include "pepa/parser.hpp"
 #include "pepa/printer.hpp"
@@ -49,7 +50,7 @@ std::string random_model(std::uint64_t seed, bool swap_operands = false,
     const std::size_t states = 2 + rng.below(3);
     std::vector<std::string> state_names;
     for (std::size_t s = 0; s < states; ++s) {
-      state_names.push_back("C" + std::to_string(c) + "S" + std::to_string(s));
+      state_names.push_back(cu::msg("C", c, "S", s));
     }
     component_names.push_back(state_names[0]);
     for (std::size_t s = 0; s < states; ++s) {
@@ -60,8 +61,8 @@ std::string random_model(std::uint64_t seed, bool swap_operands = false,
         const char* action = kActions[rng.below(4)];
         const double rate = 0.5 + 0.25 * static_cast<double>(rng.below(14));
         const std::size_t target = rng.below(states);
-        source += "(" + std::string(action) + ", " + cu::format_double(rate) +
-                  ")." + state_names[target];
+        source += cu::msg("(", action, ", ", cu::format_double(rate), ").",
+                          state_names[target]);
       }
       source += ";\n";
     }
@@ -180,6 +181,20 @@ TEST_P(RandomModels, ThroughputsAccountForTotalEventRate) {
     expected_exit += solved.distribution[s] * generator.exit_rate(s);
   }
   EXPECT_NEAR(total_throughput, expected_exit + self_loop_rate, 1e-8);
+}
+
+// The generator's solver form and every solver method match the full-Q
+// oracle bit for bit (tests/generator_oracle.hpp).
+TEST_P(RandomModels, GeneratorAndSolvesMatchTheOracle) {
+  cp::Model model = cp::parse_model(random_model(GetParam()));
+  cp::Semantics semantics(model.arena());
+  const auto space = cp::StateSpace::derive(semantics, model.system());
+  const cc::Generator generator = space.generator();
+  const choreo::test::OracleGenerator oracle =
+      choreo::test::oracle_generator(space.state_count(), space.transitions());
+  const std::string what = "seed " + std::to_string(GetParam());
+  choreo::test::expect_generator_matches_oracle(generator, oracle, what);
+  choreo::test::expect_every_solve_matches_oracle(generator, oracle, what);
 }
 
 TEST_P(RandomModels, CooperationIsCommutative) {

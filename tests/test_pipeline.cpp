@@ -61,6 +61,45 @@ TEST(Pipeline, AnalyseAnnotatesStateMachines) {
   }
 }
 
+// The ledger clocks assembly apart from the solve and records the solver
+// that ran, with its iterations and residual.
+TEST(Pipeline, StageLedgerRecordsAssemblyAndTheSolve) {
+  cm::Model model = chor::tomcat_model(false);
+  const auto report = chor::analyse(model);
+  ASSERT_EQ(report.state_machines.size(), 1u);
+  const chor::StageTimings& timings = report.state_machines[0].timings;
+  EXPECT_GT(timings.assemble_seconds, 0.0);
+  EXPECT_GT(timings.solve_seconds, 0.0);
+  EXPECT_EQ(timings.method_used, choreo::ctmc::Method::kDenseLU);
+  EXPECT_EQ(timings.iterations, 1u);
+  EXPECT_LE(timings.residual, 1e-12);
+}
+
+// Folding adds clocks and iterations, keeps the worst residual and the
+// first solve's method.
+TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
+  chor::StageTimings total;
+  chor::StageTimings first;
+  first.assemble_seconds = 0.25;
+  first.solve_seconds = 1.0;
+  first.method_used = choreo::ctmc::Method::kGaussSeidel;
+  first.iterations = 24;
+  first.residual = 1e-13;
+  chor::StageTimings second;
+  second.assemble_seconds = 0.5;
+  second.solve_seconds = 2.0;
+  second.method_used = choreo::ctmc::Method::kDenseLU;
+  second.iterations = 1;
+  second.residual = 1e-15;
+  total += first;
+  total += second;
+  EXPECT_EQ(total.assemble_seconds, 0.75);
+  EXPECT_EQ(total.solve_seconds, 3.0);
+  EXPECT_EQ(total.method_used, choreo::ctmc::Method::kGaussSeidel);
+  EXPECT_EQ(total.iterations, 25u);
+  EXPECT_EQ(total.residual, 1e-13);
+}
+
 TEST(Pipeline, RatesInputChangesResults) {
   chor::AnalysisOptions slow;
   slow.rates = chor::parse_rates("handover_1 = 0.05\nhandover_2 = 0.05");

@@ -153,6 +153,29 @@ TEST(Service, CachedResultIsByteIdenticalToFreshRun) {
   }
 }
 
+// The scheduler exports the assembly clock next to the other stage
+// histograms, one observation per executed job.
+TEST(Service, ExportsTheAssemblyStageClock) {
+  cs::Registry registry;
+  cs::SchedulerOptions options;
+  options.workers = 1;
+  options.registry = &registry;
+  cs::Scheduler scheduler(options);
+  const cs::JobResult& result =
+      scheduler
+          .submit(inline_request(
+              project_with_layout(chor::tomcat_model(false), 0)))
+          .wait();
+  ASSERT_EQ(result.status, cs::JobStatus::kDone) << result.error;
+  EXPECT_GT(result.timings.stages.assemble_seconds, 0.0);
+  EXPECT_GT(result.timings.stages.iterations, 0u);
+  const std::string text = registry.exposition();
+  EXPECT_NE(text.find("# TYPE choreo_stage_assemble_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("choreo_stage_assemble_seconds_count 1\n"),
+            std::string::npos);
+}
+
 TEST(Service, CacheHitMergesTheRequestersOwnLayout) {
   const cm::Model model = chor::pda_handover_model();
   cs::Registry registry;

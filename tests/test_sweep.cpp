@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "generator_oracle.hpp"
 #include "pepa/parser.hpp"
 #include "service/cache.hpp"
 #include "service/metrics.hpp"
@@ -598,6 +599,48 @@ TEST(SweepGolden, ClientServerSharedActionRate) {
   spec.axes = {sweep::Axis::list("r", {0.25, 0.7, 1.0, 1.9, 4.5})};
   expect_golden_sweep("sweep_client_server_r.csv", client_server_source(6),
                       spec);
+}
+
+// Every point of the golden grids: the point's generator, filled over the
+// shared pattern, matches the oracle's full-Q assembly of the same
+// transitions at the point's rates, and its solve matches the oracle's bit
+// for bit (tests/generator_oracle.hpp).  Every point's generator shares one
+// structure: a point copies no index array.
+TEST(SweepGolden, EveryPointMatchesTheGeneratorOracle) {
+  struct Grid {
+    std::string source;
+    std::vector<sweep::Axis> axes;
+  };
+  const std::vector<Grid> grids = {
+      {tomcat_jsp_source(4),
+       {sweep::Axis::list("tran", {0.2, 0.5, 1.25, 3.0}),
+        sweep::Axis::list("comp", {0.3, 0.8, 2.0, 5.0})}},
+      {client_server_source(6),
+       {sweep::Axis::list("r", {0.25, 0.7, 1.0, 1.9, 4.5})}}};
+  for (const Grid& grid : grids) {
+    sweep::SweepSpec spec;
+    spec.axes = grid.axes;
+    pepa::Model model = pepa::parse_model(grid.source, "golden");
+    sweep::SharedStructure shared(model, spec.parameter_names());
+    const std::vector<pepa::StateTransition>& base =
+        shared.space().transitions();
+    const ctmc::Generator::Structure* structure = nullptr;
+    for (std::size_t p = 0; p < spec.point_count(); ++p) {
+      const std::vector<double> rates =
+          shared.rebind_rates(shared.rebinder().at(spec.point(p)));
+      const ctmc::Generator generator = shared.generator(rates);
+      if (structure == nullptr) structure = &generator.structure();
+      EXPECT_EQ(&generator.structure(), structure) << "point " << p;
+      std::vector<pepa::StateTransition> rated = base;
+      for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[i];
+      const test::OracleGenerator oracle =
+          test::oracle_generator(shared.space().state_count(), rated);
+      const std::string what = "point " + std::to_string(p);
+      test::expect_generator_matches_oracle(generator, oracle, what);
+      test::expect_solve_matches_oracle(generator, oracle,
+                                        sweep::SweepOptions{}.solver, what);
+    }
+  }
 }
 
 // --- the multi-lane sweep on the shared pool --------------------------------
