@@ -14,8 +14,8 @@ const Generator::Structure& Generator::structure() const noexcept {
   return structure_ ? *structure_ : kEmpty;
 }
 
-void Generator::multiply(std::span<const double> x, std::span<double> y,
-                         bool parallel) const {
+void Generator::multiply(std::span<const double> x,
+                         std::span<double> y) const {
   const std::size_t n = state_count();
   CHOREO_ASSERT(x.size() == n && y.size() == n);
   const std::uint32_t* row_ptr = structure().row_ptr.data();
@@ -34,7 +34,7 @@ void Generator::multiply(std::span<const double> x, std::span<double> y,
     }
   };
   // Below ~16k rows the fork/join overhead dominates on this kind of kernel.
-  if (parallel && n >= 16384 && util::ThreadPool::shared().worker_count() > 0) {
+  if (n >= 16384 && util::ThreadPool::shared().worker_count() > 0) {
     util::ThreadPool::shared().parallel_for(n, rows);
   } else {
     rows(0, n);

@@ -95,10 +95,9 @@ class Generator {
 
   /// y = Q^T x, each row summed in column order with the diagonal term
   /// -exit[j] * x[j] at the split point (none for an exit rate of 0).
-  /// Parallelised over rows when `parallel` and the chain is large enough
-  /// to amortise the fork.
-  void multiply(std::span<const double> x, std::span<double> y,
-                bool parallel = true) const;
+  /// Parallelised over rows when the chain is large enough to amortise the
+  /// fork.
+  void multiply(std::span<const double> x, std::span<double> y) const;
 
   /// Q itself, with the diagonal in place: a counting transpose of this
   /// form, for the analyses that walk a state's outgoing rates.

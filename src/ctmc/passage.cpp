@@ -155,7 +155,6 @@ std::vector<double> passage_pdf(const Generator& generator,
 
   TransientOptions transient_options;
   transient_options.epsilon = options.epsilon;
-  transient_options.parallel = options.parallel;
 
   std::vector<double> pdf;
   pdf.reserve(time_points.size());
@@ -184,7 +183,6 @@ std::vector<double> passage_cdf(const Generator& generator,
 
   TransientOptions transient_options;
   transient_options.epsilon = options.epsilon;
-  transient_options.parallel = options.parallel;
 
   std::vector<double> cdf;
   cdf.reserve(time_points.size());

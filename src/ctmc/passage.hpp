@@ -30,7 +30,6 @@ double mean_passage_time(const Generator& generator, std::size_t source,
 
 struct PassageCdfOptions {
   double epsilon = 1e-10;
-  bool parallel = true;
 };
 
 /// P[T <= t] for each requested time point, starting from `initial`

@@ -44,8 +44,8 @@ void normalise(std::vector<double>& pi) {
 
 /// ||pi Q||_inf, evaluated as Q^T pi into `product`.
 double residual_norm(const Generator& generator, const std::vector<double>& pi,
-                     std::vector<double>& product, bool parallel) {
-  generator.multiply(pi, product, parallel);
+                     std::vector<double>& product) {
+  generator.multiply(pi, product);
   double norm = 0.0;
   for (double v : product) norm = std::max(norm, std::abs(v));
   return norm;
@@ -182,8 +182,7 @@ SolveResult solve_sweeps(const Generator& generator, const SolveOptions& options
             util::Budget::kSolverCheckStride);
         options.budget->check("solve");
       }
-      const double residual =
-          residual_norm(generator, pi, product, options.parallel);
+      const double residual = residual_norm(generator, pi, product);
       if (residual <= options.tolerance) {
         result.distribution = std::move(pi);
         result.iterations = iteration;
@@ -194,8 +193,7 @@ SolveResult solve_sweeps(const Generator& generator, const SolveOptions& options
   }
   throw util::NumericError(util::msg(
       method_name(method), " did not converge within ", options.max_iterations,
-      " iterations (residual ",
-      residual_norm(generator, pi, product, options.parallel), ")"));
+      " iterations (residual ", residual_norm(generator, pi, product), ")"));
 }
 
 SolveResult solve_power(const Generator& generator, const SolveOptions& options) {
@@ -218,7 +216,7 @@ SolveResult solve_power(const Generator& generator, const SolveOptions& options)
           util::Budget::kSolverCheckStride);
       options.budget->check("solve");
     }
-    generator.multiply(pi, flow, options.parallel);  // flow = (pi Q)^T
+    generator.multiply(pi, flow);  // flow = (pi Q)^T
     double residual = 0.0;
     double sum = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
@@ -276,8 +274,7 @@ SolveResult steady_state(const Generator& generator, const SolveOptions& options
   }
   if (result.residual == 0.0 && method == Method::kDenseLU) {
     std::vector<double> product(generator.state_count(), 0.0);
-    result.residual = residual_norm(generator, result.distribution, product,
-                                    options.parallel);
+    result.residual = residual_norm(generator, result.distribution, product);
   }
   result.seconds = timer.seconds();
   return result;

@@ -37,8 +37,6 @@ struct SolveOptions {
   /// diagonally-dominant chains but can stall on stiff ones; 1.1 is a
   /// conservative default (1.0 reduces SOR to Gauss-Seidel).
   double relaxation = 1.1;
-  /// Use the shared thread pool for large mat-vec products.
-  bool parallel = true;
   /// Dense-LU size cutoff used by kAuto.
   std::size_t dense_cutoff = 512;
   /// Resource governor: cancellation/deadline checked every few sweeps of

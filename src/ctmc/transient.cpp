@@ -68,7 +68,7 @@ TransientResult transient(const Generator& generator,
     for (std::size_t j = 0; j < n; ++j) sum[j] += weight * term[j];
     if (k == k_max) break;
     // term <- term P = term + (term Q) / lambda
-    generator.multiply(term, flow, options.parallel);
+    generator.multiply(term, flow);
     for (std::size_t j = 0; j < n; ++j) {
       term[j] = std::max(term[j] + flow[j] / lambda, 0.0);
     }

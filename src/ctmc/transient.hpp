@@ -18,7 +18,6 @@ namespace choreo::ctmc {
 struct TransientOptions {
   /// Permitted truncation error on the probability mass.
   double epsilon = 1e-10;
-  bool parallel = true;
   /// Resource governor: cancellation/deadline checked every few
   /// uniformisation terms (util::InterruptedError on interruption).
   util::Budget* budget = nullptr;

@@ -119,9 +119,6 @@ struct EngineOptions {
   /// paper's Section 1.1 names state-space explosion as the known hazard of
   /// the numerical approach.
   std::size_t max_states = 4'000'000;
-  /// When false, passive moves at the top level raise util::ModelError
-  /// instead of being dropped.
-  bool allow_top_level_passive = false;
   /// Exploration lanes per breadth-first level: 1 forces the sequential
   /// path, 0 sizes to the pool (worker count + the calling thread).  The
   /// explored space is identical for every setting.
@@ -318,7 +315,6 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
             PendingMove<Move>& pending = chunk.moves[at];
             Move& move = pending.move;
             if (move.rate.is_passive()) {
-              if (options.allow_top_level_passive) continue;
               throw util::ModelError(util::msg(
                   "activity '", action_name(move), options.passive_suffix));
             }

@@ -1,23 +1,21 @@
 #include "fluid/analysis.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace choreo::fluid {
 
-FluidResult solve_steady(pepa::Semantics& semantics, pepa::ProcessId system,
-                         const FluidOptions& options) {
+FluidResult solve_steady(VectorForm form, const FluidOptions& options) {
   FluidResult result;
-  result.form = VectorForm::build(semantics, system, options.build);
-
-  OdeOptions ode = options.ode;
-  const VectorForm& form = result.form;
+  result.form = std::move(form);
+  const VectorForm& solved = result.form;
   OdeSolution solution = integrate(
-      [&form](double, std::span<const double> x, std::span<double> dx) {
-        form.derivative(x, dx);
+      [&solved](double, std::span<const double> x, std::span<double> dx) {
+        solved.derivative(x, dx);
       },
-      form.initial_state(), ode);
+      solved.initial_state(), options.ode);
   if (!solution.steady_state_reached()) {
     throw util::NumericError(util::msg(
         "fluid: no steady state detected by t=", solution.end_time(),
@@ -29,8 +27,14 @@ FluidResult solve_steady(pepa::Semantics& semantics, pepa::ProcessId system,
   // the O(tolerance) numerical undershoot.
   for (double& value : result.steady) value = std::max(value, 0.0);
   result.stats = solution.stats();
-  result.throughputs = form.throughputs(result.steady);
+  result.throughputs = solved.throughputs(result.steady);
   return result;
+}
+
+FluidResult solve_steady(pepa::Semantics& semantics, pepa::ProcessId system,
+                         const FluidOptions& options) {
+  return solve_steady(VectorForm::build(semantics, system, options.build),
+                      options);
 }
 
 }  // namespace choreo::fluid

@@ -33,9 +33,12 @@ struct FluidResult {
   }
 };
 
-/// Builds the vector form of `system` and integrates the mean-field ODE
-/// until the steady-state detector fires.  Throws util::NumericError when
-/// the integrator reaches the horizon without detecting a steady state.
+/// Integrates the mean-field ODE of `form` until the steady-state detector
+/// fires (`options.build` is not read).  Throws util::NumericError when the
+/// integrator reaches the horizon without detecting a steady state.
+FluidResult solve_steady(VectorForm form, const FluidOptions& options = {});
+
+/// Builds the vector form of `system` and solves it as above.
 FluidResult solve_steady(pepa::Semantics& semantics, pepa::ProcessId system,
                          const FluidOptions& options = {});
 

@@ -58,6 +58,8 @@ struct Builder {
     bool passive;
   };
   std::vector<std::vector<RawTransition>> raw;
+  /// Per group, per local derivative in closure order: its index in raw.
+  std::vector<std::vector<std::uint32_t>> merged;
 
   /// Flattens a chain of cooperations over the same action set into its
   /// maximal list of operands (min and + are both associative).  Iterative:
@@ -161,6 +163,7 @@ struct Builder {
     group.states.push_back(term);
 
     std::vector<RawTransition> local;
+    std::vector<std::uint32_t> into;
     for (std::size_t si = 0; si < group.states.size(); ++si) {
       const ProcessId state = group.states[si];
       for (const pepa::Derivative& d : semantics.derivatives(state)) {
@@ -178,29 +181,28 @@ struct Builder {
         }
         // Merge multiplicity: parallel (s, a, s') activities sum their
         // rates (the apparent-rate convention of the semantics cache).
-        bool merged = false;
-        for (RawTransition& existing : local) {
-          if (existing.source == si &&
-              existing.target == it->second &&
-              existing.action == d.action) {
-            if (existing.passive != d.rate.is_passive()) {
-              throw util::ModelError(util::msg(
-                  "fluid: action '", arena.action_name(d.action),
-                  "' offered both actively and passively by one component"));
-            }
-            existing.rate += d.rate.value();
-            merged = true;
-            break;
-          }
+        std::size_t k = 0;
+        while (k < local.size() &&
+               !(local[k].source == si && local[k].target == it->second &&
+                 local[k].action == d.action)) {
+          ++k;
         }
-        if (!merged) {
+        if (k == local.size()) {
           local.push_back({static_cast<std::uint32_t>(si), it->second,
                            d.action, d.rate.value(), d.rate.is_passive()});
+        } else if (local[k].passive != d.rate.is_passive()) {
+          throw util::ModelError(util::msg(
+              "fluid: action '", arena.action_name(d.action),
+              "' offered both actively and passively by one component"));
+        } else {
+          local[k].rate += d.rate.value();
         }
+        into.push_back(static_cast<std::uint32_t>(k));
       }
     }
 
     raw.push_back(std::move(local));
+    merged.push_back(std::move(into));
     groups.push_back(std::move(group));
     TreeNode node;
     node.group = static_cast<std::int32_t>(groups.size() - 1);
@@ -216,7 +218,7 @@ VectorForm VectorForm::build(pepa::Semantics& semantics, pepa::ProcessId system,
   pepa::ProcessArena& arena = semantics.arena();
   const ProcessId expanded = pepa::expand_static(arena, system);
 
-  Builder builder{semantics, options, {}, {}, {}};
+  Builder builder{semantics, options, {}, {}, {}, {}};
   const std::uint32_t root = builder.build_node(expanded);
 
   VectorForm form;
@@ -239,6 +241,9 @@ VectorForm VectorForm::build(pepa::Semantics& semantics, pepa::ProcessId system,
     }
     group.transition_count =
         static_cast<std::uint32_t>(builder.raw[g].size());
+    for (const std::uint32_t k : builder.merged[g]) {
+      form.merged_into_.push_back(group.first_transition + k);
+    }
   }
   form.dimension_ = dimension;
 
@@ -327,14 +332,24 @@ VectorForm VectorForm::build(pepa::Semantics& semantics, pepa::ProcessId system,
     }
   }
 
-  if (!options.allow_top_level_passive) {
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      if (form.kind(root, slot) == Kind::kPassive) {
-        throw util::ModelError(util::msg(
-            "action '", arena.action_name(form.actions_[slot]),
-            "' is passive at the top level of the system equation"));
-      }
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    if (form.kind(root, slot) == Kind::kPassive) {
+      throw util::ModelError(util::msg(
+          "action '", arena.action_name(form.actions_[slot]),
+          "' is passive at the top level of the system equation"));
     }
+  }
+  return form;
+}
+
+VectorForm VectorForm::with_rates(std::span<const double> rates) const {
+  CHOREO_ASSERT(rates.size() == merged_into_.size());
+  VectorForm form = *this;
+  // build() starts a transition at its first derivative's rate; rates are
+  // positive, so 0.0 + rate is that rate exactly and the sums match.
+  for (LocalTransition& t : form.transitions_) t.rate = 0.0;
+  for (std::size_t d = 0; d < rates.size(); ++d) {
+    form.transitions_[merged_into_[d]].rate += rates[d];
   }
   return form;
 }

@@ -27,10 +27,6 @@ struct BuildOptions {
   /// Safety bound on one component's local derivative set; the fluid
   /// representation targets few local states replicated many times.
   std::size_t max_local_states = 65'536;
-  /// Accept actions whose top-level apparent rate is passive (they can
-  /// never fire and contribute no flow); mirrors
-  /// pepa::DeriveOptions::allow_top_level_passive.
-  bool allow_top_level_passive = false;
 };
 
 /// One local transition of a group, in global vector coordinates.
@@ -69,10 +65,25 @@ class VectorForm {
   /// Derives the vector form of `system`.  Throws util::ModelError when the
   /// term cannot be represented (hiding or choice over a composition, an
   /// action offered both actively and passively by one component, a
-  /// passively-offered top-level action unless allowed) and
-  /// util::BudgetError when a local derivative set exceeds the bound.
+  /// passively-offered top-level action) and util::BudgetError when a local
+  /// derivative set exceeds the bound.
   static VectorForm build(pepa::Semantics& semantics, pepa::ProcessId system,
                           const BuildOptions& options = {});
+
+  /// The number of local derivatives build() read: for each group in
+  /// order, for each of its states in BFS order, every entry of
+  /// Semantics::derivatives(state).
+  std::size_t derivative_count() const noexcept {
+    return merged_into_.size();
+  }
+
+  /// This form with its local rates refilled from `rates`, one per
+  /// derivative in derivative_count() order.  Each transition re-adds the
+  /// rates of the derivatives merged into it in the order build() added
+  /// them, so the result is bit-identical to building the form of the same
+  /// model written with these rates.  Whether a rate is active or passive
+  /// is kept from this form.
+  VectorForm with_rates(std::span<const double> rates) const;
 
   /// Length of the population vector (total local states over all groups).
   std::size_t dimension() const noexcept { return dimension_; }
@@ -150,6 +161,8 @@ class VectorForm {
   /// states offering the action — the mass summed into the availability
   /// factor of passive cooperands.
   std::vector<std::vector<std::vector<std::uint32_t>>> enabled_sources_;
+  /// merged_into_[d]: the transition local derivative d was added to.
+  std::vector<std::uint32_t> merged_into_;
 };
 
 }  // namespace choreo::fluid

@@ -32,11 +32,10 @@
 //     index terms.size(); a state holding that index raises the explosion
 //     when it is committed, unless the engine's own count trips first.  A
 //     top-level dynamic system is explored in its closure's own
-//     breadth-first order, so it fails exactly where the term derive does
-//     (unless top-level passive moves are dropped); a dynamic leaf under a
-//     cooperation that blocks part of its closure can fail a space that
-//     fits the bound.  The closure checks and charges the derive's budget
-//     as it grows;
+//     breadth-first order, so it fails exactly where the term derive does;
+//     a dynamic leaf under a cooperation that blocks part of its closure
+//     can fail a space that fits the bound.  The closure checks and charges
+//     the derive's budget as it grows;
 //   - the key: each leaf's local index in bit_width(table size - 1) bits,
 //     packed into 64-bit words; no field straddles a word.
 //

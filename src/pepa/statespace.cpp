@@ -387,7 +387,6 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
 
   explore::EngineOptions engine;
   engine.max_states = options.max_states;
-  engine.allow_top_level_passive = options.allow_top_level_passive;
   engine.threads = options.threads;
   engine.pool = options.pool;
   engine.budget = options.budget;

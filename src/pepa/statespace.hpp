@@ -57,9 +57,6 @@ struct DeriveOptions {
   /// cooperations) also expands at most this many composite local states
   /// (see pepa/leaf_layout.hpp).
   std::size_t max_states = 4'000'000;
-  /// When false, passive transitions at the top level (unsynchronised
-  /// passive activities) raise util::ModelError instead of being dropped.
-  bool allow_top_level_passive = false;
   /// Exploration lanes per breadth-first level: 1 forces the sequential
   /// path, 0 sizes to the pool (worker count + the calling thread).  The
   /// derived space is identical for every setting.
@@ -199,9 +196,9 @@ class StateSpace {
   /// the transition-system payload without an intermediate copy.
   ctmc::Generator generator() const;
 
-  /// The transitions carrying `action`, as CTMC rated transitions — the
-  /// input to ctmc::throughput.  O(degree of the action) via the action
-  /// index, not a scan of the full transition vector.
+  /// The transitions carrying `action`, as CTMC rated transitions.
+  /// O(degree of the action) via the action index, not a scan of the full
+  /// transition vector.
   std::vector<ctmc::RatedTransition> transitions_of(ActionId action) const;
 
   /// States enabling no activity at all (empty rows of the CSR index).

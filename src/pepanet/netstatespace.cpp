@@ -22,7 +22,6 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
 
   explore::EngineOptions engine;
   engine.max_states = options.max_markings;
-  engine.allow_top_level_passive = options.allow_top_level_passive;
   engine.threads = options.threads;
   engine.pool = options.pool;
   engine.budget = options.budget;

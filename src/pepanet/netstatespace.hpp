@@ -32,8 +32,6 @@ using DeriveStats = pepa::DeriveStats;
 
 struct NetDeriveOptions {
   std::size_t max_markings = 2'000'000;
-  /// Drop (rather than reject) passive moves escaping to the top level.
-  bool allow_top_level_passive = false;
   /// Exploration lanes per breadth-first level: 1 forces the sequential
   /// path, 0 sizes to the pool (worker count + the calling thread).  The
   /// derived graph is identical for every setting.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "pepa/rate.hpp"
@@ -126,40 +125,6 @@ class Fingerprinter {
   std::uint64_t hash_ = kFnvOffset;
 };
 
-/// Collects what one constant body contains: a swept prefix (directly) and
-/// references to other constants.
-struct BodyScan {
-  bool swept = false;
-  std::vector<pepa::ConstantId> refs;
-};
-
-void scan_body(const pepa::ProcessArena& arena, pepa::ProcessId id,
-               const std::unordered_map<pepa::ProcessId,
-                                        std::pair<std::size_t, double>>& swept,
-               std::unordered_set<pepa::ProcessId>& visited, BodyScan& out) {
-  if (!visited.insert(id).second) return;
-  const pepa::ProcessNode& node = arena.node(id);
-  switch (node.op) {
-    case pepa::Op::kStop:
-      break;
-    case pepa::Op::kPrefix:
-      if (swept.count(id) != 0) out.swept = true;
-      scan_body(arena, node.left, swept, visited, out);
-      break;
-    case pepa::Op::kChoice:
-    case pepa::Op::kCooperation:
-      scan_body(arena, node.left, swept, visited, out);
-      scan_body(arena, node.right, swept, visited, out);
-      break;
-    case pepa::Op::kHiding:
-      scan_body(arena, node.left, swept, visited, out);
-      break;
-    case pepa::Op::kConstant:
-      out.refs.push_back(node.constant);
-      break;
-  }
-}
-
 }  // namespace
 
 std::uint64_t structure_fingerprint(pepa::Model& model) {
@@ -202,35 +167,6 @@ RateRebinder::RateRebinder(pepa::Model& model,
     }
   }
   structure_ = structure_fingerprint(model_);
-
-  // Which constants' definitions (transitively) contain a swept prefix:
-  // only those need fresh per-point declarations; everything else is shared
-  // between the base model and every point.
-  const pepa::ProcessArena& arena = model_.arena();
-  const std::size_t constants = arena.constant_count();
-  constant_affected_.assign(constants, 0);
-  std::vector<std::vector<pepa::ConstantId>> refs(constants);
-  for (pepa::ConstantId id = 0; id < constants; ++id) {
-    if (!arena.is_defined(id)) continue;
-    BodyScan scan;
-    std::unordered_set<pepa::ProcessId> visited;
-    scan_body(arena, arena.body(id), swept_, visited, scan);
-    constant_affected_[id] = scan.swept ? 1 : 0;
-    refs[id] = std::move(scan.refs);
-  }
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (pepa::ConstantId id = 0; id < constants; ++id) {
-      if (constant_affected_[id] != 0) continue;
-      for (const pepa::ConstantId ref : refs[id]) {
-        if (ref < constants && constant_affected_[ref] != 0) {
-          constant_affected_[id] = 1;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
 }
 
 std::uint64_t RateRebinder::rate_fingerprint(
@@ -244,7 +180,7 @@ std::uint64_t RateRebinder::rate_fingerprint(
       .run(model_);
 }
 
-RateRebinder::Point RateRebinder::at(std::span<const double> values) {
+RateRebinder::Point RateRebinder::at(std::span<const double> values) const {
   if (values.size() != parameters_.size()) {
     throw util::ModelError(util::msg("sweep point has ", values.size(),
                                      " values for ", parameters_.size(),
@@ -257,76 +193,7 @@ RateRebinder::Point RateRebinder::at(std::span<const double> values) {
           parameters_[axis], "' is not a valid rate"));
     }
   }
-  return Point(*this, std::vector<double>(values.begin(), values.end()));
-}
-
-RateRebinder::Point::Point(RateRebinder& owner, std::vector<double> values)
-    : owner_(owner),
-      values_(std::move(values)),
-      identity_(values_ == owner.base_values_),
-      serial_(owner.next_serial_.fetch_add(1, std::memory_order_relaxed)) {}
-
-pepa::ProcessId RateRebinder::Point::term(pepa::ProcessId base) {
-  if (identity_) return base;
-  if (const auto it = terms_.find(base); it != terms_.end()) {
-    return it->second;
-  }
-  pepa::ProcessArena& arena = owner_.model_.arena();
-  // Copy: interning below may grow the arena and move nothing (ids are
-  // stable), but the reference could alias a node we are about to hash.
-  const pepa::ProcessNode node = arena.node(base);
-  pepa::ProcessId out = base;
-  switch (node.op) {
-    case pepa::Op::kStop:
-      break;
-    case pepa::Op::kPrefix: {
-      pepa::Rate rate = node.rate;
-      if (const auto swept = owner_.swept_.find(base);
-          swept != owner_.swept_.end()) {
-        const double value =
-            swept->second.second * values_[swept->second.first];
-        rate = node.rate.is_passive() ? pepa::Rate::passive(value)
-                                      : pepa::Rate::active(value);
-      }
-      out = arena.prefix(node.action, rate, term(node.left));
-      break;
-    }
-    case pepa::Op::kChoice:
-      out = arena.choice(term(node.left), term(node.right));
-      break;
-    case pepa::Op::kCooperation:
-      out = arena.cooperation(term(node.left), node.action_set,
-                              term(node.right));
-      break;
-    case pepa::Op::kHiding:
-      out = arena.hiding(term(node.left), node.action_set);
-      break;
-    case pepa::Op::kConstant:
-      out = arena.constant(constant(node.constant));
-      break;
-  }
-  terms_.emplace(base, out);
-  return out;
-}
-
-pepa::ConstantId RateRebinder::Point::constant(pepa::ConstantId base) {
-  if (identity_) return base;
-  if (base >= owner_.constant_affected_.size() ||
-      owner_.constant_affected_[base] == 0) {
-    return base;  // definition untouched by the sweep: share it
-  }
-  if (const auto it = constants_.find(base); it != constants_.end()) {
-    return it->second;
-  }
-  pepa::ProcessArena& arena = owner_.model_.arena();
-  const pepa::ConstantId fresh = arena.declare(
-      util::msg(arena.constant_name(base), "@sw", serial_));
-  // Record the mapping before remapping the body so recursive definitions
-  // (Client = (think, r).Client) close back onto the fresh constant instead
-  // of recursing forever.
-  constants_.emplace(base, fresh);
-  arena.define(fresh, term(arena.body(base)));
-  return fresh;
+  return Point(std::vector<double>(values.begin(), values.end()));
 }
 
 std::vector<pepa::Rate> RateTape::evaluate(
@@ -338,6 +205,16 @@ std::vector<pepa::Rate> RateTape::evaluate(
     rates.push_back(rate);
   }
   return rates;
+}
+
+std::vector<double> RateTape::rates(std::span<const double> values,
+                                    std::span<const NodeId> nodes) const {
+  const std::vector<pepa::Rate> evaluated = evaluate(values);
+  std::vector<double> out(nodes.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = evaluated[nodes[i]].value();
+  }
+  return out;
 }
 
 pepa::Rate RateTape::apply(const Node& node, std::span<const double> values,

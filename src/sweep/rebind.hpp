@@ -33,14 +33,9 @@
 //     RateTape::evaluate() — tens of nodes of arithmetic, no term walk —
 //     plus a gather; evaluating in node order raises the first error the
 //     walk would.  The sweep runner records the tape once per sweep
-//     (runner.cpp).
-//
-//   * Point::term() offers a full structural remap — fresh terms with
-//     substituted rates, affected constants freshly declared per point
-//     ("Server@sw3") with the mapping recorded *before* the body is
-//     remapped so recursive definitions terminate.  Backends that need an
-//     actual process term per point (the fluid ODE translation) use this;
-//     the exact backend never pays for it.
+//     (runner.cpp), over the derived states' terms for the exact backend
+//     and over the vector form's local states for the fluid one.  Neither
+//     writes into the model's arena.
 //
 // The module also content-addresses models: structure_fingerprint() hashes
 // the rate-stripped model (the identity shared by every point of a sweep)
@@ -49,11 +44,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "pepa/model.hpp"
@@ -72,7 +67,7 @@ class RateRebinder {
   /// when a name is not a parameter, is opaque (used in a compound rate
   /// expression, feeds a derived parameter, or lost its provenance to
   /// hash-consing), or never appears as a prefix rate.  The model must
-  /// outlive the rebinder; its arena is mutated by remapping.
+  /// outlive the rebinder.
   RateRebinder(pepa::Model& model, std::vector<std::string> parameters);
 
   pepa::Model& model() noexcept { return model_; }
@@ -90,39 +85,24 @@ class RateRebinder {
   /// into the swept prefixes — the per-point complement of structure().
   std::uint64_t rate_fingerprint(std::span<const double> values) const;
 
-  /// One sweep point's remapping context.  Not thread-safe; create one per
-  /// evaluation task.  Memoises the term and constant mappings, so shared
-  /// subterms are remapped once.
+  /// One sweep point: values checked against the parameters, one per
+  /// axis, in parameters() order.
   class Point {
    public:
-    /// The rebound counterpart of a base-model term.
-    pepa::ProcessId term(pepa::ProcessId base);
-    /// The rebound counterpart of a base-model constant (identity for
-    /// constants the sweep does not affect).
-    pepa::ConstantId constant(pepa::ConstantId base);
     const std::vector<double>& values() const noexcept { return values_; }
-    /// True when every swept value equals the base model's: terms map to
-    /// themselves.
-    bool is_identity() const noexcept { return identity_; }
 
    private:
     friend class RateRebinder;
-    Point(RateRebinder& owner, std::vector<double> values);
+    explicit Point(std::vector<double> values) : values_(std::move(values)) {}
 
-    RateRebinder& owner_;
     std::vector<double> values_;
-    bool identity_;
-    std::uint64_t serial_;
-    std::unordered_map<pepa::ProcessId, pepa::ProcessId> terms_;
-    std::unordered_map<pepa::ConstantId, pepa::ConstantId> constants_;
   };
 
-  /// A remapping context for one point; `values` align with parameters()
-  /// and must be positive and finite (util::ModelError otherwise).
-  Point at(std::span<const double> values);
+  /// The point at `values`, which align with parameters() and must be
+  /// positive and finite (util::ModelError otherwise).
+  Point at(std::span<const double> values) const;
 
  private:
-  friend class Point;
   friend class TapeRecorder;
 
   pepa::Model& model_;
@@ -131,10 +111,6 @@ class RateRebinder {
   std::uint64_t structure_ = 0;
   /// Tagged prefix -> (axis index, literal scale): rate = scale * value.
   std::unordered_map<pepa::ProcessId, std::pair<std::size_t, double>> swept_;
-  /// Constants whose definition (transitively) contains a swept prefix.
-  std::vector<char> constant_affected_;
-  /// Distinguishes the fresh constants declared by successive points.
-  std::atomic<std::uint64_t> next_serial_{0};
 };
 
 /// A sweep's rates compiled once: a hash-consed program over the swept axes
@@ -152,6 +128,11 @@ class RateTape {
   /// util::ModelError: the error the recording walk would raise first at
   /// these values.
   std::vector<pepa::Rate> evaluate(std::span<const double> values) const;
+
+  /// The value of each of `nodes` with `values` substituted: evaluate(),
+  /// gathered.
+  std::vector<double> rates(std::span<const double> values,
+                            std::span<const NodeId> nodes) const;
 
  private:
   friend class TapeRecorder;

@@ -64,6 +64,100 @@ std::string hex_fingerprint(std::uint64_t value) {
   return out.str();
 }
 
+// The set-up refusals of both backends: a recorded move that does not align
+// with what the base model derived (`where`), or a tape node that does not
+// reproduce its derived rate bit for bit at the base values (`what`).
+// `reused` names the structure a sweep would otherwise share.
+
+util::ModelError misaligned(const std::string& where, const char* reused) {
+  return util::ModelError(util::msg(
+      "sweep point does not preserve the model structure at ", where,
+      "; the ", reused, " cannot be reused"));
+}
+
+util::ModelError unreproduced(const std::string& what, double rebound,
+                              double derived, const char* reused) {
+  return util::ModelError(util::msg(
+      "sweep rates do not reproduce the derived rate of ", what, " (",
+      util::format_double(rebound), " rebound, ",
+      util::format_double(derived), " derived); the ", reused,
+      " cannot be reused"));
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The fluid backend's once-per-sweep artefacts: the vector form of the
+/// base model, built once, and one rate-tape node per local derivative it
+/// was built from.  A point evaluates the tape and refills the form's local
+/// rates; nothing is built or interned per point, so point lanes share
+/// this object read-only.
+class FluidStructure {
+ public:
+  FluidStructure(pepa::Model& model, std::vector<std::string> parameters,
+                 const fluid::BuildOptions& options)
+      : rebinder_(model, std::move(parameters)), semantics_(model.arena()) {
+    // A model the vector form cannot represent fails every point with the
+    // build's error; only the bound on a local derivative set aborts.
+    try {
+      form_ = fluid::VectorForm::build(semantics_, model.system(), options);
+    } catch (const util::BudgetError&) {
+      throw;
+    } catch (const util::Error& error) {
+      rejected_ = error.what();
+      return;
+    }
+    // The exact backend's set-up checks, local state by local state: the
+    // recorded moves of a local state are its derivatives, in order, and
+    // reproduce their rates bit for bit at the base values.
+    TapeRecorder recorder(rebinder_, tape_);
+    rate_nodes_.reserve(form_.derivative_count());
+    for (const fluid::Group& group : form_.groups()) {
+      for (std::size_t s = 0; s < group.states.size(); ++s) {
+        const std::string where = util::msg("local state ", group.first + s);
+        const std::span<const TapeMove> moves =
+            recorder.moves(group.states[s]);
+        const std::span<const pepa::Derivative> derivatives =
+            semantics_.derivatives(group.states[s]);
+        if (moves.size() != derivatives.size()) {
+          throw misaligned(where, "vector form");
+        }
+        for (std::size_t j = 0; j < moves.size(); ++j) {
+          if (moves[j].action != derivatives[j].action) {
+            throw misaligned(where, "vector form");
+          }
+          const double rebound = recorder.base_rate(moves[j].rate).value();
+          const double derived = derivatives[j].rate.value();
+          if (!same_bits(rebound, derived)) {
+            throw unreproduced("a local transition from " + where, rebound,
+                               derived, "vector form");
+          }
+          rate_nodes_.push_back(moves[j].rate);
+        }
+      }
+    }
+  }
+
+  const RateRebinder& rebinder() const noexcept { return rebinder_; }
+  /// The error of a rejected vector form (every point reports it), or
+  /// empty.
+  const std::string& rejected() const noexcept { return rejected_; }
+
+  /// The vector form at one point's rates.
+  fluid::VectorForm form(const RateRebinder::Point& point) const {
+    return form_.with_rates(tape_.rates(point.values(), rate_nodes_));
+  }
+
+ private:
+  RateRebinder rebinder_;
+  pepa::Semantics semantics_;
+  fluid::VectorForm form_;
+  std::string rejected_;
+  RateTape tape_;
+  std::vector<RateTape::NodeId> rate_nodes_;  ///< per local derivative
+};
+
 }  // namespace
 
 const char* to_string(Backend backend) {
@@ -88,33 +182,23 @@ SharedStructure::SharedStructure(pepa::Model& model,
     // Scoped: the recorder's memo is freed before the pattern is built.
     TapeRecorder recorder(rebinder_, tape_);
     const pepa::StateTransition* base = transitions.data();
-    auto misaligned = [](std::size_t state) {
-      return util::ModelError(util::msg(
-          "sweep point does not preserve the model structure at state ",
-          state, "; the derived state space cannot be reused"));
-    };
     for (std::size_t state = 0; state < space_.state_count(); ++state) {
       const std::span<const pepa::StateTransition> row =
           space_.lts().from(state);
       const std::size_t offset = static_cast<std::size_t>(row.data() - base);
-      std::size_t j = 0;
-      for (const TapeMove& move : recorder.moves(space_.state_term(state))) {
-        if (recorder.base_rate(move.rate).is_passive()) {
-          // The base derivation either dropped this move under the same
-          // option or refused to derive at all; mirror the filter so the
-          // remaining moves keep their row positions.
-          if (options.allow_top_level_passive) continue;
-          throw util::ModelError(
-              "sweep rebind produced a top-level passive move the base "
-              "derivation did not have");
-        }
-        if (j >= row.size() || row[j].action != move.action) {
-          throw misaligned(state);
-        }
-        rate_nodes_[offset + j] = move.rate;
-        ++j;
+      const std::span<const TapeMove> moves =
+          recorder.moves(space_.state_term(state));
+      // The derivation refuses top-level passive moves, so the rows hold
+      // every recorded move.
+      if (moves.size() != row.size()) {
+        throw misaligned(util::msg("state ", state), "derived state space");
       }
-      if (j != row.size()) throw misaligned(state);
+      for (std::size_t j = 0; j < moves.size(); ++j) {
+        if (row[j].action != moves[j].action) {
+          throw misaligned(util::msg("state ", state), "derived state space");
+        }
+        rate_nodes_[offset + j] = moves[j].rate;
+      }
     }
   }
   // The tape must reproduce every derived rate bit for bit at the base
@@ -126,14 +210,10 @@ SharedStructure::SharedStructure(pepa::Model& model,
       tape_.evaluate(rebinder_.base_values());
   for (std::size_t i = 0; i < transitions.size(); ++i) {
     const double rebound = at_base[rate_nodes_[i]].value();
-    if (std::bit_cast<std::uint64_t>(rebound) !=
-        std::bit_cast<std::uint64_t>(transitions[i].rate)) {
-      throw util::ModelError(util::msg(
-          "sweep rates do not reproduce the derived rate of a transition "
-          "from state ",
-          transitions[i].source, " (", util::format_double(rebound),
-          " rebound, ", util::format_double(transitions[i].rate),
-          " derived); the derived state space cannot be reused"));
+    if (!same_bits(rebound, transitions[i].rate)) {
+      throw unreproduced(
+          util::msg("a transition from state ", transitions[i].source),
+          rebound, transitions[i].rate, "derived state space");
     }
   }
   pattern_ = ctmc::GeneratorPattern(
@@ -143,12 +223,7 @@ SharedStructure::SharedStructure(pepa::Model& model,
 
 std::vector<double> SharedStructure::rebind_rates(
     const RateRebinder::Point& point) const {
-  const std::vector<pepa::Rate> nodes = tape_.evaluate(point.values());
-  std::vector<double> rates(rate_nodes_.size());
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    rates[i] = nodes[rate_nodes_[i]].value();
-  }
-  return rates;
+  return tape_.rates(point.values(), rate_nodes_);
 }
 
 ctmc::Generator SharedStructure::generator(
@@ -197,11 +272,9 @@ SweepTable sweep(pepa::Model& model, const SweepSpec& spec,
     table.rows[p].values = spec.point(p);
   }
 
-  // Everything below is shared, read-only state for the point evaluators;
-  // per-point mutable context (the remap memo) lives in each task.
+  // Everything below is shared, read-only state for the point evaluators.
   std::unique_ptr<SharedStructure> shared;
-  std::unique_ptr<RateRebinder> rebinder;
-  std::unique_ptr<pepa::Semantics> fluid_semantics;
+  std::unique_ptr<FluidStructure> fluid_shared;
   std::function<void(std::size_t)> evaluate;
 
   if (options.backend == Backend::kExact) {
@@ -238,29 +311,31 @@ SweepTable sweep(pepa::Model& model, const SweepSpec& spec,
       }
     };
   } else {
-    rebinder = std::make_unique<RateRebinder>(model, table.axes);
-    table.structure = rebinder->structure();
+    fluid::FluidOptions fluid = options.fluid;
+    fluid.ode.budget = options.budget;
+    fluid_shared =
+        std::make_unique<FluidStructure>(model, table.axes, fluid.build);
+    table.structure = fluid_shared->rebinder().structure();
     table.derivations = 0;  // the fluid backend never derives a state space
-    fluid_semantics = std::make_unique<pepa::Semantics>(model.arena());
     const pepa::ProcessArena& arena = model.arena();
     table.measures.reserve(arena.action_count() - 1);
     for (pepa::ActionId action = 1; action < arena.action_count(); ++action) {
       table.measures.push_back("throughput:" + arena.action_name(action));
     }
 
-    fluid::FluidOptions fluid = options.fluid;
-    fluid.ode.budget = options.budget;
-    const pepa::ProcessId base_system = model.system();
     const std::size_t columns = arena.action_count() - 1;
-    evaluate = [&table, binder = rebinder.get(),
-                semantics = fluid_semantics.get(), fluid, base_system, columns,
+    evaluate = [&table, structure = fluid_shared.get(), fluid, columns,
                 budget = options.budget](std::size_t p) {
       SweepRow& row = table.rows[p];
       try {
         if (budget != nullptr) budget->check("sweep");
-        RateRebinder::Point point = binder->at(row.values);
-        const fluid::FluidResult result = fluid::solve_steady(
-            *semantics, point.term(base_system), fluid);
+        const RateRebinder::Point point = structure->rebinder().at(row.values);
+        if (!structure->rejected().empty()) {
+          row.error = structure->rejected();
+          return;
+        }
+        const fluid::FluidResult result =
+            fluid::solve_steady(structure->form(point), fluid);
         row.measures.assign(columns, 0.0);
         for (const auto& [action, value] : result.throughputs) {
           if (action != pepa::kTau) row.measures[action - 1] = value;

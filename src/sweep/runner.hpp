@@ -8,13 +8,12 @@
 //     derived state's term with tape nodes in place of rates.  Because SOS
 //     derivation commutes with rate substitution, the j-th recorded move of
 //     a state is the j-th transition of the base state's CSR row (the
-//     exploration engine commits transitions in derivative order, dropping
-//     top-level passive moves under the same filter applied here), so each
-//     transition gets one tape node.  The alignment (action, row length,
-//     passive filter) is checked here, once, together with each node
-//     reproducing its transition's derived rate bit for bit at the base
-//     values; a mismatch fails the sweep before any point runs.  The
-//     recorder's memo is freed before the next step.
+//     exploration engine commits transitions in derivative order and
+//     refuses top-level passive moves), so each transition gets one tape
+//     node.  The alignment (action, row length) is checked here, once,
+//     together with each node reproducing its transition's derived rate bit
+//     for bit at the base values; a mismatch fails the sweep before any
+//     point runs.  The recorder's memo is freed before the next step.
 //   * the generator pattern (ctmc::GeneratorPattern), recorded straight
 //     from the derived transitions: the shared Q^T structure and each
 //     transition's entry slot.
@@ -27,6 +26,14 @@
 // copies no index array: its generator shares the pattern's structure.  The
 // tape, the node index and the pattern are immutable, so concurrent point
 // lanes share them read-only.
+//
+// The fluid backend shares the tape the same way.  It builds the base
+// model's fluid::VectorForm once and records one tape node per local
+// derivative of each group state, under the same set-up checks (actions
+// align, rates reproduce bit for bit at the base values).  A point
+// evaluates the tape, refills a copy of the form's local rates
+// (VectorForm::with_rates) and integrates it; no point builds a form or
+// writes into the model's arena.
 //
 // sweep() evaluates every point of a SweepSpec under one util::Budget, one
 // point per chunk of util::ThreadPool::parallel_for_dynamic — the pool's
@@ -58,7 +65,8 @@
 namespace choreo::sweep {
 
 /// How each point is evaluated: the exact CTMC on the shared derived
-/// structure, or the fluid ODE approximation (no derivation at all).
+/// structure, or the fluid ODE approximation on the shared vector form (no
+/// derivation at all).
 enum class Backend { kExact, kFluid };
 
 const char* to_string(Backend backend);

@@ -200,7 +200,9 @@ inline ctmc::SolveResult oracle_dense_lu(const OracleGenerator& g) {
       b[perm[i]] -= factor * b[perm[k]];
     }
   }
-  std::vector<double> pi(n, 0.0);
+  ctmc::SolveResult result;
+  std::vector<double>& pi = result.distribution;
+  pi.assign(n, 0.0);
   for (std::size_t ri = n; ri-- > 0;) {
     double sum = b[perm[ri]];
     for (std::size_t j = ri + 1; j < n; ++j) sum -= a[perm[ri] * n + j] * pi[j];
@@ -208,11 +210,9 @@ inline ctmc::SolveResult oracle_dense_lu(const OracleGenerator& g) {
   }
   for (double& p : pi) p = std::max(p, 0.0);
   oracle_normalise(pi);
-  ctmc::SolveResult result;
   result.method_used = ctmc::Method::kDenseLU;
   result.iterations = 1;
   result.residual = oracle_residual(g, pi);
-  result.distribution = std::move(pi);
   return result;
 }
 

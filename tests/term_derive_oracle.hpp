@@ -33,9 +33,8 @@ struct TermSpace {
   pepa::DeriveStats stats;
 };
 
-/// Derives the space of `system` term by term.  Honours max_states,
-/// allow_top_level_passive and aggregate; raises what the derive raises,
-/// for the same state.
+/// Derives the space of `system` term by term.  Honours max_states and
+/// aggregate; raises what the derive raises, for the same state.
 inline TermSpace term_derive(pepa::Semantics& semantics,
                              pepa::ProcessId system,
                              const pepa::DeriveOptions& options = {}) {
@@ -65,7 +64,6 @@ inline TermSpace term_derive(pepa::Semantics& semantics,
         pepa::ProcessId target = move.target;
         if (canonicalize(target)) ++out.stats.canonical_rewrites;
         if (move.rate.is_passive()) {
-          if (options.allow_top_level_passive) continue;
           throw util::ModelError(util::msg(
               "activity '", arena.action_name(move.action),
               "' occurs passively at the top level of the model: it would"

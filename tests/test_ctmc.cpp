@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "ctmc/generator.hpp"
-#include "ctmc/rewards.hpp"
 #include "ctmc/sparse.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
@@ -539,31 +538,6 @@ TEST(Transient, RejectsBadInputs) {
   const auto g = two_state(1.0, 1.0);
   EXPECT_THROW(cc::transient(g, {1.0}, 1.0), cu::NumericError);
   EXPECT_THROW(cc::transient(g, {1.0, 0.0}, -1.0), cu::NumericError);
-}
-
-TEST(Rewards, ExpectationAndProbability) {
-  const std::vector<double> pi{0.25, 0.5, 0.25};
-  const std::vector<double> reward{0.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(cc::expectation(pi, reward), 2.0);
-  EXPECT_DOUBLE_EQ(
-      cc::probability(pi, [](std::size_t s) { return s != 1; }), 0.5);
-}
-
-TEST(Rewards, ThroughputSumsSourceWeightedRates) {
-  const std::vector<double> pi{0.5, 0.5};
-  const std::vector<cc::RatedTransition> transitions{{0, 1, 4.0}, {1, 0, 2.0}};
-  EXPECT_DOUBLE_EQ(cc::throughput(pi, transitions), 3.0);
-}
-
-TEST(Rewards, FlowBalanceAtSteadyState) {
-  // In steady state the throughput of the forward action equals the
-  // throughput of the backward action in a two-state cycle.
-  const double l = 2.7, m = 0.9;
-  const auto g = two_state(l, m);
-  const auto pi = cc::steady_state(g).distribution;
-  const double forward = cc::throughput(pi, {{0, 1, l}});
-  const double backward = cc::throughput(pi, {{1, 0, m}});
-  EXPECT_NEAR(forward, backward, 1e-10);
 }
 
 TEST(Transient, TighterEpsilonUsesMoreTerms) {

@@ -174,11 +174,6 @@ TEST(ExploreEngine, PassiveMoveAtTopLevelIsRejectedWithSharedDiagnostic) {
                  "activity 'synthetic' occurs passively at the top level;"
                  " synchronise it with an active partner");
   }
-  EngineOptions tolerant;
-  tolerant.allow_top_level_passive = true;
-  const auto run = run_engine(graph, 1, pool, tolerant);
-  EXPECT_EQ(run.states.size(), 1u);  // the passive move is dropped
-  EXPECT_TRUE(run.transitions.empty());
 }
 
 TEST(ExploreEngine, CommitSequenceIsIdenticalAtEveryLaneCount) {

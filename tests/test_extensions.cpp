@@ -1,12 +1,11 @@
-// Tests for the later extensions: replication arrays in the PEPA syntax,
-// absorption probabilities, and simulation-based transient estimation
-// (cross-validated against uniformisation).
+// Tests for the later extensions: replication arrays in the PEPA syntax
+// and simulation-based transient estimation (cross-validated against
+// uniformisation).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
-#include "ctmc/absorption.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
 #include "pepa/parser.hpp"
@@ -58,46 +57,6 @@ TEST(ReplicationArrays, RejectsBadCounts) {
   EXPECT_THROW(cp::parse_model("P = (a, 1.0).P; S = P[0];"), cu::ParseError);
   EXPECT_THROW(cp::parse_model("P = (a, 1.0).P; S = P[2.5];"), cu::ParseError);
   EXPECT_THROW(cp::parse_model("P = (a, 1.0).P; S = P[x];"), cu::ParseError);
-}
-
-TEST(Absorption, BranchingOutcomeProbabilities) {
-  // 0 branches to absorbing 1 (rate a) or 2 (rate b) directly:
-  // P[absorbed in 1] = a/(a+b).
-  const double a = 1.0, b = 3.0;
-  auto g = cc::Generator::build(3, {{0, 1, a}, {0, 2, b}});
-  const auto absorption = cc::absorption_probabilities(g);
-  ASSERT_EQ(absorption.absorbing, (std::vector<std::size_t>{1, 2}));
-  EXPECT_NEAR(absorption.probability(0, 1), a / (a + b), 1e-10);
-  EXPECT_NEAR(absorption.probability(0, 2), b / (a + b), 1e-10);
-  EXPECT_DOUBLE_EQ(absorption.probability(1, 1), 1.0);
-  EXPECT_DOUBLE_EQ(absorption.probability(1, 2), 0.0);
-}
-
-TEST(Absorption, GamblersRuinClosedForm) {
-  // Symmetric random walk on 0..4 with absorbing ends: starting at i,
-  // P[absorbed at 4] = i/4.
-  std::vector<cc::RatedTransition> transitions;
-  for (std::size_t i = 1; i <= 3; ++i) {
-    transitions.push_back({i, i - 1, 1.0});
-    transitions.push_back({i, i + 1, 1.0});
-  }
-  auto g = cc::Generator::build(5, transitions);
-  const auto absorption = cc::absorption_probabilities(g);
-  for (std::size_t i = 1; i <= 3; ++i) {
-    EXPECT_NEAR(absorption.probability(i, 4), static_cast<double>(i) / 4.0,
-                1e-9);
-    EXPECT_NEAR(absorption.probability(i, 0) + absorption.probability(i, 4),
-                1.0, 1e-9);
-  }
-}
-
-TEST(Absorption, NoAbsorbingStateRejected) {
-  auto g = cc::Generator::build(2, {{0, 1, 1.0}, {1, 0, 1.0}});
-  EXPECT_THROW(cc::absorption_probabilities(g), cu::NumericError);
-  EXPECT_THROW(cc::absorption_probabilities(
-                   cc::Generator::build(3, {{0, 1, 1.0}, {1, 0, 1.0}}))
-                   .probability(0, 1),
-               cu::NumericError);
 }
 
 TEST(SimTransient, MatchesUniformisation) {

@@ -107,9 +107,6 @@ TEST(VectorForm, RejectsTopLevelPassive) {
   cp::Semantics semantics(arena);
   EXPECT_THROW(cf::VectorForm::build(semantics, model.system()),
                cu::ModelError);
-  cf::BuildOptions allow;
-  allow.allow_top_level_passive = true;
-  EXPECT_NO_THROW(cf::VectorForm::build(semantics, model.system(), allow));
 }
 
 TEST(Ode, MatchesExponentialDecay) {

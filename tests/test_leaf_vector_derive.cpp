@@ -157,6 +157,8 @@ TEST(LeafVectorDerive, ChoiceOfferingOneActionTwiceAndSelfLoops) {
   )", "repeated offers");
 }
 
+// Top-level passive moves are never dropped: the derive refuses the model
+// with the term derive's error at every lane count.
 TEST(LeafVectorDerive, DroppedTopLevelPassiveMoves) {
   const std::string source = R"(
     P = (a, infty).P + (b, 1.0).Q;
@@ -165,10 +167,6 @@ TEST(LeafVectorDerive, DroppedTopLevelPassiveMoves) {
     Sys = P <c> R;
     @system Sys;
   )";
-  cp::DeriveOptions tolerant;
-  tolerant.allow_top_level_passive = true;
-  expect_source_matches(source, "dropped passive", tolerant);
-
   cp::Model model = cp::parse_model(source);
   cp::Semantics semantics(model.arena());
   const std::string expected = test::error_text(

@@ -162,19 +162,6 @@ TEST(StateSpace, TopLevelPassiveRejected) {
   EXPECT_THROW(cp::StateSpace::derive(semantics, model.system()), cu::ModelError);
 }
 
-TEST(StateSpace, TopLevelPassiveDroppedWhenAllowed) {
-  auto model = cp::parse_model(
-      "P = (a, infty).P + (b, 1.0).P2; P2 = (c, 1.0).P; @system P;");
-  cp::Semantics semantics(model.arena());
-  cp::DeriveOptions options;
-  options.allow_top_level_passive = true;
-  const auto space = cp::StateSpace::derive(semantics, model.system(), options);
-  EXPECT_EQ(space.state_count(), 2u);
-  for (const auto& t : space.transitions()) {
-    EXPECT_NE(t.action, *model.arena().find_action("a"));
-  }
-}
-
 TEST(StateSpace, MaxStatesBoundEnforced) {
   auto model = cp::parse_model(R"(
     P = (a, 1.0).(b, 1.0).(c, 1.0).(d, 1.0).P;

@@ -4,6 +4,7 @@
 // tables, and the multi-lane sweep on the shared pool.
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fluid/analysis.hpp"
 #include "generator_oracle.hpp"
 #include "pepa/parser.hpp"
 #include "service/cache.hpp"
@@ -262,23 +264,49 @@ TEST(Fingerprint, RatePayloadDistinguishesPoints) {
 
 // --- rebind correctness ---------------------------------------------------
 
+/// `source` with each of `parameters`' definitions ("name = value;")
+/// rewritten to the matching entry of `values`: the model a sweep point
+/// stands for, to be parsed afresh.
+std::string with_values(std::string source,
+                        const std::vector<std::string>& parameters,
+                        const std::vector<double>& values) {
+  for (std::size_t i = 0; i < parameters.size(); ++i) {
+    const std::string key = parameters[i] + " = ";
+    std::size_t at = source.find(key);
+    // Skip matches inside a longer name ("locs = " holds "s = ").
+    while (at != std::string::npos && at != 0 && source[at - 1] != ';' &&
+           !std::isspace(static_cast<unsigned char>(source[at - 1]))) {
+      at = source.find(key, at + 1);
+    }
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no definition of " << parameters[i];
+      continue;
+    }
+    const std::size_t begin = at + key.size();
+    source.replace(begin, source.find(';', begin) - begin,
+                   util::format_double(values[i]));
+  }
+  return source;
+}
+
 /// At every point, rebind_rates() must equal bit for bit the transition
-/// rates of a fresh derivation of the point's remapped term (Point::term,
-/// the fluid backend's route), over the same transitions in the same order.
-void expect_rebind_matches_remap(const std::string& source,
-                                 const std::vector<std::string>& parameters,
-                                 const std::vector<std::vector<double>>& points,
-                                 const pepa::DeriveOptions& options = {}) {
+/// rates of a fresh derivation of the model re-parsed at the point's
+/// values, over the same transitions in the same order.
+void expect_rebind_matches_reparse(
+    const std::string& source, const std::vector<std::string>& parameters,
+    const std::vector<std::vector<double>>& points) {
   pepa::Model model = pepa::parse_model(source, "rebind");
-  sweep::SharedStructure shared(model, parameters, options);
+  sweep::SharedStructure shared(model, parameters);
   const std::vector<pepa::StateTransition>& base =
       shared.space().transitions();
   for (const std::vector<double>& values : points) {
-    sweep::RateRebinder::Point point = shared.rebinder().at(values);
-    const std::vector<double> rates = shared.rebind_rates(point);
-    pepa::Semantics semantics(model.arena());
-    const pepa::StateSpace fresh = pepa::StateSpace::derive(
-        semantics, point.term(model.system()), options);
+    const std::vector<double> rates =
+        shared.rebind_rates(shared.rebinder().at(values));
+    pepa::Model reference = pepa::parse_model(
+        with_values(source, parameters, values), "reference");
+    pepa::Semantics semantics(reference.arena());
+    const pepa::StateSpace fresh =
+        pepa::StateSpace::derive(semantics, reference.system());
     ASSERT_EQ(fresh.state_count(), shared.space().state_count());
     ASSERT_EQ(fresh.transitions().size(), rates.size());
     for (std::size_t i = 0; i < rates.size(); ++i) {
@@ -288,7 +316,7 @@ void expect_rebind_matches_remap(const std::string& source,
       ASSERT_EQ(t.action, base[i].action) << "transition " << i;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(rates[i]),
                 std::bit_cast<std::uint64_t>(t.rate))
-          << "transition " << i << ": rebound " << rates[i] << ", remapped "
+          << "transition " << i << ": rebound " << rates[i] << ", re-parsed "
           << t.rate << " at " << parameters[0] << "=" << values[0];
     }
   }
@@ -329,9 +357,9 @@ TEST(SweepRunner, MatchesIndependentDerivationAtEveryPoint) {
 
   // The per-point rate payload itself, bit for bit: a private rate, a
   // scaled tag ("2*r") inside a cooperation, and a shared-action rate.
-  expect_rebind_matches_remap(tomcat_source(40.0), {"locs"},
+  expect_rebind_matches_reparse(tomcat_source(40.0), {"locs"},
                               {{10.0}, {40.0}, {80.0}});
-  expect_rebind_matches_remap(
+  expect_rebind_matches_reparse(
       "r = 1.0; s = 3.0;\n"
       "P = (fast, 2*r).Q;\n"
       "Q = (slow, s).P;\n"
@@ -339,7 +367,7 @@ TEST(SweepRunner, MatchesIndependentDerivationAtEveryPoint) {
       "System = P[3] <fast> Sink;\n"
       "@system System;\n",
       {"r"}, {{0.5}, {1.0}, {4.0}});
-  expect_rebind_matches_remap(client_server_source(4), {"r"},
+  expect_rebind_matches_reparse(client_server_source(4), {"r"},
                               {{0.3}, {1.0}, {3.7}});
 }
 
@@ -350,7 +378,7 @@ TEST(SweepRunner, MatchesIndependentDerivationAtEveryPoint) {
 TEST(SweepRunner, RebindMatchesRemapOnEveryTapeNodeKind) {
   // Hiding a shared action: the cooperation's moves become tau moves, and
   // an outer cooperation on the hidden action finds no apparent rate.
-  expect_rebind_matches_remap(
+  expect_rebind_matches_reparse(
       "r = 1.0; s = 2.0; t = 4.0;\n"
       "P = (a, r).P1; P1 = (b, s).P;\n"
       "Q = (a, infty).Q1; Q1 = (c, t).Q;\n"
@@ -360,7 +388,7 @@ TEST(SweepRunner, RebindMatchesRemapOnEveryTapeNodeKind) {
       {"r", "s"}, {{0.5, 2.0}, {1.0, 2.0}, {3.0, 0.25}});
   // Weighted passive cooperation: the passive side splits the active rate
   // 2:1 between its two branches.
-  expect_rebind_matches_remap(
+  expect_rebind_matches_reparse(
       "r = 1.0; s = 2.0;\n"
       "P = (a, r).P;\n"
       "Q = (a, 2*infty).Q1 + (a, infty).Q2;\n"
@@ -370,7 +398,7 @@ TEST(SweepRunner, RebindMatchesRemapOnEveryTapeNodeKind) {
       {"r", "s"}, {{0.2, 7.0}, {1.0, 2.0}, {5.0, 0.5}});
   // A choice offering one action twice (an apparent-rate sum of two active
   // rates), against a partner that offers it twice passively.
-  expect_rebind_matches_remap(
+  expect_rebind_matches_reparse(
       "r = 1.0; s = 3.0; u = 2.0;\n"
       "P = (a, r).P1 + (a, s).P2;\n"
       "P1 = (b, u).P; P2 = (c, u).P;\n"
@@ -382,7 +410,7 @@ TEST(SweepRunner, RebindMatchesRemapOnEveryTapeNodeKind) {
   // the one below: P <a> R offers min(r, infty), which folds to r; against
   // Q that gives min(r, s), a minimum of two actives; and S's cooperation
   // law takes the minimum of that and u.
-  expect_rebind_matches_remap(
+  expect_rebind_matches_reparse(
       "r = 1.0; s = 2.0; t = 3.0; u = 1.5;\n"
       "P = (a, r).P1; P1 = (b, t).P;\n"
       "R = (a, infty).R1; R1 = (d, t).R;\n"
@@ -392,22 +420,12 @@ TEST(SweepRunner, RebindMatchesRemapOnEveryTapeNodeKind) {
       "@system System;\n",
       {"r", "s"}, {{0.5, 4.0}, {1.0, 2.0}, {6.0, 0.3}});
   // A self-loop, which the generator drops but the rates keep.
-  expect_rebind_matches_remap(
+  expect_rebind_matches_reparse(
       "r = 1.0; s = 2.0;\n"
       "P = (spin, r).P + (go, s).Q;\n"
       "Q = (back, s).P;\n"
       "@system P;\n",
       {"r"}, {{0.5}, {1.0}, {9.0}});
-  // A top-level passive move, dropped under allow_top_level_passive: the
-  // remaining moves of its row keep their positions.
-  pepa::DeriveOptions passive;
-  passive.allow_top_level_passive = true;
-  expect_rebind_matches_remap(
-      "r = 1.0; s = 2.0;\n"
-      "P = (a, r).P1 + (poke, infty).P;\n"
-      "P1 = (b, s).P;\n"
-      "@system P;\n",
-      {"r", "s"}, {{0.5, 4.0}, {1.0, 2.0}, {3.0, 0.5}}, passive);
 }
 
 // A point whose arithmetic fails records the error the SOS raises there
@@ -433,26 +451,37 @@ TEST(SweepRunner, OverflowingPointRecordsTheRateError) {
   EXPECT_EQ(table.rows[2].measures.size(), 2u);
 }
 
-// The set-up check: every transition's tape node must reproduce its derived
-// rate bit for bit at the base values.  A swept rate written as r/3 is
-// parsed as 5/3 but swept as (1/3)*5, which differs in the last bit, so the
-// sweep is refused before any point runs; r/4 scales exactly.
+// The set-up check: every transition's (exact) or local derivative's
+// (fluid) tape node must reproduce its derived rate bit for bit at the base
+// values.  A swept rate written as r/3 is parsed as 5/3 but swept as
+// (1/3)*5, which differs in the last bit, so the sweep is refused before
+// any point runs; r/4 scales exactly.
 TEST(SweepRunner, SetUpRefusesRatesTheTapeCannotReproduce) {
   auto source = [](const std::string& rate) {
     return "r = 5.0; s = 1.0;\nP = (a, " + rate +
            ").Q;\nQ = (b, s).P;\n@system P;\n";
   };
-  pepa::Model inexact = pepa::parse_model(source("r/3"), "inexact");
-  try {
-    const sweep::SharedStructure shared(inexact, {"r"});
-    ADD_FAILURE() << "r/3 at r = 5 was accepted";
-  } catch (const util::ModelError& error) {
-    EXPECT_NE(std::string(error.what()).find("do not reproduce"),
-              std::string::npos)
-        << error.what();
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::list("r", {5.0})};
+  for (const sweep::Backend backend :
+       {sweep::Backend::kExact, sweep::Backend::kFluid}) {
+    sweep::SweepOptions options;
+    options.backend = backend;
+    options.threads = 1;
+    pepa::Model inexact = pepa::parse_model(source("r/3"), "inexact");
+    try {
+      sweep::sweep(inexact, spec, options);
+      ADD_FAILURE() << "r/3 at r = 5 was accepted by the "
+                    << sweep::to_string(backend) << " backend";
+    } catch (const util::ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find("do not reproduce"),
+                std::string::npos)
+          << error.what();
+    }
+    pepa::Model exact = pepa::parse_model(source("r/4"), "exact");
+    const sweep::SweepTable table = sweep::sweep(exact, spec, options);
+    EXPECT_TRUE(table.rows[0].ok()) << table.rows[0].error;
   }
-  pepa::Model exact = pepa::parse_model(source("r/4"), "exact");
-  EXPECT_NO_THROW(sweep::SharedStructure(exact, {"r"}));
 }
 
 // The tape holds one node per distinct rate expression; a lost hash-cons
@@ -504,14 +533,14 @@ TEST(SweepRunner, DerivesExactlyOnceForManyPoints) {
   }
 }
 
-TEST(SweepRunner, TableIsIdenticalAtThreadCounts128) {
-  sweep::SweepSpec spec;
-  spec.axes = {sweep::Axis::linear("locs", 5.0, 60.0, 4),
-               sweep::Axis::linear("req", 2.0, 8.0, 3)};
-
+/// Sweeps the Tomcat model over `spec` at 1, 2 and 8 lanes and requires
+/// bit-identical tables.
+void expect_identical_at_thread_counts(const sweep::SweepSpec& spec,
+                                       sweep::Backend backend) {
   auto run = [&](std::size_t threads) {
     pepa::Model model = pepa::parse_model(tomcat_source(40.0), "tomcat");
     sweep::SweepOptions options;
+    options.backend = backend;
     options.threads = threads;
     util::ThreadPool pool(threads);
     if (threads > 1) options.pool = &pool;
@@ -540,6 +569,17 @@ TEST(SweepRunner, TableIsIdenticalAtThreadCounts128) {
   }
   EXPECT_EQ(one.to_csv(), two.to_csv());
   EXPECT_EQ(one.to_csv(), eight.to_csv());
+}
+
+TEST(SweepRunner, TableIsIdenticalAtThreadCounts128) {
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::linear("locs", 5.0, 60.0, 4),
+               sweep::Axis::linear("req", 2.0, 8.0, 3)};
+  for (const sweep::Backend backend :
+       {sweep::Backend::kExact, sweep::Backend::kFluid}) {
+    SCOPED_TRACE(sweep::to_string(backend));
+    expect_identical_at_thread_counts(spec, backend);
+  }
 }
 
 // --- golden sweep tables ---------------------------------------------------
@@ -759,9 +799,14 @@ TEST(SweepRunner, FluidBackendNeverDerives) {
   sweep::SweepOptions options;
   options.threads = 1;
   options.backend = sweep::Backend::kFluid;
+  const std::size_t nodes = model.arena().node_count();
+  const std::size_t constants = model.arena().constant_count();
   const sweep::SweepTable table = sweep::sweep(model, spec, options);
   EXPECT_EQ(table.derivations, 0u);
   EXPECT_EQ(table.state_count, 0u);
+  // Points refill one shared vector form: nothing is interned or declared.
+  EXPECT_EQ(model.arena().node_count(), nodes);
+  EXPECT_EQ(model.arena().constant_count(), constants);
   ASSERT_EQ(table.rows.size(), 3u);
   for (const sweep::SweepRow& row : table.rows) {
     ASSERT_TRUE(row.ok()) << row.error;
@@ -773,6 +818,99 @@ TEST(SweepRunner, FluidBackendNeverDerives) {
   // More thinkers per unit time as r grows: throughput is monotone.
   EXPECT_LT(table.rows[0].measures[0], table.rows[1].measures[0]);
   EXPECT_LT(table.rows[1].measures[0], table.rows[2].measures[0]);
+}
+
+/// Sweeps `source` with the fluid backend over `axes` and requires every
+/// row to equal, bit for bit, the fluid solve of the model re-parsed at the
+/// row's values.
+void expect_fluid_rows_match_reparse(const std::string& source,
+                                     const std::vector<sweep::Axis>& axes) {
+  pepa::Model model = pepa::parse_model(source, "fluid");
+  sweep::SweepSpec spec;
+  spec.axes = axes;
+  sweep::SweepOptions options;
+  options.threads = 1;
+  options.backend = sweep::Backend::kFluid;
+  const sweep::SweepTable table = sweep::sweep(model, spec, options);
+  ASSERT_EQ(table.rows.size(), spec.point_count());
+  for (const sweep::SweepRow& row : table.rows) {
+    ASSERT_TRUE(row.ok()) << row.error;
+    pepa::Model reference = pepa::parse_model(
+        with_values(source, spec.parameter_names(), row.values), "reference");
+    pepa::Semantics semantics(reference.arena());
+    const fluid::FluidResult solved =
+        fluid::solve_steady(semantics, reference.system());
+    std::vector<double> expected(reference.arena().action_count() - 1, 0.0);
+    for (const auto& [action, value] : solved.throughputs) {
+      if (action != pepa::kTau) expected[action - 1] = value;
+    }
+    ASSERT_EQ(row.measures.size(), expected.size());
+    for (std::size_t m = 0; m < expected.size(); ++m) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row.measures[m]),
+                std::bit_cast<std::uint64_t>(expected[m]))
+          << table.measures[m] << ": swept " << row.measures[m]
+          << ", re-parsed " << expected[m] << " at " << axes[0].parameter
+          << "=" << row.values[0];
+    }
+  }
+}
+
+TEST(SweepRunner, FluidRowsMatchTheReparsedSolveBitForBit) {
+  // A passive cooperation: thinkers wait passively for a server's reply.
+  expect_fluid_rows_match_reparse(
+      "r = 1.0; s = 2.0;\n"
+      "Think  = (work, r).Wait;\n"
+      "Wait   = (reply, infty).Think;\n"
+      "Server = (work, infty).Busy;\n"
+      "Busy   = (reply, s).Server;\n"
+      "System = Think[20] <work, reply> Server[2];\n"
+      "@system System;\n",
+      {sweep::Axis::list("r", {0.5, 1.0, 3.0}),
+       sweep::Axis::list("s", {0.7, 2.0})});
+  // A scaled tag ("2*r") on a shared action.
+  expect_fluid_rows_match_reparse(
+      "r = 1.0; s = 3.0;\n"
+      "P = (fast, 2*r).Q;\n"
+      "Q = (slow, s).P;\n"
+      "Sink = (fast, infty).Sink;\n"
+      "System = P[3] <fast> Sink;\n"
+      "@system System;\n",
+      {sweep::Axis::list("r", {0.5, 1.0, 4.0})});
+  // Two prefixes with the same action and target: one local transition
+  // whose rate is the sum of both derivatives' rates.
+  expect_fluid_rows_match_reparse(
+      "r = 1.0; s = 2.5; t = 4.0;\n"
+      "P = (a, r).Q + (a, s).Q;\n"
+      "Q = (b, t).P;\n"
+      "System = P[10];\n"
+      "@system System;\n",
+      {sweep::Axis::list("r", {0.3, 1.0, 6.0}),
+       sweep::Axis::list("s", {0.1, 2.5})});
+}
+
+// A model the vector form cannot represent fails every row with the form's
+// own error; the sweep itself completes.
+TEST(SweepRunner, FluidRowsCarryTheVectorFormError) {
+  pepa::Model model = pepa::parse_model(
+      "r = 1.0; s = 2.0;\n"
+      "P = (a, r).P1; P1 = (b, s).P;\n"
+      "Q = (a, infty).Q1; Q1 = (c, s).Q;\n"
+      "System = (P <a> Q) / {a};\n"
+      "@system System;\n",
+      "hidden");
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::list("r", {0.5, 1.0, 2.0})};
+  sweep::SweepOptions options;
+  options.threads = 1;
+  options.backend = sweep::Backend::kFluid;
+  const sweep::SweepTable table = sweep::sweep(model, spec, options);
+  ASSERT_EQ(table.rows.size(), 3u);
+  for (const sweep::SweepRow& row : table.rows) {
+    EXPECT_EQ(row.error,
+              "fluid: hiding or choice over a composition cannot be "
+              "represented as a sequential component");
+    EXPECT_TRUE(row.measures.empty());
+  }
 }
 
 TEST(SweepTable, CsvAndJsonAreWellFormed) {
