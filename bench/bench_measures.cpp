@@ -16,6 +16,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "choreographer/extract_statechart.hpp"
@@ -42,10 +44,10 @@ constexpr std::size_t kOutDegree = 8;
 /// them (evenly spread), the rest cycle through the other action ids.
 explore::TransitionSystem<pepa::StateTransition> synthetic_system(
     std::size_t total) {
-  explore::TransitionSystem<pepa::StateTransition> system;
-  system.reserve(total);
+  auto transitions = std::make_unique<pepa::StateTransition[]>(total);
   const std::size_t states = total / kOutDegree;
   const std::size_t probe_stride = total / kProbedDegree;
+  std::vector<std::size_t> rows(states + 1, 0);
   for (std::size_t i = 0; i < total; ++i) {
     const std::size_t source = i / kOutDegree;
     const std::size_t target = (source * 31 + i) % states;
@@ -53,11 +55,15 @@ explore::TransitionSystem<pepa::StateTransition> synthetic_system(
         i % probe_stride == 0
             ? 0
             : static_cast<pepa::ActionId>(1 + i % kOtherActions);
-    system.push_back({static_cast<std::uint32_t>(source),
+    transitions[i] = {static_cast<std::uint32_t>(source),
                       static_cast<std::uint32_t>(target), action,
-                      1.0 + 0.001 * (i % 7)});
+                      1.0 + 0.001 * (i % 7)};
+    ++rows[source + 1];
   }
-  system.finalize(states);
+  for (std::size_t s = 0; s < states; ++s) rows[s + 1] += rows[s];
+  explore::TransitionSystem<pepa::StateTransition> system;
+  system.assign(std::move(transitions), total, std::move(rows));
+  system.finalize();
   return system;
 }
 

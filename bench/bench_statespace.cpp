@@ -13,7 +13,9 @@
 // the packed state key (64-bit words and the bits of them in use) and the
 // derive's resident bytes per transition: the resident-set growth across
 // the derive, with the space alive, over its transition count, measured
-// on a second, untimed derive of a fresh model.
+// on a second, untimed derive of a fresh model.  The Tomcat, lane and
+// family rows split the derive's clock: "serial ms" is the part outside
+// lane work (DeriveStats::serial_seconds).  Counts print as integers.
 // Benchmarks: marking-graph derivation throughput.
 #include "bench_common.hpp"
 
@@ -35,6 +37,7 @@
 #include "pepanet/netstatespace.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -63,6 +66,12 @@ std::string ring_net(std::size_t places, std::size_t tokens) {
   }
   return source;
 }
+
+/// A count cell, in full (format_double writes 20 as 2e+01).
+std::string count(std::size_t n) { return std::to_string(n); }
+
+/// A measured-value cell.
+std::string value(double v) { return util::format_double(v); }
 
 /// The process's resident set in bytes (/proc/self/statm), after returning
 /// the allocator's free memory to the system so that a derive's growth is
@@ -112,10 +121,8 @@ void report() {
     util::Stopwatch timer;
     const auto space = pepanet::NetStateSpace::derive(semantics);
     const double seconds = timer.seconds();
-    ring.add_row_values(std::to_string(n),
-                        {static_cast<double>(space.marking_count()),
-                         static_cast<double>(space.transitions().size()),
-                         seconds * 1e3});
+    ring.add_row({std::to_string(n), count(space.marking_count()),
+                  count(space.transitions().size()), value(seconds * 1e3)});
     bench::json_record(
         bench::JsonObject()
             .field("model", "pda_handover[" + std::to_string(n) + "tx]")
@@ -136,10 +143,8 @@ void report() {
     util::Stopwatch timer;
     const auto space = pepanet::NetStateSpace::derive(semantics);
     const double seconds = timer.seconds();
-    tokens.add_row_values(std::to_string(t),
-                          {static_cast<double>(space.marking_count()),
-                           static_cast<double>(space.transitions().size()),
-                           seconds * 1e3});
+    tokens.add_row({std::to_string(t), count(space.marking_count()),
+                    count(space.transitions().size()), value(seconds * 1e3)});
     bench::json_record(
         bench::JsonObject()
             .field("model", "ring3[" + std::to_string(t) + "tok]")
@@ -157,8 +162,8 @@ void report() {
   // of the end-to-end project_large workload, at one and two lanes.
   util::ThreadPool population_pool(1);  // 2 lanes = 1 worker + the caller
   util::TextTable clients({"clients", "lanes", "states", "transitions",
-                           "key bits", "derive ms", "B/transition",
-                           "teardown ms"});
+                           "key bits", "derive ms", "serial ms",
+                           "B/transition", "teardown ms"});
   for (std::size_t c : {1u, 2u, 4u, 6u, 8u, 10u, 12u}) {
     for (const std::size_t threads : {1u, 2u}) {
       chor::TomcatParams params;
@@ -178,17 +183,16 @@ void report() {
       const std::size_t transitions = space->transitions().size();
       const std::size_t key_words = space->key_words();
       const std::size_t key_bits = space->key_bits();
+      const double serial = space->stats().serial_seconds;
       const double teardown = timed_teardown(space, semantics, extraction);
       auto fresh =
           chor::extract_state_machines(chor::tomcat_model(false, params));
       const double per_transition =
           resident_bytes_per_transition(fresh.model, options);
-      clients.add_row_values(std::to_string(c),
-                             {static_cast<double>(threads),
-                              static_cast<double>(states),
-                              static_cast<double>(transitions),
-                              static_cast<double>(key_bits), seconds * 1e3,
-                              per_transition, teardown * 1e3});
+      clients.add_row({std::to_string(c), count(threads), count(states),
+                       count(transitions), count(key_bits),
+                       value(seconds * 1e3), value(serial * 1e3),
+                       value(per_transition), value(teardown * 1e3)});
       bench::json_record(
           bench::JsonObject()
               .field("model", "tomcat[" + std::to_string(c) + "cl]")
@@ -198,6 +202,7 @@ void report() {
               .field("key_words", key_words)
               .field("key_bits", key_bits)
               .field("seconds", seconds)
+              .field("serial_seconds", serial)
               .field("bytes_per_transition", per_transition)
               .field("teardown_seconds", teardown)
               .field("states_per_second",
@@ -213,7 +218,7 @@ void report() {
   // graph, so only "derive ms" may move.
   util::ThreadPool pool(4);
   util::TextTable lanes({"model", "lanes", "states", "derive ms",
-                         "states/s"});
+                         "serial ms", "states/s"});
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     chor::PdaParams params;
     params.transmitters = 128;
@@ -227,16 +232,17 @@ void report() {
     const auto space = pepanet::NetStateSpace::derive(semantics, options);
     const double seconds = timer.seconds();
     const double rate = static_cast<double>(space.marking_count()) / seconds;
-    lanes.add_row_values("pda_handover[128tx] x" + std::to_string(threads),
-                         {static_cast<double>(threads),
-                          static_cast<double>(space.marking_count()),
-                          seconds * 1e3, rate});
+    const double serial = space.stats().serial_seconds;
+    lanes.add_row({"pda_handover[128tx] x" + std::to_string(threads),
+                   count(threads), count(space.marking_count()),
+                   value(seconds * 1e3), value(serial * 1e3), value(rate)});
     bench::json_record(bench::JsonObject()
                            .field("model", "pda_handover[128tx]")
                            .field("threads", threads)
                            .field("states", space.marking_count())
                            .field("transitions", space.transitions().size())
                            .field("seconds", seconds)
+                           .field("serial_seconds", serial)
                            .field("states_per_second", rate));
   }
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
@@ -253,16 +259,17 @@ void report() {
         semantics, extraction.model.system(), options);
     const double seconds = timer.seconds();
     const double rate = static_cast<double>(space.state_count()) / seconds;
-    lanes.add_row_values("tomcat[8cl] x" + std::to_string(threads),
-                         {static_cast<double>(threads),
-                          static_cast<double>(space.state_count()),
-                          seconds * 1e3, rate});
+    const double serial = space.stats().serial_seconds;
+    lanes.add_row({"tomcat[8cl] x" + std::to_string(threads), count(threads),
+                   count(space.state_count()), value(seconds * 1e3),
+                   value(serial * 1e3), value(rate)});
     bench::json_record(bench::JsonObject()
                            .field("model", "tomcat[8cl]")
                            .field("threads", threads)
                            .field("states", space.state_count())
                            .field("transitions", space.transitions().size())
                            .field("seconds", seconds)
+                           .field("serial_seconds", serial)
                            .field("states_per_second", rate));
   }
   std::cout << "exploration lanes (identical graphs at every lane count):\n"
@@ -304,7 +311,8 @@ void report() {
   };
   util::ThreadPool sweep_pool(7);  // 8 lanes = 7 workers + the caller
   util::TextTable sweep({"model", "lanes", "states", "key bits", "derive ms",
-                         "states/s", "B/transition", "teardown ms"});
+                         "serial ms", "states/s", "B/transition",
+                         "teardown ms"});
   for (const SweepPoint& point : sweep_points) {
     for (const std::size_t threads : point.lane_counts) {
       auto model = std::make_unique<pepa::Model>(point.build());
@@ -320,17 +328,17 @@ void report() {
       const std::size_t transitions = space->transitions().size();
       const std::size_t key_words = space->key_words();
       const std::size_t key_bits = space->key_bits();
+      const double serial = space->stats().serial_seconds;
       CHOREO_ASSERT(states == point.expected_states);
       const double teardown = timed_teardown(space, semantics, model);
       pepa::Model fresh = point.build();
       const double per_transition =
           resident_bytes_per_transition(fresh, options);
       const double rate = static_cast<double>(states) / seconds;
-      sweep.add_row_values(point.label + " x" + std::to_string(threads),
-                           {static_cast<double>(threads),
-                            static_cast<double>(states),
-                            static_cast<double>(key_bits), seconds * 1e3, rate,
-                            per_transition, teardown * 1e3});
+      sweep.add_row({point.label + " x" + std::to_string(threads),
+                     count(threads), count(states), count(key_bits),
+                     value(seconds * 1e3), value(serial * 1e3), value(rate),
+                     value(per_transition), value(teardown * 1e3)});
       bench::json_record(bench::JsonObject()
                              .field("model", point.label)
                              .field("threads", threads)
@@ -339,6 +347,7 @@ void report() {
                              .field("key_words", key_words)
                              .field("key_bits", key_bits)
                              .field("seconds", seconds)
+                             .field("serial_seconds", serial)
                              .field("bytes_per_transition", per_transition)
                              .field("teardown_seconds", teardown)
                              .field("states_per_second", rate));
@@ -388,10 +397,9 @@ void report() {
     CHOREO_ASSERT(space.state_count() == point.quotient_states);
     const double reduction = static_cast<double>(point.full_states) /
                              static_cast<double>(point.quotient_states);
-    quotient_table.add_row_values(
-        point.label, {static_cast<double>(point.full_states),
-                      static_cast<double>(space.state_count()), reduction,
-                      seconds * 1e3});
+    quotient_table.add_row({point.label, count(point.full_states),
+                            count(space.state_count()), value(reduction),
+                            value(seconds * 1e3)});
     bench::json_record(bench::JsonObject()
                            .field("model", point.label + " quotient")
                            .field("threads", std::size_t{1})

@@ -16,7 +16,7 @@ for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 cmake -B build-tsan -G Ninja -DCHOREO_SANITIZE=thread
 cmake --build build-tsan --target test_parallel_statespace test_service \
   test_metrics test_util test_quotient test_pepa_semantics test_pepa_ast \
-  test_leaf_vector_derive
+  test_leaf_vector_derive test_explore_engine test_golden_artifacts
 ./build-tsan/tests/test_parallel_statespace 2>&1 | tee tsan_output.txt
 ./build-tsan/tests/test_service 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_metrics 2>&1 | tee -a tsan_output.txt
@@ -28,6 +28,10 @@ cmake --build build-tsan --target test_parallel_statespace test_service \
 ./build-tsan/tests/test_quotient 2>&1 | tee -a tsan_output.txt
 # The leaf-vector derive against the term derive at several lane counts.
 ./build-tsan/tests/test_leaf_vector_derive 2>&1 | tee -a tsan_output.txt
+# The engine's edge cases, and the goldens derived at lanes 1, 2 and 8: the
+# lanes write each level's transitions while the next level expands.
+./build-tsan/tests/test_explore_engine 2>&1 | tee -a tsan_output.txt
+./build-tsan/tests/test_golden_artifacts 2>&1 | tee -a tsan_output.txt
 # The semantics memo and the arena's intern tables under concurrent use.
 ./build-tsan/tests/test_pepa_semantics 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_pepa_ast 2>&1 | tee -a tsan_output.txt

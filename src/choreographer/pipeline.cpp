@@ -39,6 +39,7 @@ StageTimings& StageTimings::operator+=(const StageTimings& other) {
   iterations += other.iterations;
   residual = std::max(residual, other.residual);
   derive_stats.seconds += other.derive_stats.seconds;
+  derive_stats.serial_seconds += other.derive_stats.serial_seconds;
   derive_stats.levels += other.derive_stats.levels;
   derive_stats.dedup_hits += other.derive_stats.dedup_hits;
   derive_stats.dedup_misses += other.derive_stats.dedup_misses;

@@ -3,10 +3,10 @@
 // Both Figure-4 derivations — PEPA state spaces (state diagrams) and
 // PEPA-net marking graphs (activity diagrams) — are breadth-first
 // explorations of a derivation graph with identical structure: expand the
-// states of one level in parallel lanes, then number the discovered states
-// and emit the transitions serially in canonical order.  This header is the
-// single implementation of that loop; pepa::StateSpace::derive and
-// pepanet::NetStateSpace::derive_from are thin policies over it.
+// states of one level in parallel lanes, number the newly discovered states
+// serially in canonical order, and write the level's transitions.  This
+// header is the single implementation of that loop; pepa::StateSpace::derive
+// and pepanet::NetStateSpace::derive_from are thin policies over it.
 //
 // The parallel phase is built to make extra lanes actually pay:
 //
@@ -17,7 +17,8 @@
 //   - lock-free pre-resolution: the state index (explore::StateIndex, a
 //     flat {hash tag, state id} table over `states`) is read-only while a
 //     level expands, so each lane looks its transition targets up without a
-//     lock and keeps each target's hash for the serial phase;
+//     lock, keeps each target's hash, and lists the moves it could not
+//     resolve — the targets first discovered in this level;
 //   - one move buffer per chunk, reused from level to level, instead of
 //     one vector per expanded state;
 //   - a latch instead of a future join: the calling thread is itself a
@@ -25,22 +26,36 @@
 //     queue while the remaining lanes finish — no per-level sleep on a
 //     vector of futures.
 //
-// The serial phase stays the ordering authority.  It walks the chunks in
-// canonical order and finds or inserts each target the lanes left
-// unresolved directly in the index, so a state discovered twice in one
-// level is numbered once, by its canonically first occurrence; it is the
-// only writer of `states` and the index.
+// The serial phase stays the ordering authority, and does only what needs
+// one: it walks the unresolved moves of each chunk in canonical order and
+// finds or inserts their targets directly in the index, so a state
+// discovered twice in one level is numbered once, by its canonically first
+// occurrence; it is the only writer of `states` and the index.  A chunk
+// holding a passive move or an expansion error is walked move by move
+// instead, so every error surfaces at its canonical position.  The serial
+// phase then sizes the level's transition block exactly from the chunks'
+// move counts.
+//
+// The commit contract: the transitions are written by the lanes, not by
+// the serial phase.  Level k's chunks are kept until level k + 1's fork,
+// whose lanes write each chunk's transitions (Write's records, at the
+// positions a prefix sum over the chunks assigns) into level k's block,
+// together with the source-row index of its states — the states of one
+// level are a contiguous id range, so their rows are too.  After the last
+// level one more fork writes that level and joins the earlier blocks into
+// the final array, freeing each block as it goes; nothing is ever regrown.
 //
 // The engine is parameterised over the state type and its hash, the
-// successor function, the canonicalization stage and the move-commit
-// callback, and preserves the
-// guarantees the two former copies established:
+// successor function, the canonicalization stage, a representability check
+// and the transition writer, and preserves the guarantees the two former
+// copies established:
 //
 //   - canonical FIFO numbering: state ids, transition order and every
 //     downstream artifact (generator matrix, annotated XMI, DOT dumps,
 //     cache keys) are byte-identical at every lane count, because the
-//     serial phase renumbers discoveries in source-index-then-move order —
-//     exactly the order a sequential FIFO exploration assigns;
+//     serial phase numbers discoveries in source-index-then-move order —
+//     exactly the order a sequential FIFO exploration assigns — and every
+//     transition's position follows from the move counts alone;
 //   - deterministic errors: expansion failures are captured per state and
 //     the canonically-first one is rethrown, and the shared diagnostics
 //     (state-space explosion, passive-at-top-level) keep the exact texts
@@ -73,20 +88,28 @@
 //               the identity (full-space) behaviour.
 //   ActionName  callable Move-const-ref -> printable action name, used in
 //               the passive-at-top-level diagnostic.
-//   Commit      callable (source index, Move&, target index), invoked
-//               serially in canonical order; `move.target` may already be
-//               moved-from when the target was newly interned.
+//   Representable callable State-const-ref -> bool, asked serially of each
+//               state right after it is numbered (and charged); false
+//               raises the state-space explosion.  AllRepresentable accepts
+//               every state.
+//   Write       callable (source index, Move-const-ref, target index) ->
+//               Transition, the record stored at the move's canonical
+//               position.  Called concurrently from the lanes, so it must
+//               be thread-safe; `move.target` may be moved-from (the
+//               target was numbered by this move).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "explore/state_index.hpp"
+#include "explore/transition_system.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
@@ -112,6 +135,9 @@ struct DeriveStats {
   std::size_t canonical_rewrites = 0;
   /// Wall-clock derivation time.
   double seconds = 0.0;
+  /// The part of `seconds` spent outside lane work: numbering, block
+  /// allocation and everything else the calling thread does alone.
+  double serial_seconds = 0.0;
 };
 
 struct EngineOptions {
@@ -146,24 +172,30 @@ struct EngineOptions {
 inline constexpr std::size_t kUnresolved = StateIndex::kAbsent;
 
 /// One move recorded by an expansion lane: the move itself, its target's
-/// hash, and the target's state index when it was already numbered in an
-/// earlier level.
+/// hash, and the target's state index — set by the lane when the target was
+/// numbered in an earlier level, else by the serial phase.
 template <typename Move>
 struct PendingMove {
   Move move;
   std::uint64_t hash = 0;
-  std::size_t resolved = kUnresolved;
+  std::size_t target = kUnresolved;
 };
 
 /// The moves of one work-stealing chunk of a level, states [begin, end),
 /// in canonical order; `ends[k]` closes the moves of state begin + k.
 template <typename Move>
 struct ExpandedChunk {
-  bool used = false;
   std::size_t begin = 0;
   std::size_t end = 0;
   std::vector<PendingMove<Move>> moves;
   std::vector<std::size_t> ends;
+  /// Positions in `moves` of the moves the lane left unresolved.
+  std::vector<std::size_t> unresolved;
+  /// The chunk holds a passive move or an expansion error, so the serial
+  /// phase walks it move by move.
+  bool walk_whole = false;
+  /// Position of the chunk's first transition in its level's block.
+  std::size_t first = 0;
 };
 
 /// The identity canonicalization: every state is its own representative, so
@@ -175,32 +207,42 @@ struct NoCanonicalize {
   }
 };
 
+/// Every numbered state is representable: only the engine's own count
+/// raises the state-space explosion.
+struct AllRepresentable {
+  template <typename State>
+  bool operator()(const State&) const noexcept {
+    return true;
+  }
+};
+
 /// Explores from `initial`, appending discovered states to `states` (state
 /// 0 is the initial state) and indexing them in `index` under Hash; both
 /// are expected empty.  Every state — the initial one and each successor
 /// target — passes through `canonicalize` before lookup or interning, so
 /// the explored space is the quotient of the derivation graph under the
 /// canonicalizer's equivalence (pass NoCanonicalize for the full space).
-/// Transitions are handed to `commit` in canonical order.  Returns the
-/// exploration counters (seconds covers the exploration loop only; callers
-/// usually overwrite it with their own stopwatch).
+/// Each transition is the record `write` makes of it, stored in canonical
+/// order into `transitions` with its source-row index (the caller builds
+/// the action index with finalize()).  Returns the exploration counters
+/// (seconds covers the exploration loop only; callers usually widen it to
+/// their own stopwatch, adding the difference to serial_seconds).
 template <typename Hash, typename State, typename Successors,
-          typename Canonicalize, typename ActionName, typename Commit>
+          typename Canonicalize, typename ActionName, typename Representable,
+          typename Write, typename Transition>
 DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
                 Successors&& successors, Canonicalize&& canonicalize,
-                ActionName&& action_name, Commit&& commit,
+                ActionName&& action_name, Representable&& representable,
+                Write&& write, TransitionSystem<Transition>& transitions,
                 const EngineOptions& options) {
   util::Stopwatch timer;
+  double lane_seconds = 0.0;
   DeriveStats stats;
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::ThreadPool::shared();
   const std::size_t lanes =
       options.threads == 0 ? pool.worker_count() + 1 : options.threads;
   const Hash hash;
-
-  // The states of the level being expanded, in canonical (index) order.
-  std::vector<std::size_t> frontier;
-  std::vector<std::size_t> level;
 
   // Expansion lanes count their rewrites locally and fold them in here once
   // per chunk; the serial phases add theirs directly to `stats`.
@@ -210,74 +252,142 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
   states.push_back(std::move(initial));
   index.insert(hash(states[0]), 0);
   ++stats.dedup_misses;
-  frontier.push_back(0);
   if (options.budget != nullptr) {
     options.budget->charge_states(1, options.bytes_per_state);
   }
 
   using Move = typename std::decay_t<
       decltype(successors(std::declval<const State&>()))>::value_type;
+  using Chunks = std::vector<ExpandedChunk<Move>>;
 
-  // Chunk buffers live across levels, so a level reuses the capacity the
-  // previous ones grew.
-  std::vector<ExpandedChunk<Move>> chunks;
+  /// A level's transitions: `count` records at global positions
+  /// [base, base + count), written into `data` until the final join.
+  struct Block {
+    std::unique_ptr<Transition[]> data;
+    std::size_t base = 0;
+    std::size_t count = 0;
+  };
+  /// The level whose transitions the next fork writes: its states [first,
+  /// first + chunks' extent), its chunks and its block.
+  struct Written {
+    std::size_t first = 0;
+    Chunks* chunks = nullptr;
+    std::size_t chunk_count = 0;
+    Transition* out = nullptr;
+    std::size_t base = 0;
+  };
+
+  // Two chunk sets: a level expands into one while the lanes write the
+  // previous level's transitions out of the other.  Each reuses the
+  // capacity its earlier levels grew.
+  Chunks chunk_sets[2];
+  std::vector<Block> blocks;
+  std::vector<std::size_t> rows(1, 0);
+  std::size_t total = 0;
   std::vector<std::exception_ptr> errors;
 
-  while (!frontier.empty()) {
+  auto explosion = [&options] {
+    return util::BudgetError(util::msg(
+        options.space_noun, " exceeds the configured bound of ",
+        options.max_states, " ", options.state_noun,
+        " (state-space explosion)"));
+  };
+
+  // Writes one chunk's transitions from level.out[chunk.first] on and
+  // closes the rows of its states.
+  auto write_chunk = [&](const Written& level,
+                         const ExpandedChunk<Move>& chunk) {
+    std::size_t at = 0;
+    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+      const std::size_t source = level.first + i;
+      for (const std::size_t stop = chunk.ends[i - chunk.begin]; at < stop;
+           ++at) {
+        const PendingMove<Move>& pending = chunk.moves[at];
+        level.out[chunk.first + at] =
+            write(source, pending.move, pending.target);
+      }
+      rows[source + 1] = level.base + chunk.first + at;
+    }
+  };
+
+  // Runs `tasks` task indices over the lanes (inline at one lane).
+  auto fork = [&](std::size_t tasks, auto&& task) {
+    const double start = timer.seconds();
+    auto body = [&task](std::size_t begin, std::size_t end) {
+      for (std::size_t t = begin; t < end; ++t) task(t);
+    };
+    if (lanes <= 1 || tasks <= 1) {
+      body(0, tasks);
+    } else {
+      pool.parallel_for_dynamic(tasks, 1, lanes, body);
+    }
+    lane_seconds += timer.seconds() - start;
+  };
+
+  std::size_t level_first = 0;
+  std::size_t level_size = 1;
+  Written pending_write;  // nothing to write before the first level
+  for (std::size_t parity = 0; level_size != 0; parity ^= 1) {
     ++stats.levels;
-    stats.peak_frontier = std::max(stats.peak_frontier, frontier.size());
+    stats.peak_frontier = std::max(stats.peak_frontier, level_size);
     // The cooperative governance point: once per level, after recording the
     // level in the accounting (so partial stats cover the level being
     // abandoned), before the expensive expansion.  Level granularity keeps
     // exploration deterministic — uninterrupted runs never observe it.
     if (options.budget != nullptr) {
-      options.budget->note_level(frontier.size());
+      options.budget->note_level(level_size);
       options.budget->check("derive");
     }
-    level.swap(frontier);
-    frontier.clear();
 
-    // Parallel phase: expand every level state into its chunk's buffer.
-    // The lanes call the successor function concurrently (the policy must
-    // be thread-safe) and resolve targets against the index, which only the
-    // serial phase below writes, between levels.  Errors are captured per
-    // state so the canonically-first one can be rethrown deterministically.
+    // Parallel phase: expand every level state into its chunk's buffer,
+    // and write the previous level's transitions.  The lanes call the
+    // successor function concurrently (the policy must be thread-safe) and
+    // resolve targets against the index, which only the serial phase below
+    // writes, between forks.  Errors are captured per state so the
+    // canonically-first one can be rethrown deterministically.
+    Chunks& chunks = chunk_sets[parity];
     const std::size_t grain =
-        lanes <= 1 ? std::max<std::size_t>(level.size(), 1)
-                   : std::clamp<std::size_t>(level.size() / (lanes * 8), 1,
-                                             128);
-    const std::size_t chunk_count = (level.size() + grain - 1) / grain;
+        lanes <= 1 ? level_size
+                   : std::clamp<std::size_t>(level_size / (lanes * 8), 1, 128);
+    const std::size_t chunk_count = (level_size + grain - 1) / grain;
     if (chunks.size() < chunk_count) chunks.resize(chunk_count);
-    for (std::size_t c = 0; c < chunk_count; ++c) chunks[c].used = false;
-    errors.assign(level.size(), nullptr);
-    auto expand = [&](std::size_t begin, std::size_t end) {
-      ExpandedChunk<Move>& chunk = chunks[begin / grain];
-      chunk.used = true;
-      chunk.begin = begin;
-      chunk.end = end;
+    errors.assign(level_size, nullptr);
+    auto expand = [&](std::size_t c) {
+      ExpandedChunk<Move>& chunk = chunks[c];
+      chunk.begin = c * grain;
+      chunk.end = std::min(chunk.begin + grain, level_size);
       chunk.moves.clear();
       chunk.ends.clear();
+      chunk.unresolved.clear();
+      chunk.walk_whole = false;
       std::size_t local_rewrites = 0;
-      for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         const std::size_t first = chunk.moves.size();
+        const std::size_t first_unresolved = chunk.unresolved.size();
         try {
-          auto&& found = successors(states[level[i]]);
+          auto&& found = successors(states[level_first + i]);
           for (auto& move : found) {
             // Moves out of an owned vector, copies out of a view.
             chunk.moves.push_back({std::move(move)});
             PendingMove<Move>& pending = chunk.moves.back();
+            if (pending.move.rate.is_passive()) chunk.walk_whole = true;
             // Canonicalize before the lookup, so the index only ever sees
             // (and interns) canonical representatives.
             if (canonicalize(pending.move.target)) ++local_rewrites;
             pending.hash = hash(pending.move.target);
-            pending.resolved = index.find(
+            pending.target = index.find(
                 pending.hash, [&states, &pending](std::size_t id) {
                   return states[id] == pending.move.target;
                 });
+            if (pending.target == kUnresolved) {
+              chunk.unresolved.push_back(chunk.moves.size() - 1);
+            }
           }
         } catch (...) {
           errors[i] = std::current_exception();
+          chunk.walk_whole = true;
           chunk.moves.erase(chunk.moves.begin() + first, chunk.moves.end());
+          chunk.unresolved.resize(first_unresolved);
         }
         chunk.ends.push_back(chunk.moves.size());
       }
@@ -285,15 +395,17 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
         rewrites.fetch_add(local_rewrites, std::memory_order_relaxed);
       }
     };
-    if (lanes <= 1 || level.size() <= 1) {
-      expand(0, level.size());
-    } else {
-      pool.parallel_for_dynamic(level.size(), grain, lanes, expand);
-    }
+    fork(chunk_count + pending_write.chunk_count, [&](std::size_t t) {
+      if (t < chunk_count) {
+        expand(t);
+      } else {
+        write_chunk(pending_write, (*pending_write.chunks)[t - chunk_count]);
+      }
+    });
 
-    // Serial phase: number the discovered states and commit transitions in
-    // canonical order — source index, then move order — which is the order
-    // the sequential FIFO exploration produces.
+    // Serial phase: number the discovered states in canonical order —
+    // source index, then move order — which is the order the sequential
+    // FIFO exploration produces.
     const std::size_t known_before = states.size();
     auto charge_level = [&] {
       if (options.budget != nullptr) {
@@ -302,44 +414,50 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
             (states.size() - known_before) * options.bytes_per_state);
       }
     };
+    auto resolve = [&](PendingMove<Move>& pending) {
+      pending.target = index.find(pending.hash, [&](std::size_t id) {
+        return states[id] == pending.move.target;
+      });
+      if (pending.target != kUnresolved) {
+        ++stats.dedup_hits;
+        return;
+      }
+      if (states.size() >= options.max_states) throw explosion();
+      pending.target = states.size();
+      states.push_back(std::move(pending.move.target));
+      index.insert(pending.hash, pending.target);
+      ++stats.dedup_misses;
+      if (!representable(states.back())) throw explosion();
+    };
+    std::size_t level_count = 0;
     try {
       for (std::size_t c = 0; c < chunk_count; ++c) {
         ExpandedChunk<Move>& chunk = chunks[c];
-        if (!chunk.used) continue;  // covered by an earlier, wider call
+        chunk.first = level_count;
+        level_count += chunk.moves.size();
+        if (!chunk.walk_whole) {
+          stats.dedup_hits += chunk.moves.size() - chunk.unresolved.size();
+          for (const std::size_t at : chunk.unresolved) {
+            resolve(chunk.moves[at]);
+          }
+          continue;
+        }
         std::size_t at = 0;
         for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
           if (errors[i]) std::rethrow_exception(errors[i]);
-          const std::size_t source = level[i];
           for (const std::size_t stop = chunk.ends[i - chunk.begin]; at < stop;
                ++at) {
             PendingMove<Move>& pending = chunk.moves[at];
-            Move& move = pending.move;
-            if (move.rate.is_passive()) {
-              throw util::ModelError(util::msg(
-                  "activity '", action_name(move), options.passive_suffix));
+            if (pending.move.rate.is_passive()) {
+              throw util::ModelError(util::msg("activity '",
+                                               action_name(pending.move),
+                                               options.passive_suffix));
             }
-            std::size_t target = pending.resolved;
-            if (target == kUnresolved) {
-              target = index.find(pending.hash, [&states, &move](std::size_t id) {
-                return states[id] == move.target;
-              });
-            }
-            if (target != kUnresolved) {
+            if (pending.target != kUnresolved) {
               ++stats.dedup_hits;
             } else {
-              if (states.size() >= options.max_states) {
-                throw util::BudgetError(util::msg(
-                    options.space_noun, " exceeds the configured bound of ",
-                    options.max_states, " ", options.state_noun,
-                    " (state-space explosion)"));
-              }
-              target = states.size();
-              states.push_back(std::move(move.target));
-              index.insert(pending.hash, target);
-              ++stats.dedup_misses;
-              frontier.push_back(target);
+              resolve(pending);
             }
-            commit(source, move, target);
           }
         }
       }
@@ -351,9 +469,43 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
       throw;
     }
     charge_level();
+
+    // The next fork writes this level: into an exactly-sized block when a
+    // level follows, else straight into the joined array below.
+    pending_write = {level_first, &chunks, chunk_count, nullptr, total};
+    level_first = known_before;
+    level_size = states.size() - known_before;
+    if (level_size != 0) {
+      Block& block = blocks.emplace_back();
+      block.data = std::make_unique_for_overwrite<Transition[]>(level_count);
+      block.base = total;
+      block.count = level_count;
+      pending_write.out = block.data.get();
+    }
+    total += level_count;
+    rows.resize(states.size() + 1);
   }
+
+  // The last level's writes and the join of the earlier blocks, in one
+  // fork; each block is freed once copied.  The blocks and the last level
+  // tile [0, total), so every record of the array is written before the
+  // array is handed over, as every record of a block is before its copy.
+  auto joined = std::make_unique_for_overwrite<Transition[]>(total);
+  pending_write.out = joined.get() + pending_write.base;
+  fork(blocks.size() + pending_write.chunk_count, [&](std::size_t t) {
+    if (t < blocks.size()) {
+      Block& block = blocks[t];
+      std::copy_n(block.data.get(), block.count, joined.get() + block.base);
+      block.data.reset();
+    } else {
+      write_chunk(pending_write, (*pending_write.chunks)[t - blocks.size()]);
+    }
+  });
+  transitions.assign(std::move(joined), total, std::move(rows));
+
   stats.canonical_rewrites += rewrites.load(std::memory_order_relaxed);
   stats.seconds = timer.seconds();
+  stats.serial_seconds = stats.seconds - lane_seconds;
   return stats;
 }
 

@@ -3,11 +3,13 @@
 // syntactic state spaces to compact numerical representations.
 //
 // The exploration engine emits transitions grouped by source in canonical
-// order, so the flat payload array IS the CSR value array: finalize() only
-// has to record the row boundaries (an offsets array indexed by source) and
-// a second, action-keyed CSR index (a stable counting sort of transition
-// positions by action id).  The two indexes make the measures that used to
-// scan the whole transition vector per query O(degree) slice lookups:
+// order, so the flat payload array IS the CSR value array, and the engine
+// hands it over with its row boundaries (an offsets array indexed by
+// source), which its lanes write beside the transitions.  finalize() only
+// adds a second, action-keyed CSR index (a stable counting sort of
+// transition positions by action id).  The two indexes make the measures
+// that used to scan the whole transition vector per query O(degree) slice
+// lookups:
 //
 //   from(source)                all transitions leaving one state
 //   action_transitions(action)  positions of an action's transitions, in
@@ -25,8 +27,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -38,75 +42,74 @@ class TransitionSystem {
  public:
   using value_type = Transition;
 
-  /// Appends one transition.  Sources must be non-decreasing — the
-  /// canonical emission order of level-synchronous exploration.
-  void push_back(Transition transition) {
-    CHOREO_ASSERT(transitions_.empty() ||
-                  transition.source >= transitions_.back().source);
-    transitions_.push_back(std::move(transition));
+  /// Takes the explored transitions, `count` records in canonical emission
+  /// order (grouped by source), and their source-row index: row_offsets[s]
+  /// .. row_offsets[s + 1] are the transitions leaving state s, for every
+  /// state s < row_offsets.size() - 1.  The array is the writer's own (the
+  /// engine's lanes fill one allocated for overwrite, never zero-filled).
+  void assign(std::unique_ptr<Transition[]> transitions, std::size_t count,
+              std::vector<std::size_t> row_offsets) {
+    CHOREO_ASSERT(!row_offsets.empty() && row_offsets.back() == count);
+    transitions_ = std::move(transitions);
+    size_ = count;
+    row_offsets_ = std::move(row_offsets);
   }
 
-  void reserve(std::size_t n) { transitions_.reserve(n); }
-
-  /// Builds the source-row and action indexes.  Call once, after
-  /// exploration, with the final state count; O(transitions + states +
-  /// actions).  Throws util::ModelError when the transition positions do
+  /// Builds the action index over the assigned transitions; O(transitions
+  /// + actions).  Throws util::ModelError when the transition positions do
   /// not fit in 32 bits.
-  void finalize(std::size_t state_count) {
-    if (transitions_.size() > kMaxTransitions) {
+  void finalize() {
+    if (size_ > kMaxTransitions) {
       throw util::ModelError(
-          "transition system of " + std::to_string(transitions_.size()) +
+          "transition system of " + std::to_string(size_) +
           " transitions is too large for 32-bit transition positions");
     }
-    row_offsets_.assign(state_count + 1, 0);
-    std::size_t max_action = 0;
-    for (const Transition& t : transitions_) {
-      CHOREO_ASSERT(t.source < state_count && t.target < state_count);
-      ++row_offsets_[t.source + 1];
-      max_action = std::max(max_action, static_cast<std::size_t>(t.action));
+    // Count pass, widening the offsets as larger action ids appear.
+    action_offsets_.assign(1, 0);
+    const std::size_t states = state_count();
+    for (const Transition& t : transitions()) {
+      CHOREO_ASSERT(t.target < states);
+      const auto action = static_cast<std::size_t>(t.action);
+      if (action + 2 > action_offsets_.size()) {
+        action_offsets_.resize(action + 2, 0);
+      }
+      ++action_offsets_[action + 1];
     }
-    for (std::size_t s = 0; s < state_count; ++s) {
-      row_offsets_[s + 1] += row_offsets_[s];
-    }
-    const std::size_t actions = transitions_.empty() ? 0 : max_action + 1;
-    action_offsets_.assign(actions + 1, 0);
-    for (const Transition& t : transitions_) {
-      ++action_offsets_[static_cast<std::size_t>(t.action) + 1];
-    }
+    const std::size_t actions = action_offsets_.size() - 1;
     for (std::size_t a = 0; a < actions; ++a) {
       action_offsets_[a + 1] += action_offsets_[a];
     }
     // Stable counting sort: within one action, positions keep emission
-    // order, so slice iteration reproduces the flat scan exactly.
-    by_action_.resize(transitions_.size());
+    // order, so slice iteration reproduces the flat scan exactly.  Every
+    // slot is written, so the array is not zero-filled first.
+    by_action_ = std::make_unique_for_overwrite<std::uint32_t[]>(size_);
     std::vector<std::size_t> cursor(action_offsets_.begin(),
                                     action_offsets_.begin() + actions);
-    for (std::size_t i = 0; i < transitions_.size(); ++i) {
+    for (std::size_t i = 0; i < size_; ++i) {
       by_action_[cursor[static_cast<std::size_t>(transitions_[i].action)]++] =
           static_cast<std::uint32_t>(i);
     }
   }
 
-  std::size_t size() const noexcept { return transitions_.size(); }
-  bool empty() const noexcept { return transitions_.empty(); }
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
 
-  /// States covered by the row index (set by finalize()).
+  /// States covered by the row index (set by assign()).
   std::size_t state_count() const noexcept {
     return row_offsets_.empty() ? 0 : row_offsets_.size() - 1;
   }
 
   /// The flat payload, in canonical emission order (grouped by source).
-  const std::vector<Transition>& transitions() const noexcept {
-    return transitions_;
+  std::span<const Transition> transitions() const noexcept {
+    return {transitions_.get(), size_};
   }
 
   const Transition& operator[](std::size_t i) const { return transitions_[i]; }
 
   /// CSR row slice: every transition leaving `source`.
   std::span<const Transition> from(std::size_t source) const {
-    return std::span<const Transition>(transitions_)
-        .subspan(row_offsets_[source],
-                 row_offsets_[source + 1] - row_offsets_[source]);
+    return transitions().subspan(
+        row_offsets_[source], row_offsets_[source + 1] - row_offsets_[source]);
   }
 
   std::size_t out_degree(std::size_t source) const {
@@ -122,9 +125,8 @@ class TransitionSystem {
   /// carrying `action`; empty for actions outside the index.
   std::span<const std::uint32_t> action_transitions(std::size_t action) const {
     if (action + 1 >= action_offsets_.size()) return {};
-    return std::span<const std::uint32_t>(by_action_)
-        .subspan(action_offsets_[action],
-                 action_offsets_[action + 1] - action_offsets_[action]);
+    return {by_action_.get() + action_offsets_[action],
+            action_offsets_[action + 1] - action_offsets_[action]};
   }
 
   /// States enabling no move at all — the empty rows of the source index.
@@ -153,13 +155,14 @@ class TransitionSystem {
   /// The largest transition count the 32-bit positions index.
   static constexpr std::size_t kMaxTransitions = 0xFFFFFFFFu;
 
-  std::vector<Transition> transitions_;
+  std::unique_ptr<Transition[]> transitions_;
+  std::size_t size_ = 0;
   /// row_offsets_[s]..row_offsets_[s+1]: the transitions leaving state s.
   std::vector<std::size_t> row_offsets_;
   /// action_offsets_[a]..action_offsets_[a+1]: slice of by_action_ holding
   /// the positions of action a's transitions, in emission order.
   std::vector<std::size_t> action_offsets_;
-  std::vector<std::uint32_t> by_action_;
+  std::unique_ptr<std::uint32_t[]> by_action_;
 };
 
 }  // namespace choreo::explore

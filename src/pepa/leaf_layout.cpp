@@ -101,6 +101,7 @@ LeafLayout::LeafLayout(Semantics& semantics, ProcessId system,
     }
     truncated_ = truncated_ || tables_[t].truncated;
   }
+  mark_raises();
 
   // Key geometry: fields left to right, a new word whenever a field would
   // straddle.
@@ -195,6 +196,36 @@ void LeafLayout::collect_groups(std::uint32_t n,
   }
   for (Group& group : found) {
     if (group.members.size() > 1) groups_.push_back(std::move(group));
+  }
+}
+
+void LeafLayout::mark_raises() {
+  // Per table, what its local terms' apparent rates of each action hold.
+  enum : std::uint8_t { kActive = 1, kPassive = 2, kError = 4 };
+  std::vector<std::unordered_map<ActionId, std::uint8_t>> held(tables_.size());
+  for (std::size_t t = 0; t < tables_.size(); ++t) {
+    for (const Apparent& entry : tables_[t].apparent) {
+      held[t][entry.action] |=
+          entry.error ? kError : entry.rate.is_passive() ? kPassive : kActive;
+    }
+  }
+  for (Node& node : nodes_) {
+    if (node.kind != Kind::kCooperation) continue;
+    node.raises = static_cast<std::uint32_t>(raises_.size());
+    for (const ActionId action : *node.set) {
+      for (const std::uint32_t operand : {node.left, node.right}) {
+        std::uint8_t bits = 0;
+        for (std::uint32_t l = nodes_[operand].first_leaf;
+             l < nodes_[operand].end_leaf; ++l) {
+          const auto& table = held[leaves_[l].table];
+          const auto it = table.find(action);
+          if (it != table.end()) bits |= it->second;
+        }
+        raises_.push_back(
+            (bits & kError) != 0 || (bits & (kActive | kPassive)) ==
+                                        (kActive | kPassive));
+      }
+    }
   }
 }
 

@@ -37,7 +37,10 @@
 //     can fail a space that fits the bound.  The closure checks and charges
 //     the derive's budget as it grows;
 //   - the key: each leaf's local index in bit_width(table size - 1) bits,
-//     packed into 64-bit words; no field straddles a word.
+//     packed into 64-bit words; no field straddles a word;
+//   - per cooperation, set action and operand, whether computing the
+//     operand's apparent rate of the action could raise (may_raise()), so
+//     a derive asks an apparent rate no pair uses only when it could.
 //
 // For quotient-direct derivation the tree is the Canonicalizer's canonical
 // initial term, and the layout adds the sort: within each maximal same-set
@@ -125,6 +128,9 @@ class LeafLayout {
     std::uint32_t end_leaf = 0;
     /// Cooperation or hiding set: the arena node's own, sorted.
     const std::vector<ActionId>* set = nullptr;
+    /// Cooperation: where its set's entries start in the apparent-rate
+    /// raise bits (see may_raise()).
+    std::uint32_t raises = 0;
   };
 
   struct LocalMove {
@@ -214,6 +220,15 @@ class LeafLayout {
   const Leaf& leaf(std::uint32_t l) const { return leaves_[l]; }
   std::size_t table_count() const noexcept { return tables_.size(); }
   const Table& table(std::uint32_t t) const { return tables_[t]; }
+  /// Whether computing the apparent rate of the s-th action of cooperation
+  /// `node`'s set in its left (or right) operand could raise.  It can when
+  /// some leaf table under the operand records an apparent-rate error for
+  /// the action, or when those tables hold both active and passive rates
+  /// for it (a sum of the two raises); otherwise every sum is of one kind.
+  bool may_raise(const Node& node, std::size_t s, bool right) const {
+    return raises_[node.raises + 2 * s + (right ? 1 : 0)] != 0;
+  }
+
   /// The key bits of node n's leaves, `words()` words.
   const std::uint64_t* mask(std::uint32_t n) const {
     return masks_.data() + static_cast<std::size_t>(n) * words_;
@@ -265,6 +280,7 @@ class LeafLayout {
   void collect_groups(std::uint32_t n, const std::vector<std::uint32_t>& shape);
   void flatten_spine(std::uint32_t n, const std::vector<ActionId>& set,
                      std::vector<std::uint32_t>& siblings) const;
+  void mark_raises();
   void build_table(Semantics& semantics, Table& table,
                    const std::vector<ProcessId>& initial,
                    Canonicalizer* canonicalizer, std::size_t max_states,
@@ -279,6 +295,8 @@ class LeafLayout {
   std::vector<ProcessId> initial_terms_;
   std::vector<Table> tables_;
   std::vector<std::uint64_t> masks_;
+  /// Per cooperation set entry, left then right operand: may_raise().
+  std::vector<std::uint8_t> raises_;
   /// Sort groups, inner before outer (quotient only).
   std::vector<Group> groups_;
   /// Some representative differs from its term (quotient only).

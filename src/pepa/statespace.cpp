@@ -243,12 +243,20 @@ class LeafMoves {
       }
       return false;
     };
-    for (const ActionId shared : set) {
+    for (std::size_t s = 0; s < set.size(); ++s) {
+      const ActionId shared = set[s];
       // An operand with no move of the action has apparent rate zero and
       // cannot raise computing it, so only an offering operand is asked.
+      // When only one operand offers, no pair forms, and its apparent rate
+      // is asked only if computing it could raise — the one effect the
+      // term derive's unconditional recursion has there.
       const bool left_offers = offers(0, middle, shared);
       const bool right_offers = offers(middle, both.size(), shared);
       if (!left_offers && !right_offers) continue;
+      if (left_offers != right_offers &&
+          !layout_.may_raise(node, s, right_offers)) {
+        continue;
+      }
       const std::string& name = arena_.action_name(shared);
       const Rate left_rate =
           left_offers ? apparent(node.left, source, shared, name) : Rate();
@@ -324,21 +332,17 @@ void StateSpace::explore_keys(const explore::EngineOptions& engine) {
         [&arena](const Move& move) -> const std::string& {
           return arena.action_name(move.action);
         },
-        [this, &layout, &states, &engine](std::size_t source, const Move& move,
-                                          std::size_t target) {
-          // A state past a truncated closure: the engine's own count did
-          // not trip, but the closure cannot represent it.
-          if (layout.truncated() && layout.outside(states[target].data())) {
-            throw util::BudgetError(util::msg(
-                engine.space_noun, " exceeds the configured bound of ",
-                engine.max_states, " ", engine.state_noun,
-                " (state-space explosion)"));
-          }
-          lts_.push_back({static_cast<std::uint32_t>(source),
-                         static_cast<std::uint32_t>(target), move.action,
-                         move.rate.value()});
+        // A state past a truncated closure: the engine's own count did not
+        // trip, but the closure cannot represent it.
+        [&layout](const Key& key) {
+          return !layout.truncated() || !layout.outside(key.data());
         },
-        engine);
+        [](std::size_t source, const Move& move, std::size_t target) {
+          return StateTransition{static_cast<std::uint32_t>(source),
+                                 static_cast<std::uint32_t>(target),
+                                 move.action, move.rate.value()};
+        },
+        lts_, engine);
   };
   if (aggregated_) {
     stats_ = run_with(
@@ -407,8 +411,11 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
   // The term derive counted the initial state's rewrite to its canonical
   // form; here the tree is built from that form.
   if (initial_rewritten) ++space.stats_.canonical_rewrites;
-  space.lts_.finalize(space.state_count_);
-  space.stats_.seconds = timer.seconds();
+  space.lts_.finalize();
+  // The layout and the action index are serial work of the derive too.
+  const double seconds = timer.seconds();
+  space.stats_.serial_seconds += seconds - space.stats_.seconds;
+  space.stats_.seconds = seconds;
   return space;
 }
 

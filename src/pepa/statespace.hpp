@@ -175,7 +175,7 @@ class StateSpace {
   }
 
   /// The flat transition payload, in canonical emission order.
-  const std::vector<StateTransition>& transitions() const noexcept {
+  std::span<const StateTransition> transitions() const noexcept {
     return lts_.transitions();
   }
 

@@ -46,7 +46,8 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
         [&semantics](const NetMove& move) {
           return semantics.net().arena().action_name(move.action);
         },
-        [&space](std::size_t source, const NetMove& move, std::size_t target) {
+        explore::AllRepresentable{},
+        [](std::size_t source, const NetMove& move, std::size_t target) {
           MarkingTransition t;
           t.source = static_cast<std::uint32_t>(source);
           t.target = static_cast<std::uint32_t>(target);
@@ -55,9 +56,9 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
           t.is_firing = move.kind == NetMove::Kind::kFiring;
           t.net_transition = move.transition;
           t.place = move.place;
-          space.lts_.push_back(t);
+          return t;
         },
-        engine);
+        space.lts_, engine);
   };
   if (options.aggregate) {
     // Quotient-direct derivation over canonical markings; parallel moves
@@ -71,8 +72,10 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
   } else {
     space.stats_ = run_with(std::move(initial), explore::NoCanonicalize{});
   }
-  space.lts_.finalize(space.markings_.size());
-  space.stats_.seconds = timer.seconds();
+  space.lts_.finalize();
+  const double seconds = timer.seconds();
+  space.stats_.serial_seconds += seconds - space.stats_.seconds;
+  space.stats_.seconds = seconds;
   return space;
 }
 

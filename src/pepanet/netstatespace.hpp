@@ -84,7 +84,7 @@ class NetStateSpace {
   }
 
   /// The flat transition payload, in canonical emission order.
-  const std::vector<MarkingTransition>& transitions() const noexcept {
+  std::span<const MarkingTransition> transitions() const noexcept {
     return lts_.transitions();
   }
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <iomanip>
 #include <memory>
+#include <span>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -176,7 +177,8 @@ SharedStructure::SharedStructure(pepa::Model& model,
     : rebinder_(model, std::move(parameters)),
       semantics_(model.arena()),
       space_(pepa::StateSpace::derive(semantics_, model.system(), options)) {
-  const std::vector<pepa::StateTransition>& transitions = space_.transitions();
+  const std::span<const pepa::StateTransition> transitions =
+      space_.transitions();
   rate_nodes_.resize(transitions.size());
   {
     // Scoped: the recorder's memo is freed before the pattern is built.
@@ -228,14 +230,14 @@ std::vector<double> SharedStructure::rebind_rates(
 
 ctmc::Generator SharedStructure::generator(
     std::span<const double> rates) const {
-  return pattern_.fill(
-      std::span<const pepa::StateTransition>(space_.transitions()), rates);
+  return pattern_.fill(space_.transitions(), rates);
 }
 
 std::vector<double> SharedStructure::throughputs(
     std::span<const double> distribution, std::span<const double> rates) const {
   const pepa::ProcessArena& arena = semantics_.arena();
-  const std::vector<pepa::StateTransition>& transitions = space_.transitions();
+  const std::span<const pepa::StateTransition> transitions =
+      space_.transitions();
   std::vector<double> out(arena.action_count() - 1, 0.0);
   for (pepa::ActionId action = 1; action < arena.action_count(); ++action) {
     // Same slice, same emission order as TransitionSystem::action_throughput

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -106,7 +107,8 @@ inline void expect_same_space(const pepa::StateSpace& space,
     ASSERT_EQ(space.state_term(s), reference.states[s])
         << context << ": state " << s;
   }
-  const std::vector<pepa::StateTransition>& transitions = space.transitions();
+  const std::span<const pepa::StateTransition> transitions =
+      space.transitions();
   ASSERT_EQ(transitions.size(), reference.transitions.size()) << context;
   for (std::size_t t = 0; t < transitions.size(); ++t) {
     const pepa::StateTransition& got = transitions[t];

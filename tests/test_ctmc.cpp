@@ -162,9 +162,10 @@ void drop_zero_sums(SparseRows& rows) {
   }
 }
 
-template <typename Transition>
-ReferenceGenerator reference_generator(
-    std::size_t n, const std::vector<Transition>& transitions) {
+template <typename Transitions>
+ReferenceGenerator reference_generator(std::size_t n,
+                                       const Transitions& transitions) {
+  using Transition = typename Transitions::value_type;
   ReferenceGenerator ref;
   ref.q.resize(n);
   std::vector<double> exit(n, 0.0);
@@ -323,14 +324,15 @@ std::vector<double> mixed_rates(std::size_t count, std::uint64_t seed) {
 /// A pattern recorded once from `transitions` fills, at three fresh rate
 /// payloads, the generator the reference builds from the same transitions
 /// carrying those rates.
-template <typename Transition>
+template <typename Transitions>
 void expect_pattern_fills_reference(std::size_t n,
-                                    const std::vector<Transition>& transitions) {
+                                    const Transitions& transitions) {
+  using Transition = typename Transitions::value_type;
   const std::span<const Transition> view(transitions);
   const cc::GeneratorPattern pattern(n, view);
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     const std::vector<double> rates = mixed_rates(transitions.size(), seed);
-    std::vector<Transition> rated = transitions;
+    std::vector<Transition> rated(transitions.begin(), transitions.end());
     for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[i];
     SCOPED_TRACE(::testing::Message() << "payload seed " << seed);
     expect_same_generator(pattern.fill(view, rates),

@@ -2,10 +2,10 @@
 // a synthetic state graph, away from the PEPA/PEPA-net policies: the
 // max_states bound tripping mid-level under multiple lanes, an initial
 // state with no successors, successor exceptions raised from non-first
-// expansion chunks, and a long multi-level run that grows the flat state
-// index many times — all required to behave identically at every lane
-// count.  The flat index itself (explore::StateIndex) is tested directly
-// too.
+// expansion chunks, the states an abandoned level charges, and a long
+// multi-level run that grows the flat state index many times — all
+// required to behave identically at every lane count.  The flat index
+// itself (explore::StateIndex) is tested directly too.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,7 +16,9 @@
 
 #include "explore/engine.hpp"
 #include "explore/state_index.hpp"
+#include "explore/transition_system.hpp"
 #include "pepa/rate.hpp"
+#include "util/budget.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -55,16 +57,20 @@ Run run_engine(Successors successors, std::size_t lanes,
                choreo::util::ThreadPool& pool, EngineOptions options = {}) {
   Run run;
   StateIndex index;
+  choreo::explore::TransitionSystem<Transition> written;
   options.threads = lanes;
   options.pool = &pool;
   run.stats = choreo::explore::run<std::hash<std::size_t>>(
       run.states, index, std::size_t{0}, successors,
       choreo::explore::NoCanonicalize{},
       [](const Move&) { return std::string("synthetic"); },
-      [&run](std::size_t source, const Move& move, std::size_t target) {
-        run.transitions.push_back({source, target, move.rate.value()});
+      choreo::explore::AllRepresentable{},
+      [](std::size_t source, const Move& move, std::size_t target) {
+        return Transition{source, target, move.rate.value()};
       },
-      options);
+      written, options);
+  run.transitions.assign(written.transitions().begin(),
+                         written.transitions().end());
   return run;
 }
 
@@ -173,6 +179,58 @@ TEST(ExploreEngine, PassiveMoveAtTopLevelIsRejectedWithSharedDiagnostic) {
     EXPECT_STREQ(error.what(),
                  "activity 'synthetic' occurs passively at the top level;"
                  " synchronise it with an active partner");
+  }
+}
+
+TEST(ExploreEngine, AbandonedLevelsChargeTheSameStatesAtEveryLaneCount) {
+  choreo::util::ThreadPool pool(4);
+  // Level 1 holds 1..64, each moving to a fresh state v + 64; state 51 then
+  // offers a passive move, from a non-first expansion chunk at 2 and 8
+  // lanes.  The serial phase numbers only what the lanes left unresolved in
+  // the other chunks, yet the states numbered before the passive move (the
+  // 51 fresh targets of 1..51) must be charged exactly as a one-lane walk
+  // charges them.  The star with a bound of 5 trips mid-level the same way.
+  const auto passive_after_fresh = [](const std::size_t& state) {
+    std::vector<Move> moves;
+    if (state == 0) {
+      for (std::size_t v = 1; v <= 64; ++v) {
+        moves.push_back({Rate::active(1.0), v});
+      }
+    } else if (state <= 64) {
+      moves.push_back({Rate::active(1.0), state + 64});
+      if (state == 51) moves.push_back({Rate::passive(), 1});
+    }
+    return moves;
+  };
+  struct Case {
+    std::function<std::vector<Move>(const std::size_t&)> graph;
+    std::size_t max_states;
+    std::string error;
+    std::size_t charged;
+  };
+  const Case cases[] = {
+      {passive_after_fresh, 1000,
+       "activity 'synthetic' occurs passively at the top level;"
+       " synchronise it with an active partner",
+       1 + 64 + 51},
+      {star_graph(64), 5,
+       "state space exceeds the configured bound of 5 states"
+       " (state-space explosion)",
+       5}};
+  for (const Case& test : cases) {
+    for (const std::size_t lanes : {1u, 2u, 8u}) {
+      choreo::util::Budget budget;
+      EngineOptions options;
+      options.max_states = test.max_states;
+      options.budget = &budget;
+      try {
+        run_engine(test.graph, lanes, pool, options);
+        FAIL() << "expected an error at " << lanes << " lanes";
+      } catch (const std::exception& error) {
+        EXPECT_EQ(error.what(), test.error) << lanes << " lanes";
+      }
+      EXPECT_EQ(budget.usage().states, test.charged) << lanes << " lanes";
+    }
   }
 }
 

@@ -280,6 +280,45 @@ TEST(LeafVectorDerive, ReachableUnguardedRecursionRaisesTheTermDeriveText) {
   }
 }
 
+TEST(LeafVectorDerive, OneSidedMixedOfferRaisesTheTermDeriveText) {
+  // One operand of <a> offers a both actively and passively — in one
+  // choice (a leaf) or across a parallel pair — and its partner never
+  // offers a.  No pair can form, but the term derive still asks that
+  // operand's apparent rate of a, which raises; so must the leaf-vector
+  // derive, whichever side the operand is on.
+  const std::string components = R"(
+    P = (a, 1.0).P + (a, infty).P + (b, 1.0).P;
+    P1 = (a, 1.0).P1;
+    P2 = (a, infty).P2;
+    Q = (c, 1.0).Q;
+  )";
+  for (const std::string system :
+       {"P <a> Q", "Q <a> P", "(P1 || P2) <a> Q", "Q <a> (P1 || P2)"}) {
+    cp::Model model =
+        cp::parse_model(components + "Sys = " + system + ";\n@system Sys;");
+    for (const bool aggregate : {false, true}) {
+      cp::DeriveOptions options;
+      options.aggregate = aggregate;
+      cp::Semantics reference(model.arena());
+      const std::string expected = test::error_text(
+          [&] { test::term_derive(reference, model.system(), options); });
+      EXPECT_NE(expected.find("cannot mix active and passive rates"),
+                std::string::npos)
+          << system;
+      for (const std::size_t lanes : lane_counts()) {
+        cp::Semantics semantics(model.arena());
+        options.threads = lanes;
+        EXPECT_EQ(test::error_text([&] {
+                    cp::StateSpace::derive(semantics, model.system(), options);
+                  }),
+                  expected)
+            << system << (aggregate ? " quotient" : " full") << " at "
+            << lanes << " lanes";
+      }
+    }
+  }
+}
+
 TEST(LeafVectorDerive, ExplosionTextAndChargesMatchUnderASmallBound) {
   // The server's local closure is larger than the bound: the closure stops
   // there and the engine raises the bound, after charging what it kept.

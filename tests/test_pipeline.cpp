@@ -61,8 +61,9 @@ TEST(Pipeline, AnalyseAnnotatesStateMachines) {
   }
 }
 
-// The ledger clocks assembly apart from the solve and records the solver
-// that ran, with its iterations and residual.
+// The ledger clocks assembly apart from the solve, splits the derive's
+// serial part out of its clock, and records the solver that ran, with its
+// iterations and residual.
 TEST(Pipeline, StageLedgerRecordsAssemblyAndTheSolve) {
   cm::Model model = chor::tomcat_model(false);
   const auto report = chor::analyse(model);
@@ -73,6 +74,8 @@ TEST(Pipeline, StageLedgerRecordsAssemblyAndTheSolve) {
   EXPECT_EQ(timings.method_used, choreo::ctmc::Method::kDenseLU);
   EXPECT_EQ(timings.iterations, 1u);
   EXPECT_LE(timings.residual, 1e-12);
+  EXPECT_GT(timings.derive_stats.serial_seconds, 0.0);
+  EXPECT_LE(timings.derive_stats.serial_seconds, timings.derive_seconds());
 }
 
 // Folding adds clocks and iterations, keeps the worst residual and the
@@ -85,12 +88,14 @@ TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
   first.method_used = choreo::ctmc::Method::kGaussSeidel;
   first.iterations = 24;
   first.residual = 1e-13;
+  first.derive_stats.serial_seconds = 0.125;
   chor::StageTimings second;
   second.assemble_seconds = 0.5;
   second.solve_seconds = 2.0;
   second.method_used = choreo::ctmc::Method::kDenseLU;
   second.iterations = 1;
   second.residual = 1e-15;
+  second.derive_stats.serial_seconds = 0.25;
   total += first;
   total += second;
   EXPECT_EQ(total.assemble_seconds, 0.75);
@@ -98,6 +103,7 @@ TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
   EXPECT_EQ(total.method_used, choreo::ctmc::Method::kGaussSeidel);
   EXPECT_EQ(total.iterations, 25u);
   EXPECT_EQ(total.residual, 1e-13);
+  EXPECT_EQ(total.derive_stats.serial_seconds, 0.375);
 }
 
 TEST(Pipeline, RatesInputChangesResults) {

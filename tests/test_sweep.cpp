@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -297,7 +298,7 @@ void expect_rebind_matches_reparse(
     const std::vector<std::vector<double>>& points) {
   pepa::Model model = pepa::parse_model(source, "rebind");
   sweep::SharedStructure shared(model, parameters);
-  const std::vector<pepa::StateTransition>& base =
+  const std::span<const pepa::StateTransition> base =
       shared.space().transitions();
   for (const std::vector<double>& values : points) {
     const std::vector<double> rates =
@@ -662,7 +663,7 @@ TEST(SweepGolden, EveryPointMatchesTheGeneratorOracle) {
     spec.axes = grid.axes;
     pepa::Model model = pepa::parse_model(grid.source, "golden");
     sweep::SharedStructure shared(model, spec.parameter_names());
-    const std::vector<pepa::StateTransition>& base =
+    const std::span<const pepa::StateTransition> base =
         shared.space().transitions();
     const ctmc::Generator::Structure* structure = nullptr;
     for (std::size_t p = 0; p < spec.point_count(); ++p) {
@@ -671,7 +672,7 @@ TEST(SweepGolden, EveryPointMatchesTheGeneratorOracle) {
       const ctmc::Generator generator = shared.generator(rates);
       if (structure == nullptr) structure = &generator.structure();
       EXPECT_EQ(&generator.structure(), structure) << "point " << p;
-      std::vector<pepa::StateTransition> rated = base;
+      std::vector<pepa::StateTransition> rated(base.begin(), base.end());
       for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[i];
       const test::OracleGenerator oracle =
           test::oracle_generator(shared.space().state_count(), rated);
