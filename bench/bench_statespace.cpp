@@ -15,7 +15,10 @@
 // the derive, with the space alive, over its transition count, measured
 // on a second, untimed derive of a fresh model.  The Tomcat, lane and
 // family rows split the derive's clock: "serial ms" is the part outside
-// lane work (DeriveStats::serial_seconds).  Counts print as integers.
+// lane work (DeriveStats::serial_seconds).  The Tomcat rows also time the
+// sorts that follow the derive on its lanes: the generator
+// (StateSpace::generator(), "assemble ms") and the first local_states()
+// call ("local states ms").  Counts print as integers.
 // Benchmarks: marking-graph derivation throughput.
 #include "bench_common.hpp"
 
@@ -163,7 +166,8 @@ void report() {
   util::ThreadPool population_pool(1);  // 2 lanes = 1 worker + the caller
   util::TextTable clients({"clients", "lanes", "states", "transitions",
                            "key bits", "derive ms", "serial ms",
-                           "B/transition", "teardown ms"});
+                           "assemble ms", "local states ms", "B/transition",
+                           "teardown ms"});
   for (std::size_t c : {1u, 2u, 4u, 6u, 8u, 10u, 12u}) {
     for (const std::size_t threads : {1u, 2u}) {
       chor::TomcatParams params;
@@ -184,6 +188,15 @@ void report() {
       const std::size_t key_words = space->key_words();
       const std::size_t key_bits = space->key_bits();
       const double serial = space->stats().serial_seconds;
+      // The sorts that follow the derive, on its lanes: the generator, and
+      // the local-state index its first state measure builds.
+      timer.restart();
+      benchmark::DoNotOptimize(space->generator().values().data());
+      const double assemble = timer.seconds();
+      timer.restart();
+      benchmark::DoNotOptimize(
+          space->local_states(extraction->model.arena()).size());
+      const double local_states = timer.seconds();
       const double teardown = timed_teardown(space, semantics, extraction);
       auto fresh =
           chor::extract_state_machines(chor::tomcat_model(false, params));
@@ -192,6 +205,7 @@ void report() {
       clients.add_row({std::to_string(c), count(threads), count(states),
                        count(transitions), count(key_bits),
                        value(seconds * 1e3), value(serial * 1e3),
+                       value(assemble * 1e3), value(local_states * 1e3),
                        value(per_transition), value(teardown * 1e3)});
       bench::json_record(
           bench::JsonObject()
@@ -203,6 +217,8 @@ void report() {
               .field("key_bits", key_bits)
               .field("seconds", seconds)
               .field("serial_seconds", serial)
+              .field("assemble_seconds", assemble)
+              .field("local_states_seconds", local_states)
               .field("bytes_per_transition", per_transition)
               .field("teardown_seconds", teardown)
               .field("states_per_second",

@@ -16,12 +16,13 @@ for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 cmake -B build-tsan -G Ninja -DCHOREO_SANITIZE=thread
 cmake --build build-tsan --target test_parallel_statespace test_service \
   test_metrics test_util test_quotient test_pepa_semantics test_pepa_ast \
-  test_leaf_vector_derive test_explore_engine test_golden_artifacts
+  test_leaf_vector_derive test_explore_engine test_golden_artifacts \
+  test_generator_oracle test_pepa_statespace
 ./build-tsan/tests/test_parallel_statespace 2>&1 | tee tsan_output.txt
 ./build-tsan/tests/test_service 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_metrics 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_util \
-  --gtest_filter='ThreadPool.*:SegmentedVector.*:SlotArray.*:BumpArena.*' \
+  --gtest_filter='ThreadPool.*:SegmentedVector.*:SlotArray.*:BumpArena.*:CountingSort.*' \
   2>&1 | tee -a tsan_output.txt
 # Quotient-direct derivation sorts keys (PEPA) and markings (nets) in the
 # expansion lanes; the lane-count determinism checks run under TSan too.
@@ -32,6 +33,10 @@ cmake --build build-tsan --target test_parallel_statespace test_service \
 # lanes write each level's transitions while the next level expands.
 ./build-tsan/tests/test_explore_engine 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_golden_artifacts 2>&1 | tee -a tsan_output.txt
+# The generator's counting sorts and fill, and the local-state index, split
+# over the derive's lanes.
+./build-tsan/tests/test_generator_oracle 2>&1 | tee -a tsan_output.txt
+./build-tsan/tests/test_pepa_statespace 2>&1 | tee -a tsan_output.txt
 # The semantics memo and the arena's intern tables under concurrent use.
 ./build-tsan/tests/test_pepa_semantics 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_pepa_ast 2>&1 | tee -a tsan_output.txt

@@ -34,6 +34,7 @@ StageTimings& StageTimings::operator+=(const StageTimings& other) {
   extract_seconds += other.extract_seconds;
   assemble_seconds += other.assemble_seconds;
   solve_seconds += other.solve_seconds;
+  measures_seconds += other.measures_seconds;
   reflect_seconds += other.reflect_seconds;
   if (method_used == ctmc::Method::kAuto) method_used = other.method_used;
   iterations += other.iterations;
@@ -151,6 +152,8 @@ ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,
       }
       fluid_throughputs.emplace_back(*action_name, value);
     }
+    result.timings.measures_seconds = timer.seconds();
+    timer.restart();
     result.throughputs = fluid_throughputs;
     reflect_throughputs(graph, fluid_throughputs);
     result.timings.reflect_seconds = timer.seconds();
@@ -187,10 +190,44 @@ ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,
         *action_name,
         pepanet::action_throughput(space, solved.distribution, *action));
   }
+  result.timings.measures_seconds = timer.seconds();
+  timer.restart();
   result.throughputs = throughputs;
   reflect_throughputs(graph, throughputs);
   result.timings.reflect_seconds = timer.seconds();
   return result;
+}
+
+/// Each machine's state probabilities, probability_of(constant) per UML
+/// state in extraction order, recorded in `result` and returned for the
+/// reflector.
+template <typename ProbabilityOf>
+std::vector<Probabilities> state_measures(
+    const StatechartExtraction& extraction, const pepa::ProcessArena& arena,
+    StateMachineResult& result, ProbabilityOf probability_of) {
+  std::vector<Probabilities> out(extraction.state_constants.size());
+  for (std::size_t m = 0; m < extraction.state_constants.size(); ++m) {
+    std::vector<double> values;
+    for (const std::string& constant_name : extraction.state_constants[m]) {
+      const auto constant = arena.find_constant(constant_name);
+      CHOREO_ASSERT(constant.has_value());
+      const double probability = probability_of(*constant);
+      out[m].emplace_back(constant_name, probability);
+      values.push_back(probability);
+    }
+    result.probabilities.push_back(std::move(values));
+  }
+  return out;
+}
+
+/// Writes each machine's probabilities back into its state diagram.
+void reflect_state_measures(uml::Model& model,
+                            const StatechartExtraction& extraction,
+                            const std::vector<Probabilities>& probabilities) {
+  for (std::size_t m = 0; m < probabilities.size(); ++m) {
+    reflect_probabilities(model.state_machines()[m],
+                          extraction.state_constants[m], probabilities[m]);
+  }
 }
 
 StateMachineResult analyse_state_machines(uml::Model& model,
@@ -220,23 +257,15 @@ StateMachineResult analyse_state_machines(uml::Model& model,
     checkpoint(options);
     timer.restart();
     const pepa::ProcessArena& arena = extraction.model.arena();
-    for (std::size_t m = 0; m < model.state_machines().size(); ++m) {
-      Probabilities probabilities;
-      std::vector<double> values;
-      for (const std::string& constant_name : extraction.state_constants[m]) {
-        const auto constant = arena.find_constant(constant_name);
-        CHOREO_ASSERT(constant.has_value());
-        const double probability = fluid.population(*constant);
-        probabilities.emplace_back(constant_name, probability);
-        values.push_back(probability);
-      }
-      result.probabilities.push_back(std::move(values));
-      reflect_probabilities(model.state_machines()[m],
-                            extraction.state_constants[m], probabilities);
-    }
+    const std::vector<Probabilities> probabilities = state_measures(
+        extraction, arena, result,
+        [&](pepa::ConstantId constant) { return fluid.population(constant); });
     for (const auto& [action, value] : fluid.throughputs) {
       result.throughputs.emplace_back(arena.action_name(action), value);
     }
+    result.timings.measures_seconds = timer.seconds();
+    timer.restart();
+    reflect_state_measures(model, extraction, probabilities);
     result.timings.reflect_seconds = timer.seconds();
     return result;
   }
@@ -265,26 +294,18 @@ StateMachineResult analyse_state_machines(uml::Model& model,
   checkpoint(options);
   timer.restart();
   const pepa::ProcessArena& arena = extraction.model.arena();
-  for (std::size_t m = 0; m < model.state_machines().size(); ++m) {
-    Probabilities probabilities;
-    std::vector<double> values;
-    for (const std::string& constant_name : extraction.state_constants[m]) {
-      const auto constant = arena.find_constant(constant_name);
-      CHOREO_ASSERT(constant.has_value());
-      const double probability = pepa::state_probability(
-          space, solved.distribution, arena, *constant);
-      probabilities.emplace_back(constant_name, probability);
-      values.push_back(probability);
-    }
-    result.probabilities.push_back(std::move(values));
-    reflect_probabilities(model.state_machines()[m],
-                          extraction.state_constants[m], probabilities);
-  }
+  const std::vector<Probabilities> probabilities = state_measures(
+      extraction, arena, result, [&](pepa::ConstantId constant) {
+        return pepa::state_probability(space, solved.distribution, arena,
+                                       constant);
+      });
   for (const auto& [action, value] :
        pepa::all_throughputs(space, solved.distribution, arena)) {
-    result.throughputs.emplace_back(
-        extraction.model.arena().action_name(action), value);
+    result.throughputs.emplace_back(arena.action_name(action), value);
   }
+  result.timings.measures_seconds = timer.seconds();
+  timer.restart();
+  reflect_state_measures(model, extraction, probabilities);
   result.timings.reflect_seconds = timer.seconds();
   return result;
 }

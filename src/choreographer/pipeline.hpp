@@ -73,7 +73,9 @@ struct AnalysisOptions {
   /// path, 0 sizes to the pool.  Results are identical for every setting
   /// (see pepa::DeriveOptions::threads).
   std::size_t derive_threads = 0;
-  /// Pool derivation lanes run on; nullptr means util::ThreadPool::shared().
+  /// Pool derivation lanes run on, and the generator's and the local-state
+  /// index's counting sorts after them; nullptr means
+  /// util::ThreadPool::shared().
   util::ThreadPool* derive_pool = nullptr;
   /// Resource governor threaded into every stage: derivations check it once
   /// per breadth-first level and charge discovered states/bytes to it,
@@ -94,6 +96,11 @@ struct StageTimings {
   /// CTMC generator assembly; solve_seconds excludes it.
   double assemble_seconds = 0.0;
   double solve_seconds = 0.0;
+  /// The measures: state probabilities and throughputs, including the
+  /// index builds their first queries pay (the local-state index, a PEPA
+  /// net's action index).
+  double measures_seconds = 0.0;
+  /// Writing the measures back into the UML model.
   double reflect_seconds = 0.0;
   /// The steady-state solve: the method that ran (kAuto when none did),
   /// its iterations and its final residual.

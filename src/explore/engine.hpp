@@ -2,71 +2,50 @@
 //
 // Both Figure-4 derivations — PEPA state spaces (state diagrams) and
 // PEPA-net marking graphs (activity diagrams) — are breadth-first
-// explorations of a derivation graph with identical structure: expand the
-// states of one level in parallel lanes, number the newly discovered states
-// serially in canonical order, and write the level's transitions.  This
-// header is the single implementation of that loop; pepa::StateSpace::derive
-// and pepanet::NetStateSpace::derive_from are thin policies over it.
+// explorations of a derivation graph: expand the states of one level in
+// parallel lanes, number the newly discovered states serially in canonical
+// order, and write the level's transitions.  This header is the single
+// implementation of that loop; pepa::StateSpace::derive and
+// pepanet::NetStateSpace::derive_from are thin policies over it.
 //
-// The parallel phase is built to make extra lanes actually pay:
+// The parallel phase: lanes pull work-stealing chunks of the frontier from
+// an atomic cursor (util::ThreadPool::parallel_for_dynamic), each into a
+// reused move buffer.  The state index (explore::StateIndex) is read-only
+// while a level expands, so each lane resolves its targets without a lock,
+// keeps each target's hash, and lists the moves it could not resolve — the
+// targets first discovered in this level.  The calling thread is a lane
+// too, and helps drain the pool's queue while the others finish.
 //
-//   - work-stealing chunks: lanes pull dynamic chunks of the frontier from
-//     an atomic cursor (util::ThreadPool::parallel_for_dynamic), so a lane
-//     that draws cheap states immediately steals the next chunk instead of
-//     idling at a static split until the slowest lane finishes;
-//   - lock-free pre-resolution: the state index (explore::StateIndex, a
-//     flat {hash tag, state id} table over `states`) is read-only while a
-//     level expands, so each lane looks its transition targets up without a
-//     lock, keeps each target's hash, and lists the moves it could not
-//     resolve — the targets first discovered in this level;
-//   - one move buffer per chunk, reused from level to level, instead of
-//     one vector per expanded state;
-//   - a latch instead of a future join: the calling thread is itself a
-//     lane and, once the cursor runs dry, helps drain the pool's task
-//     queue while the remaining lanes finish — no per-level sleep on a
-//     vector of futures.
+// The serial phase is the ordering authority, and the only writer of
+// `states` and the index: it walks each chunk's unresolved moves in
+// canonical order and finds or inserts their targets, so a state found
+// twice in one level is numbered by its canonically first occurrence.  A
+// chunk holding a passive move or an expansion error is walked move by move
+// instead, so every error surfaces at its canonical position.
 //
-// The serial phase stays the ordering authority, and does only what needs
-// one: it walks the unresolved moves of each chunk in canonical order and
-// finds or inserts their targets directly in the index, so a state
-// discovered twice in one level is numbered once, by its canonically first
-// occurrence; it is the only writer of `states` and the index.  A chunk
-// holding a passive move or an expansion error is walked move by move
-// instead, so every error surfaces at its canonical position.  The serial
-// phase then sizes the level's transition block exactly from the chunks'
-// move counts.
+// The array contract: every transition is stored once, in one anonymous
+// mapping (explore::MappedArray) that the lanes write in place.  Level k's
+// chunks are kept until level k + 1's fork.  Before that fork the serial
+// phase grows the mapping (mremap, doubling its capacity) to hold level k,
+// whose positions follow from the chunks' move counts; the fork's lanes
+// then write each chunk's records (Write's) straight into it, with the
+// source-row index of its states — a level's states are a contiguous id
+// range, so their rows are too.  One last fork writes the last level, and
+// the mapping is handed to the TransitionSystem as it is: no second copy,
+// no join.
 //
-// The commit contract: the transitions are written by the lanes, not by
-// the serial phase.  Level k's chunks are kept until level k + 1's fork,
-// whose lanes write each chunk's transitions (Write's records, at the
-// positions a prefix sum over the chunks assigns) into level k's block,
-// together with the source-row index of its states — the states of one
-// level are a contiguous id range, so their rows are too.  After the last
-// level one more fork writes that level and joins the earlier blocks into
-// the final array, freeing each block as it goes; nothing is ever regrown.
+// The guarantees:
 //
-// The engine is parameterised over the state type and its hash, the
-// successor function, the canonicalization stage, a representability check
-// and the transition writer, and preserves the guarantees the two former
-// copies established:
-//
-//   - canonical FIFO numbering: state ids, transition order and every
-//     downstream artifact (generator matrix, annotated XMI, DOT dumps,
-//     cache keys) are byte-identical at every lane count, because the
-//     serial phase numbers discoveries in source-index-then-move order —
-//     exactly the order a sequential FIFO exploration assigns — and every
+//   - canonical FIFO numbering: state ids, transition order and everything
+//     downstream are byte-identical at every lane count, because the serial
+//     phase numbers discoveries in source-index-then-move order and every
 //     transition's position follows from the move counts alone;
 //   - deterministic errors: expansion failures are captured per state and
-//     the canonically-first one is rethrown, and the shared diagnostics
-//     (state-space explosion, passive-at-top-level) keep the exact texts
-//     the per-formalism copies produced;
-//   - once-per-level budget checks: the resource governor is consulted
-//     once per frontier level, after the level is recorded in the
-//     accounting, so uninterrupted runs never observe the check and
-//     interrupted runs stop within one level of the request.  States are
-//     charged per level, including — through an unwind path — the states
-//     appended by a level the serial phase abandons mid-way, so partial
-//     DeriveStats and JobHandle::progress() never under-report.
+//     the canonically-first one is rethrown; the shared diagnostics
+//     (state-space explosion, passive-at-top-level) keep their exact texts;
+//   - once-per-level budget checks, after the level is recorded in the
+//     accounting, so interrupted runs stop within one level.  States are
+//     charged per level, an abandoned level's too (through an unwind path).
 //
 // Requirements on the policy types:
 //
@@ -75,17 +54,13 @@
 //   Successors  callable State-const-ref -> a range of Move: a
 //               std::vector<Move> by value, or a view (such as
 //               std::span<const Move>) that stays valid until the same
-//               thread calls it again.  Must be safe to call concurrently
-//               from expansion lanes.
+//               thread calls it again.  Safe to call concurrently.
 //   Move        exposes `.target` (State) and `.rate` (with is_passive()).
 //   Canonicalize callable State-ref -> bool, rewriting the state to its
 //               canonical representative in place (returning whether it
-//               changed) before any lookup or interning.  Applied to the
-//               initial state and to every successor target, so the
-//               explored space is the quotient under the induced
-//               equivalence.  Must be deterministic and safe to call
-//               concurrently from expansion lanes.  NoCanonicalize keeps
-//               the identity (full-space) behaviour.
+//               changed) before any lookup or interning, so the explored
+//               space is the quotient under the induced equivalence.
+//               Deterministic and safe to call concurrently.
 //   ActionName  callable Move-const-ref -> printable action name, used in
 //               the passive-at-top-level diagnostic.
 //   Representable callable State-const-ref -> bool, asked serially of each
@@ -94,16 +69,14 @@
 //               every state.
 //   Write       callable (source index, Move-const-ref, target index) ->
 //               Transition, the record stored at the move's canonical
-//               position.  Called concurrently from the lanes, so it must
-//               be thread-safe; `move.target` may be moved-from (the
-//               target was numbered by this move).
+//               position.  Called concurrently from the lanes; `move.target`
+//               may be moved-from (the target was numbered by this move).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -111,6 +84,7 @@
 #include "explore/state_index.hpp"
 #include "explore/transition_system.hpp"
 #include "util/budget.hpp"
+#include "util/counting_sort.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -129,21 +103,18 @@ struct DeriveStats {
   /// Newly discovered states (equals the final state count).
   std::size_t dedup_misses = 0;
   /// States the canonicalization stage rewrote to a different (canonical)
-  /// representative before interning; 0 on unaggregated runs.  Together
-  /// with dedup_misses this yields the on-the-fly aggregation's reduction
-  /// evidence: rewrites happened and the explored space is the quotient.
+  /// representative before interning; 0 on unaggregated runs.  With
+  /// dedup_misses, the evidence that the explored space is the quotient.
   std::size_t canonical_rewrites = 0;
   /// Wall-clock derivation time.
   double seconds = 0.0;
-  /// The part of `seconds` spent outside lane work: numbering, block
-  /// allocation and everything else the calling thread does alone.
+  /// The part of `seconds` spent outside lane work: numbering, growing the
+  /// transition array and everything else the calling thread does alone.
   double serial_seconds = 0.0;
 };
 
 struct EngineOptions {
-  /// Exploration aborts (util::BudgetError) beyond this many states; the
-  /// paper's Section 1.1 names state-space explosion as the known hazard of
-  /// the numerical approach.
+  /// Exploration aborts (util::BudgetError) beyond this many states.
   std::size_t max_states = 4'000'000;
   /// Exploration lanes per breadth-first level: 1 forces the sequential
   /// path, 0 sizes to the pool (worker count + the calling thread).  The
@@ -155,8 +126,7 @@ struct EngineOptions {
   /// Checked once per breadth-first level and charged with every discovered
   /// state.  nullptr disables governance.
   util::Budget* budget = nullptr;
-  /// Approximate per-state footprint charged to the budget.
-  std::size_t bytes_per_state = 0;
+  std::size_t bytes_per_state = 0;  ///< charged to the budget per state
   /// Formalism vocabulary for the state-space-explosion diagnostic:
   /// "state space"/"states" (PEPA) or "marking graph"/"markings" (nets).
   std::string_view space_noun = "state space";
@@ -194,7 +164,7 @@ struct ExpandedChunk {
   /// The chunk holds a passive move or an expansion error, so the serial
   /// phase walks it move by move.
   bool walk_whole = false;
-  /// Position of the chunk's first transition in its level's block.
+  /// Position of the chunk's first transition within its level.
   std::size_t first = 0;
 };
 
@@ -223,10 +193,10 @@ struct AllRepresentable {
 /// the explored space is the quotient of the derivation graph under the
 /// canonicalizer's equivalence (pass NoCanonicalize for the full space).
 /// Each transition is the record `write` makes of it, stored in canonical
-/// order into `transitions` with its source-row index (the caller builds
-/// the action index with finalize()).  Returns the exploration counters
-/// (seconds covers the exploration loop only; callers usually widen it to
-/// their own stopwatch, adding the difference to serial_seconds).
+/// order into `transitions` with its source-row index.  Returns the
+/// exploration counters (seconds covers the exploration loop only; callers
+/// usually widen it to their own stopwatch, adding the difference to
+/// serial_seconds).
 template <typename Hash, typename State, typename Successors,
           typename Canonicalize, typename ActionName, typename Representable,
           typename Write, typename Transition>
@@ -238,10 +208,8 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
   util::Stopwatch timer;
   double lane_seconds = 0.0;
   DeriveStats stats;
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::ThreadPool::shared();
-  const std::size_t lanes =
-      options.threads == 0 ? pool.worker_count() + 1 : options.threads;
+  const util::Lanes run_lanes = util::Lanes::of(options.pool, options.threads);
+  const std::size_t lanes = run_lanes.count;
   const Hash hash;
 
   // Expansion lanes count their rewrites locally and fold them in here once
@@ -260,28 +228,20 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
       decltype(successors(std::declval<const State&>()))>::value_type;
   using Chunks = std::vector<ExpandedChunk<Move>>;
 
-  /// A level's transitions: `count` records at global positions
-  /// [base, base + count), written into `data` until the final join.
-  struct Block {
-    std::unique_ptr<Transition[]> data;
-    std::size_t base = 0;
-    std::size_t count = 0;
-  };
-  /// The level whose transitions the next fork writes: its states [first,
-  /// first + chunks' extent), its chunks and its block.
+  /// The level the next fork writes: its states from `first` on, its chunks
+  /// and its `count` transitions, at positions [base, base + count).
   struct Written {
     std::size_t first = 0;
     Chunks* chunks = nullptr;
     std::size_t chunk_count = 0;
-    Transition* out = nullptr;
     std::size_t base = 0;
+    std::size_t count = 0;
   };
 
   // Two chunk sets: a level expands into one while the lanes write the
-  // previous level's transitions out of the other.  Each reuses the
-  // capacity its earlier levels grew.
+  // previous level's transitions out of the other.
   Chunks chunk_sets[2];
-  std::vector<Block> blocks;
+  MappedArray<Transition> array;
   std::vector<std::size_t> rows(1, 0);
   std::size_t total = 0;
   std::vector<std::exception_ptr> errors;
@@ -293,18 +253,20 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
         " (state-space explosion)"));
   };
 
-  // Writes one chunk's transitions from level.out[chunk.first] on and
-  // closes the rows of its states.
+  // Writes one chunk's transitions from position level.base + chunk.first
+  // on and closes the rows of its states.
   auto write_chunk = [&](const Written& level,
                          const ExpandedChunk<Move>& chunk) {
+    CHOREO_ASSERT(chunk.first + chunk.moves.size() <= level.count &&
+                  level.base + level.count <= array.capacity());
+    Transition* out = array.data() + level.base + chunk.first;
     std::size_t at = 0;
     for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
       const std::size_t source = level.first + i;
       for (const std::size_t stop = chunk.ends[i - chunk.begin]; at < stop;
            ++at) {
         const PendingMove<Move>& pending = chunk.moves[at];
-        level.out[chunk.first + at] =
-            write(source, pending.move, pending.target);
+        out[at] = write(source, pending.move, pending.target);
       }
       rows[source + 1] = level.base + chunk.first + at;
     }
@@ -313,14 +275,7 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
   // Runs `tasks` task indices over the lanes (inline at one lane).
   auto fork = [&](std::size_t tasks, auto&& task) {
     const double start = timer.seconds();
-    auto body = [&task](std::size_t begin, std::size_t end) {
-      for (std::size_t t = begin; t < end; ++t) task(t);
-    };
-    if (lanes <= 1 || tasks <= 1) {
-      body(0, tasks);
-    } else {
-      pool.parallel_for_dynamic(tasks, 1, lanes, body);
-    }
+    util::run_parts(tasks, run_lanes, task);
     lane_seconds += timer.seconds() - start;
   };
 
@@ -330,21 +285,15 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
   for (std::size_t parity = 0; level_size != 0; parity ^= 1) {
     ++stats.levels;
     stats.peak_frontier = std::max(stats.peak_frontier, level_size);
-    // The cooperative governance point: once per level, after recording the
-    // level in the accounting (so partial stats cover the level being
-    // abandoned), before the expensive expansion.  Level granularity keeps
-    // exploration deterministic — uninterrupted runs never observe it.
+    // The governance point: once per level, after recording the level in
+    // the accounting (so partial stats cover an abandoned level).
     if (options.budget != nullptr) {
       options.budget->note_level(level_size);
       options.budget->check("derive");
     }
 
-    // Parallel phase: expand every level state into its chunk's buffer,
-    // and write the previous level's transitions.  The lanes call the
-    // successor function concurrently (the policy must be thread-safe) and
-    // resolve targets against the index, which only the serial phase below
-    // writes, between forks.  Errors are captured per state so the
-    // canonically-first one can be rethrown deterministically.
+    // Parallel phase: expand every level state into its chunk's buffer, and
+    // write the previous level's transitions.  Errors are kept per state.
     Chunks& chunks = chunk_sets[parity];
     const std::size_t grain =
         lanes <= 1 ? level_size
@@ -371,8 +320,7 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
             chunk.moves.push_back({std::move(move)});
             PendingMove<Move>& pending = chunk.moves.back();
             if (pending.move.rate.is_passive()) chunk.walk_whole = true;
-            // Canonicalize before the lookup, so the index only ever sees
-            // (and interns) canonical representatives.
+            // The index only ever sees canonical representatives.
             if (canonicalize(pending.move.target)) ++local_rewrites;
             pending.hash = hash(pending.move.target);
             pending.target = index.find(
@@ -403,9 +351,8 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
       }
     });
 
-    // Serial phase: number the discovered states in canonical order —
-    // source index, then move order — which is the order the sequential
-    // FIFO exploration produces.
+    // Serial phase: number the discovered states in canonical order (source
+    // index, then move order), the order a sequential FIFO exploration uses.
     const std::size_t known_before = states.size();
     auto charge_level = [&] {
       if (options.budget != nullptr) {
@@ -462,46 +409,27 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
         }
       }
     } catch (...) {
-      // Unwind accounting: states already appended by this level must be
-      // charged even though the level is being abandoned, or partial
-      // DeriveStats and JobHandle::progress() under-report.
+      // States this level appended are charged though it is abandoned, or
+      // partial DeriveStats and JobHandle::progress() under-report.
       charge_level();
       throw;
     }
     charge_level();
 
-    // The next fork writes this level: into an exactly-sized block when a
-    // level follows, else straight into the joined array below.
-    pending_write = {level_first, &chunks, chunk_count, nullptr, total};
+    // The next fork writes this level, into the array grown to hold it.
+    pending_write = {level_first, &chunks, chunk_count, total, level_count};
+    total += level_count;
+    array.reserve(total);
     level_first = known_before;
     level_size = states.size() - known_before;
-    if (level_size != 0) {
-      Block& block = blocks.emplace_back();
-      block.data = std::make_unique_for_overwrite<Transition[]>(level_count);
-      block.base = total;
-      block.count = level_count;
-      pending_write.out = block.data.get();
-    }
-    total += level_count;
     rows.resize(states.size() + 1);
   }
 
-  // The last level's writes and the join of the earlier blocks, in one
-  // fork; each block is freed once copied.  The blocks and the last level
-  // tile [0, total), so every record of the array is written before the
-  // array is handed over, as every record of a block is before its copy.
-  auto joined = std::make_unique_for_overwrite<Transition[]>(total);
-  pending_write.out = joined.get() + pending_write.base;
-  fork(blocks.size() + pending_write.chunk_count, [&](std::size_t t) {
-    if (t < blocks.size()) {
-      Block& block = blocks[t];
-      std::copy_n(block.data.get(), block.count, joined.get() + block.base);
-      block.data.reset();
-    } else {
-      write_chunk(pending_write, (*pending_write.chunks)[t - blocks.size()]);
-    }
+  // The last level's writes.
+  fork(pending_write.chunk_count, [&](std::size_t t) {
+    write_chunk(pending_write, (*pending_write.chunks)[t]);
   });
-  transitions.assign(std::move(joined), total, std::move(rows));
+  transitions.assign(std::move(array), total, std::move(rows));
 
   stats.canonical_rewrites += rewrites.load(std::memory_order_relaxed);
   stats.seconds = timer.seconds();

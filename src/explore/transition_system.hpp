@@ -3,96 +3,132 @@
 // syntactic state spaces to compact numerical representations.
 //
 // The exploration engine emits transitions grouped by source in canonical
-// order, so the flat payload array IS the CSR value array, and the engine
-// hands it over with its row boundaries (an offsets array indexed by
-// source), which its lanes write beside the transitions.  finalize() only
-// adds a second, action-keyed CSR index (a stable counting sort of
-// transition positions by action id).  The two indexes make the measures
-// that used to scan the whole transition vector per query O(degree) slice
-// lookups:
+// order, so the flat payload IS the CSR value array.  It is one anonymous
+// mapping (MappedArray) that the engine's lanes write in place and the
+// engine hands over, with the row boundaries its lanes write beside it.
+// The action-keyed CSR index — transition positions by action id, a stable
+// counting sort — is built by the first query that asks for it:
 //
 //   from(source)                all transitions leaving one state
 //   action_transitions(action)  positions of an action's transitions, in
-//                               emission order (so per-action measure sums
-//                               accumulate in the exact order the flat scan
-//                               used — floating-point results are
-//                               bit-identical), held in 32 bits each
+//                               emission order, in 32 bits each (so
+//                               per-action sums accumulate in flat-scan
+//                               order, bit-identical)
 //   deadlock_states()           states whose CSR row is empty
 //
-// The transition record type is a template parameter: PEPA uses the minimal
-// {source, target, action, rate} record, PEPA nets a wider record carrying
-// the firing/local provenance.  Records must expose `.source`, `.target`,
-// `.action` (an integral id) and `.rate`.
+// The record type is a template parameter: PEPA uses the minimal {source,
+// target, action, rate} record, PEPA nets a wider one carrying the
+// firing/local provenance.  Records are trivially copyable and expose
+// `.source`, `.target`, `.rate` and, for the action index, `.action`.
 #pragma once
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <mutex>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "util/counting_sort.hpp"
 #include "util/error.hpp"
 
 namespace choreo::explore {
 
+/// Records in one anonymous private mapping that grows in place: mremap
+/// moves its pages instead of copying them, and pages become resident as
+/// they are written.  The mapping asks for transparent huge pages (a hint
+/// the kernel may ignore): lanes write it front to back, and a 2 MiB page
+/// is one fault where 4 KiB pages are 512.  Up to one granule the records
+/// live on the heap instead, since a mapping's system calls cost more than
+/// a small derive.  The sanitizers do not see into a mapping, so writers
+/// bound their own positions.
+template <typename T>
+class MappedArray {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "mremap moves the records as bytes");
+
+ public:
+  /// A mapping's size is a whole number of granules, two at least.
+  static constexpr std::size_t kGranule = std::size_t{64} << 10;
+
+  MappedArray() = default;
+  MappedArray(MappedArray&& other) noexcept { *this = std::move(other); }
+  MappedArray& operator=(MappedArray&& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(bytes_, other.bytes_);
+    return *this;
+  }
+  ~MappedArray() { mapped() ? (void)munmap(data_, bytes_) : std::free(data_); }
+
+  T* data() noexcept { return data_; }
+  const T* data() const noexcept { return data_; }
+  std::size_t capacity() const noexcept { return bytes_ / sizeof(T); }
+
+  /// Grows the capacity to at least `count` records, at least doubling it.
+  /// Records held keep their values; their address may change.
+  void reserve(std::size_t count) {
+    if (count <= capacity()) return;
+    std::size_t bytes = std::max(count * sizeof(T), 2 * bytes_);
+    void* grown = nullptr;
+    if (bytes <= kGranule) {
+      grown = std::realloc(data_, bytes);
+    } else {
+      bytes = (bytes + kGranule - 1) / kGranule * kGranule;
+      grown = mapped() ? mremap(data_, bytes_, bytes, MREMAP_MAYMOVE)
+                       : mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                              MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (grown == MAP_FAILED) grown = nullptr;
+      if (grown != nullptr) madvise(grown, bytes, MADV_HUGEPAGE);
+      if (grown != nullptr && !mapped()) {  // leaves the heap
+        if (bytes_ != 0) std::memcpy(grown, data_, bytes_);
+        std::free(data_);
+      }
+    }
+    if (grown == nullptr) throw std::bad_alloc();
+    data_ = static_cast<T*>(grown);
+    bytes_ = bytes;
+  }
+
+ private:
+  bool mapped() const noexcept { return bytes_ > kGranule; }
+
+  T* data_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
 template <typename Transition>
 class TransitionSystem {
  public:
-  using value_type = Transition;
-
-  /// Takes the explored transitions, `count` records in canonical emission
-  /// order (grouped by source), and their source-row index: row_offsets[s]
-  /// .. row_offsets[s + 1] are the transitions leaving state s, for every
-  /// state s < row_offsets.size() - 1.  The array is the writer's own (the
-  /// engine's lanes fill one allocated for overwrite, never zero-filled).
-  void assign(std::unique_ptr<Transition[]> transitions, std::size_t count,
+  /// Takes the explored transitions, the first `count` records of `array`
+  /// in canonical emission order (grouped by source), and their source-row
+  /// index: row_offsets[s] .. row_offsets[s + 1] are the transitions
+  /// leaving state s, for every state s < row_offsets.size() - 1.  Throws
+  /// util::ModelError when the transition positions do not fit in 32 bits.
+  void assign(MappedArray<Transition> array, std::size_t count,
               std::vector<std::size_t> row_offsets) {
-    CHOREO_ASSERT(!row_offsets.empty() && row_offsets.back() == count);
-    transitions_ = std::move(transitions);
-    size_ = count;
-    row_offsets_ = std::move(row_offsets);
-  }
-
-  /// Builds the action index over the assigned transitions; O(transitions
-  /// + actions).  Throws util::ModelError when the transition positions do
-  /// not fit in 32 bits.
-  void finalize() {
-    if (size_ > kMaxTransitions) {
+    CHOREO_ASSERT(!row_offsets.empty() && row_offsets.back() == count &&
+                  count <= array.capacity());
+    if (count > kMaxTransitions) {
       throw util::ModelError(
-          "transition system of " + std::to_string(size_) +
+          "transition system of " + std::to_string(count) +
           " transitions is too large for 32-bit transition positions");
     }
-    // Count pass, widening the offsets as larger action ids appear.
-    action_offsets_.assign(1, 0);
-    const std::size_t states = state_count();
-    for (const Transition& t : transitions()) {
-      CHOREO_ASSERT(t.target < states);
-      const auto action = static_cast<std::size_t>(t.action);
-      if (action + 2 > action_offsets_.size()) {
-        action_offsets_.resize(action + 2, 0);
-      }
-      ++action_offsets_[action + 1];
-    }
-    const std::size_t actions = action_offsets_.size() - 1;
-    for (std::size_t a = 0; a < actions; ++a) {
-      action_offsets_[a + 1] += action_offsets_[a];
-    }
-    // Stable counting sort: within one action, positions keep emission
-    // order, so slice iteration reproduces the flat scan exactly.  Every
-    // slot is written, so the array is not zero-filled first.
-    by_action_ = std::make_unique_for_overwrite<std::uint32_t[]>(size_);
-    std::vector<std::size_t> cursor(action_offsets_.begin(),
-                                    action_offsets_.begin() + actions);
-    for (std::size_t i = 0; i < size_; ++i) {
-      by_action_[cursor[static_cast<std::size_t>(transitions_[i].action)]++] =
-          static_cast<std::uint32_t>(i);
-    }
+    array_ = std::move(array);
+    size_ = count;
+    row_offsets_ = std::move(row_offsets);
+    action_index_ = std::make_unique<LazyActionIndex>();
   }
 
   std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
 
   /// States covered by the row index (set by assign()).
   std::size_t state_count() const noexcept {
@@ -101,10 +137,14 @@ class TransitionSystem {
 
   /// The flat payload, in canonical emission order (grouped by source).
   std::span<const Transition> transitions() const noexcept {
-    return {transitions_.get(), size_};
+    return {array_.data(), size_};
   }
 
-  const Transition& operator[](std::size_t i) const { return transitions_[i]; }
+  /// The source-row index: row_offsets()[s] .. row_offsets()[s + 1] are the
+  /// positions of the transitions leaving state s.
+  std::span<const std::size_t> row_offsets() const noexcept {
+    return row_offsets_;
+  }
 
   /// CSR row slice: every transition leaving `source`.
   std::span<const Transition> from(std::size_t source) const {
@@ -112,21 +152,16 @@ class TransitionSystem {
         row_offsets_[source], row_offsets_[source + 1] - row_offsets_[source]);
   }
 
-  std::size_t out_degree(std::size_t source) const {
-    return row_offsets_[source + 1] - row_offsets_[source];
-  }
-
-  /// Distinct action-id range covered by the action index (max id + 1).
-  std::size_t action_bound() const noexcept {
-    return action_offsets_.empty() ? 0 : action_offsets_.size() - 1;
-  }
-
   /// Positions (into transitions(), in emission order) of the transitions
-  /// carrying `action`; empty for actions outside the index.
+  /// carrying `action`; empty for actions no transition carries.  The first
+  /// call builds the index on the calling thread, O(transitions + actions);
+  /// concurrent first calls build it once.
   std::span<const std::uint32_t> action_transitions(std::size_t action) const {
-    if (action + 1 >= action_offsets_.size()) return {};
-    return {by_action_.get() + action_offsets_[action],
-            action_offsets_[action + 1] - action_offsets_[action]};
+    const ActionIndex& index = action_index();
+    if (action + 1 >= index.offsets.size()) return {};
+    return std::span<const std::uint32_t>(index.positions)
+        .subspan(index.offsets[action],
+                 index.offsets[action + 1] - index.offsets[action]);
   }
 
   /// States enabling no move at all — the empty rows of the source index.
@@ -139,30 +174,64 @@ class TransitionSystem {
   }
 
   /// Steady-state throughput of `action`: sum of distribution[source] * rate
-  /// over the action's slice, O(degree of the action) — independent of the
-  /// total transition count.
+  /// over the action's slice, in emission order.
   template <typename Distribution>
   double action_throughput(const Distribution& distribution,
                            std::size_t action) const {
     double sum = 0.0;
     for (const std::uint32_t i : action_transitions(action)) {
-      sum += distribution[transitions_[i].source] * transitions_[i].rate;
+      sum += distribution[array_.data()[i].source] * array_.data()[i].rate;
     }
     return sum;
   }
 
  private:
-  /// The largest transition count the 32-bit positions index.
-  static constexpr std::size_t kMaxTransitions = 0xFFFFFFFFu;
+  static constexpr std::size_t kMaxTransitions = 0xFFFFFFFFu;  ///< 32 bits
 
-  std::unique_ptr<Transition[]> transitions_;
+  /// offsets[a]..offsets[a+1]: the slice of `positions` holding the
+  /// positions of action a's transitions, in emission order.
+  struct ActionIndex {
+    std::vector<std::size_t> offsets;
+    std::vector<std::uint32_t> positions;
+  };
+  /// The once-flag pins its address, so it lives on the heap with the
+  /// index it guards and the system stays movable.
+  struct LazyActionIndex {
+    std::once_flag built;
+    ActionIndex index;
+  };
+
+  const ActionIndex& action_index() const {
+    std::call_once(action_index_->built, [this] {
+      const Transition* records = array_.data();
+      std::size_t actions = 0;
+      for (std::size_t i = 0; i < size_; ++i) {
+        actions = std::max<std::size_t>(actions, records[i].action + 1);
+      }
+      util::CountingSort<std::size_t> sort(
+          actions, util::split_parts(size_, {}), {},
+          [records](std::size_t begin, std::size_t end, std::size_t* counts) {
+            for (std::size_t i = begin; i < end; ++i) ++counts[records[i].action];
+          });
+      ActionIndex& index = action_index_->index;
+      index.positions.resize(size_);
+      sort.place([&](std::size_t begin, std::size_t end, std::size_t* cursor) {
+        for (std::size_t i = begin; i < end; ++i) {
+          index.positions[cursor[records[i].action]++] =
+              static_cast<std::uint32_t>(i);
+        }
+      });
+      index.offsets = std::move(sort.offsets());
+    });
+    return action_index_->index;
+  }
+
+  MappedArray<Transition> array_;
   std::size_t size_ = 0;
   /// row_offsets_[s]..row_offsets_[s+1]: the transitions leaving state s.
   std::vector<std::size_t> row_offsets_;
-  /// action_offsets_[a]..action_offsets_[a+1]: slice of by_action_ holding
-  /// the positions of action a's transitions, in emission order.
-  std::vector<std::size_t> action_offsets_;
-  std::unique_ptr<std::uint32_t[]> by_action_;
+  std::unique_ptr<LazyActionIndex> action_index_ =
+      std::make_unique<LazyActionIndex>();
 };
 
 }  // namespace choreo::explore

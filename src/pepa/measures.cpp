@@ -15,13 +15,22 @@ double action_throughput(const StateSpace& space,
 std::vector<std::pair<ActionId, double>> all_throughputs(
     const StateSpace& space, std::span<const double> distribution,
     const ProcessArena& arena) {
-  (void)arena;
+  CHOREO_ASSERT(distribution.size() == space.state_count());
+  // One ascending pass with one accumulator per action: each action's sum
+  // takes the products its index slice would, in the same order, so every
+  // throughput is bit-identical to action_throughput's.
+  std::vector<double> sums(arena.action_count(), 0.0);
+  std::vector<char> occurs(arena.action_count(), 0);
+  for (const StateTransition& t : space.transitions()) {
+    CHOREO_ASSERT(t.action < sums.size());
+    sums[t.action] += distribution[t.source] * t.rate;
+    occurs[t.action] = 1;
+  }
   std::vector<std::pair<ActionId, double>> out;
-  const auto& lts = space.lts();
-  for (std::size_t action = 0; action < lts.action_bound(); ++action) {
-    if (lts.action_transitions(action).empty()) continue;
-    out.emplace_back(static_cast<ActionId>(action),
-                     lts.action_throughput(distribution, action));
+  for (std::size_t action = 0; action < sums.size(); ++action) {
+    if (occurs[action] != 0) {
+      out.emplace_back(static_cast<ActionId>(action), sums[action]);
+    }
   }
   return out;
 }

@@ -5,11 +5,12 @@
 //   - steady-state probability of each local state, written back onto state
 //     diagrams (one named constant per UML state).
 //
-// Throughputs read the transition system's action index and state measures
-// read the space's local-state index (StateSpace::local_states, built on
-// the first state measure), so each query costs the size of one slice.
-// Both sum in the order a flat scan would, so results are bit-identical to
-// it.
+// A single throughput reads the transition system's action index (built on
+// its first query); all_throughputs sums every action in one pass over the
+// transitions instead.  State measures read the space's local-state index
+// (StateSpace::local_states, built on the first state measure), so each
+// query costs the size of one slice.  All of them sum in the order a flat
+// scan would, so results are bit-identical to it.
 #pragma once
 
 #include <span>
@@ -25,7 +26,8 @@ double action_throughput(const StateSpace& space,
                          std::span<const double> distribution, ActionId action);
 
 /// Throughput of every action occurring in the transition system, as
-/// (action, throughput) pairs ordered by action id.
+/// (action, throughput) pairs ordered by action id, in one pass over the
+/// transitions.  `arena` is the arena the space was derived over.
 std::vector<std::pair<ActionId, double>> all_throughputs(
     const StateSpace& space, std::span<const double> distribution,
     const ProcessArena& arena);

@@ -1,6 +1,7 @@
 #include "pepa/statespace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <string>
 #include <utility>
@@ -42,7 +43,8 @@ void for_each_position(const ProcessArena& arena, ProcessId term,
 LocalStateIndex::LocalStateIndex(const ProcessArena& arena,
                                  const LeafLayout& layout,
                                  std::span<const std::uint64_t> keys,
-                                 std::size_t state_count) {
+                                 std::size_t state_count,
+                                 const util::Lanes& lanes) {
   constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
   if (state_count > kNone) {
     throw util::ModelError("state space of " + std::to_string(state_count) +
@@ -80,43 +82,55 @@ LocalStateIndex::LocalStateIndex(const ProcessArena& arena,
     }
   };
 
-  // Count pass: distinct (constant, state) pairs per constant.  `last`
-  // holds the newest state counted for each constant, so a second position
-  // of the same constant in one state is a repeat, not a new entry.
-  std::vector<std::uint32_t> last(constants, kNone);
-  offsets_.assign(constants + 1, 0);
-  bool repeats = false;
-  for (std::size_t s = 0; s < state_count; ++s) {
-    const auto state = static_cast<std::uint32_t>(s);
-    for_each_constant(s, [&](ConstantId c) {
-      CHOREO_ASSERT(c < constants);
-      if (last[c] == state) {
-        repeats = true;
-      } else {
-        last[c] = state;
-        ++offsets_[c + 1];
-      }
-    });
-  }
-  for (std::size_t c = 0; c < constants; ++c) offsets_[c + 1] += offsets_[c];
+  // A counting sort on constant over ranges of states.  Count: distinct
+  // (constant, state) pairs per constant; `last` holds the newest state the
+  // range counted for each constant, so a second position of the same
+  // constant in one state is a repeat, not a new entry.
+  std::atomic<bool> repeats{false};
+  util::CountingSort<std::size_t> sort(
+      constants, util::split_parts(state_count, lanes), lanes,
+      [&](std::size_t begin, std::size_t end, std::size_t* counts) {
+        std::vector<std::uint32_t> last(constants, kNone);
+        bool repeated = false;
+        for (std::size_t s = begin; s < end; ++s) {
+          const auto state = static_cast<std::uint32_t>(s);
+          for_each_constant(s, [&](ConstantId c) {
+            CHOREO_ASSERT(c < constants);
+            if (last[c] == state) {
+              repeated = true;
+            } else {
+              last[c] = state;
+              ++counts[c];
+            }
+          });
+        }
+        if (repeated) repeats.store(true, std::memory_order_relaxed);
+      });
+  offsets_ = std::move(sort.offsets());
 
-  // Fill pass: states arrive in ascending order, so each slice comes out
-  // sorted, and a repeat is always the slice's newest entry.
+  // Fill: a range's states arrive in ascending order, after those of the
+  // ranges before it, so each slice comes out sorted, and a repeat is the
+  // range's newest entry of its constant.
   states_.resize(offsets_[constants]);
-  if (repeats) counts_.assign(offsets_[constants], 0);
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (std::size_t s = 0; s < state_count; ++s) {
-    const auto state = static_cast<std::uint32_t>(s);
-    for_each_constant(s, [&](ConstantId c) {
-      std::size_t& end = cursor[c];
-      if (end > offsets_[c] && states_[end - 1] == state) {
-        ++counts_[end - 1];
-        return;
-      }
-      if (repeats) counts_[end] = 1;
-      states_[end++] = state;
-    });
+  if (repeats.load(std::memory_order_relaxed)) {
+    counts_.assign(offsets_[constants], 0);
   }
+  const bool counted = !counts_.empty();
+  sort.place([&](std::size_t begin, std::size_t end, std::size_t* cursor) {
+    std::vector<std::uint32_t> last(constants, kNone);
+    for (std::size_t s = begin; s < end; ++s) {
+      const auto state = static_cast<std::uint32_t>(s);
+      for_each_constant(s, [&](ConstantId c) {
+        if (last[c] == state) {
+          ++counts_[cursor[c] - 1];
+          return;
+        }
+        last[c] = state;
+        if (counted) counts_[cursor[c]] = 1;
+        states_[cursor[c]++] = state;
+      });
+    }
+  });
 }
 
 std::span<const std::uint32_t> LocalStateIndex::occupying(
@@ -402,6 +416,7 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
   engine.passive_suffix =
       "' occurs passively at the top level of the model: it would never"
       " be performed; synchronise it with an active partner";
+  space.lanes_ = util::Lanes::of(options.pool, options.threads);
 
   if (space.layout_->words() == 1) {
     space.explore_keys<WordKey>(engine);
@@ -411,8 +426,7 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
   // The term derive counted the initial state's rewrite to its canonical
   // form; here the tree is built from that form.
   if (initial_rewritten) ++space.stats_.canonical_rewrites;
-  space.lts_.finalize();
-  // The layout and the action index are serial work of the derive too.
+  // The layout is serial work of the derive too.
   const double seconds = timer.seconds();
   space.stats_.serial_seconds += seconds - space.stats_.seconds;
   space.stats_.seconds = seconds;
@@ -447,8 +461,8 @@ std::size_t StateSpace::key_bits() const noexcept {
 }
 
 ctmc::Generator StateSpace::generator() const {
-  return ctmc::Generator::build_from<StateTransition>(state_count(),
-                                                      lts_.transitions());
+  return ctmc::Generator::build_from<StateTransition>(
+      state_count(), lts_.transitions(), lts_.row_offsets(), lanes_);
 }
 
 std::vector<ctmc::RatedTransition> StateSpace::transitions_of(ActionId action) const {
@@ -456,7 +470,7 @@ std::vector<ctmc::RatedTransition> StateSpace::transitions_of(ActionId action) c
   const auto slice = lts_.action_transitions(action);
   out.reserve(slice.size());
   for (const std::size_t i : slice) {
-    const StateTransition& t = lts_[i];
+    const StateTransition& t = lts_.transitions()[i];
     out.push_back({t.source, t.target, t.rate});
   }
   return out;
@@ -471,7 +485,7 @@ const LocalStateIndex& StateSpace::local_states(
   std::call_once(local_states_->built, [&] {
     if (layout_) {
       local_states_->index =
-          LocalStateIndex(arena, *layout_, keys_, state_count_);
+          LocalStateIndex(arena, *layout_, keys_, state_count_, lanes_);
     }
   });
   return local_states_->index;

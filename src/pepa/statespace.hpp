@@ -44,6 +44,7 @@
 #include "explore/transition_system.hpp"
 #include "pepa/semantics.hpp"
 #include "util/budget.hpp"
+#include "util/counting_sort.hpp"
 #include "util/thread_pool.hpp"
 
 namespace choreo::pepa {
@@ -62,6 +63,8 @@ struct DeriveOptions {
   /// derived space is identical for every setting.
   std::size_t threads = 0;
   /// Pool expansion chunks run on; nullptr means util::ThreadPool::shared().
+  /// The space keeps it, with the lane count, for the sorts that follow the
+  /// derive (StateSpace::lanes()), so a caller's own pool must outlive it.
   util::ThreadPool* pool = nullptr;
   /// Resource governor: cancellation, deadline and state/byte accounting.
   /// Checked once per breadth-first level (deterministic; an interrupted
@@ -109,13 +112,14 @@ class LocalStateIndex {
   LocalStateIndex() = default;
 
   /// Indexes the `state_count` packed states in `keys` (state id =
-  /// position) by a counting sort on constant: one pass over the leaf
-  /// columns counts, a second fills, so the build needs little beyond the
-  /// index itself.  Throws util::ModelError when the state ids do not fit
-  /// in 32 bits.
+  /// position) by a stable counting sort on constant over ranges of states
+  /// (util::CountingSort, on `lanes`): one pass over the leaf columns
+  /// counts, a second fills, so the build needs little beyond the index
+  /// itself, and the index is the same at every lane count.  Throws
+  /// util::ModelError when the state ids do not fit in 32 bits.
   LocalStateIndex(const ProcessArena& arena, const LeafLayout& layout,
                   std::span<const std::uint64_t> keys,
-                  std::size_t state_count);
+                  std::size_t state_count, const util::Lanes& lanes);
 
   /// The states occupying `constant`, ascending; empty for a constant no
   /// state holds, including one declared after the index was built.
@@ -141,7 +145,7 @@ class LocalStateIndex {
  private:
   /// offsets_[c]..offsets_[c+1]: the slice of states_ (and counts_) for c.
   std::vector<std::size_t> offsets_;
-  std::vector<std::uint32_t> states_;
+  util::NoInitVector<std::uint32_t> states_;
   /// Occurrences per entry; left empty when every count is 1 (no constant
   /// is held by two components of one state, as in the one-constant-per-
   /// UML-state extractions), which halves the index.
@@ -193,19 +197,26 @@ class StateSpace {
   bool aggregated() const noexcept { return aggregated_; }
 
   /// The CTMC generator (parallel transitions summed), built directly from
-  /// the transition-system payload without an intermediate copy.
+  /// the transition-system payload and its row index, without an
+  /// intermediate copy, on the derive's lanes.
   ctmc::Generator generator() const;
 
+  /// The derive's pool and lane count, which generator() and
+  /// local_states() sort on.  A null pool is ThreadPool::shared(); a
+  /// caller's own pool must outlive the space.
+  const util::Lanes& lanes() const noexcept { return lanes_; }
+
   /// The transitions carrying `action`, as CTMC rated transitions.
-  /// O(degree of the action) via the action index, not a scan of the full
-  /// transition vector.
+  /// O(degree of the action) via the action index, which the first query
+  /// builds, not a scan of the full transition vector.
   std::vector<ctmc::RatedTransition> transitions_of(ActionId action) const;
 
   /// States enabling no activity at all (empty rows of the CSR index).
   std::vector<std::size_t> deadlock_states() const;
 
   /// The local-state index, built from `arena` (the arena this space was
-  /// derived over) on the first call and kept for the space's lifetime.
+  /// derived over) on the derive's lanes by the first call, and kept for
+  /// the space's lifetime.
   /// Safe to call from several threads at once; every caller sees the one
   /// index.  local_states(arena).occupying(c) is the set of states in which
   /// some component is in local state c.
@@ -235,6 +246,7 @@ class StateSpace {
   explore::TransitionSystem<StateTransition> lts_;
   DeriveStats stats_;
   bool aggregated_ = false;
+  util::Lanes lanes_;
   std::unique_ptr<LazyLocalStates> local_states_ =
       std::make_unique<LazyLocalStates>();
 };

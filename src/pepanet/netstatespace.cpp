@@ -33,6 +33,7 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
   engine.state_noun = "markings";
   engine.passive_suffix =
       "' occurs passively at the net level: no active partner sets its rate";
+  space.lanes_ = util::Lanes::of(options.pool, options.threads);
 
   auto run_with = [&](Marking start, auto&& canonicalize) {
     return explore::run<MarkingHash>(
@@ -72,7 +73,6 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
   } else {
     space.stats_ = run_with(std::move(initial), explore::NoCanonicalize{});
   }
-  space.lts_.finalize();
   const double seconds = timer.seconds();
   space.stats_.serial_seconds += seconds - space.stats_.seconds;
   space.stats_.seconds = seconds;
@@ -89,8 +89,8 @@ std::optional<std::size_t> NetStateSpace::index_of(const Marking& marking) const
 }
 
 ctmc::Generator NetStateSpace::generator() const {
-  return ctmc::Generator::build_from<MarkingTransition>(marking_count(),
-                                                        lts_.transitions());
+  return ctmc::Generator::build_from<MarkingTransition>(
+      marking_count(), lts_.transitions(), lts_.row_offsets(), lanes_);
 }
 
 std::vector<ctmc::RatedTransition> NetStateSpace::transitions_of(
@@ -99,7 +99,7 @@ std::vector<ctmc::RatedTransition> NetStateSpace::transitions_of(
   const auto slice = lts_.action_transitions(action);
   out.reserve(slice.size());
   for (const std::size_t i : slice) {
-    const MarkingTransition& t = lts_[i];
+    const MarkingTransition& t = lts_.transitions()[i];
     out.push_back({t.source, t.target, t.rate});
   }
   return out;

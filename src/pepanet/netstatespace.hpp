@@ -22,6 +22,7 @@
 #include "pepa/statespace.hpp"
 #include "pepanet/netsemantics.hpp"
 #include "util/budget.hpp"
+#include "util/counting_sort.hpp"
 #include "util/thread_pool.hpp"
 
 namespace choreo::pepanet {
@@ -37,6 +38,8 @@ struct NetDeriveOptions {
   /// derived graph is identical for every setting.
   std::size_t threads = 0;
   /// Pool expansion chunks run on; nullptr means util::ThreadPool::shared().
+  /// The graph keeps it, with the lane count, for generator(), so a
+  /// caller's own pool must outlive it.
   util::ThreadPool* pool = nullptr;
   /// Resource governor: cancellation, deadline and marking/byte accounting,
   /// checked once per breadth-first level (see pepa::DeriveOptions::budget).
@@ -94,9 +97,12 @@ class NetStateSpace {
   /// True when derived quotient-direct (NetDeriveOptions::aggregate).
   bool aggregated() const noexcept { return aggregated_; }
 
+  /// The CTMC generator, built from the payload and its row index on the
+  /// derive's pool and lane count.
   ctmc::Generator generator() const;
 
-  /// Transitions carrying `action` (both kinds), for throughput rewards.
+  /// Transitions carrying `action` (both kinds), for throughput rewards;
+  /// the first query builds the action index.
   std::vector<ctmc::RatedTransition> transitions_of(pepa::ActionId action) const;
 
   /// Markings with no enabled move.
@@ -110,9 +116,11 @@ class NetStateSpace {
   explore::TransitionSystem<MarkingTransition> lts_;
   DeriveStats stats_;
   bool aggregated_ = false;
+  util::Lanes lanes_;  ///< the derive's, for generator()
 };
 
-/// Steady-state throughput of an action over the marking graph.
+/// Steady-state throughput of an action over the marking graph, read off
+/// the action index (built by the first query).
 double action_throughput(const NetStateSpace& space,
                          std::span<const double> distribution,
                          pepa::ActionId action);

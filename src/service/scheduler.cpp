@@ -168,9 +168,12 @@ struct Scheduler::Impl {
             "CTMC generator assembly per job")),
         solve_seconds(registry.histogram("choreo_stage_solve_seconds",
                                          "CTMC solution per job")),
+        measures_seconds(registry.histogram(
+            "choreo_stage_measures_seconds",
+            "State probabilities and throughputs per job")),
         reflect_seconds(registry.histogram(
             "choreo_stage_reflect_seconds",
-            "Measure computation + reflection per job")),
+            "Reflection of the measures into the UML model per job")),
         explore_rate(registry.histogram(
             "choreo_explore_states_per_second",
             "States discovered per exploration second, per job",
@@ -261,6 +264,7 @@ struct Scheduler::Impl {
   Histogram& derive_seconds;
   Histogram& assemble_seconds;
   Histogram& solve_seconds;
+  Histogram& measures_seconds;
   Histogram& reflect_seconds;
   Histogram& explore_rate;
   Counter& explored_states_total;
@@ -578,6 +582,7 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
     derive_seconds.observe(stages.derive_seconds());
     assemble_seconds.observe(stages.assemble_seconds);
     solve_seconds.observe(stages.solve_seconds);
+    measures_seconds.observe(stages.measures_seconds);
     reflect_seconds.observe(stages.reflect_seconds);
     explored_states_total.increment(stages.derive_stats.dedup_misses);
     dedup_hits_total.increment(stages.derive_stats.dedup_hits);

@@ -218,9 +218,9 @@ SharedStructure::SharedStructure(pepa::Model& model,
           rebound, transitions[i].rate, "derived state space");
     }
   }
-  pattern_ = ctmc::GeneratorPattern(
-      space_.state_count(),
-      std::span<const pepa::StateTransition>(transitions));
+  pattern_ = ctmc::GeneratorPattern(space_.state_count(), transitions,
+                                    space_.lts().row_offsets(),
+                                    space_.lanes());
 }
 
 std::vector<double> SharedStructure::rebind_rates(
@@ -235,18 +235,17 @@ ctmc::Generator SharedStructure::generator(
 
 std::vector<double> SharedStructure::throughputs(
     std::span<const double> distribution, std::span<const double> rates) const {
-  const pepa::ProcessArena& arena = semantics_.arena();
   const std::span<const pepa::StateTransition> transitions =
       space_.transitions();
-  std::vector<double> out(arena.action_count() - 1, 0.0);
-  for (pepa::ActionId action = 1; action < arena.action_count(); ++action) {
-    // Same slice, same emission order as TransitionSystem::action_throughput
-    // — bit-identical to the base-space measure at the base point.
-    double sum = 0.0;
-    for (const std::size_t i : space_.lts().action_transitions(action)) {
-      sum += distribution[transitions[i].source] * rates[i];
-    }
-    out[action - 1] = sum;
+  // One ascending pass, one accumulator per non-tau action: each sum takes
+  // the products TransitionSystem::action_throughput's slice would, in the
+  // same order — bit-identical to the base-space measure at the base point.
+  std::vector<double> out(semantics_.arena().action_count() - 1, 0.0);
+  for (std::size_t i = 0; i < transitions.size(); ++i) {
+    const pepa::ActionId action = transitions[i].action;
+    if (action == pepa::kTau) continue;
+    CHOREO_ASSERT(action <= out.size());
+    out[action - 1] += distribution[transitions[i].source] * rates[i];
   }
   return out;
 }

@@ -2,13 +2,15 @@
 // a synthetic state graph, away from the PEPA/PEPA-net policies: the
 // max_states bound tripping mid-level under multiple lanes, an initial
 // state with no successors, successor exceptions raised from non-first
-// expansion chunks, the states an abandoned level charges, and a long
-// multi-level run that grows the flat state index many times — all
+// expansion chunks, the states an abandoned level charges, a long
+// multi-level run that grows the flat state index many times, and one
+// whose transitions grow the array's mapping through many doublings — all
 // required to behave identically at every lane count.  The flat index
 // itself (explore::StateIndex) is tested directly too.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -52,12 +54,12 @@ struct Run {
   DeriveStats stats;
 };
 
-template <typename Successors>
+template <typename Successors, typename Record = Transition>
 Run run_engine(Successors successors, std::size_t lanes,
                choreo::util::ThreadPool& pool, EngineOptions options = {}) {
   Run run;
   StateIndex index;
-  choreo::explore::TransitionSystem<Transition> written;
+  choreo::explore::TransitionSystem<Record> written;
   options.threads = lanes;
   options.pool = &pool;
   run.stats = choreo::explore::run<std::hash<std::size_t>>(
@@ -66,11 +68,12 @@ Run run_engine(Successors successors, std::size_t lanes,
       [](const Move&) { return std::string("synthetic"); },
       choreo::explore::AllRepresentable{},
       [](std::size_t source, const Move& move, std::size_t target) {
-        return Transition{source, target, move.rate.value()};
+        return Record{source, target, move.rate.value()};
       },
       written, options);
-  run.transitions.assign(written.transitions().begin(),
-                         written.transitions().end());
+  for (const Record& t : written.transitions()) {
+    run.transitions.push_back({t.source, t.target, t.rate});
+  }
   return run;
 }
 
@@ -290,6 +293,56 @@ TEST(ExploreEngine, ManyLevelsGrowTheIndexIdenticallyAtEveryLaneCount) {
     EXPECT_EQ(run.stats.dedup_hits, baseline.stats.dedup_hits);
     EXPECT_EQ(run.stats.levels, baseline.stats.levels);
     EXPECT_EQ(run.stats.peak_frontier, baseline.stats.peak_frontier);
+  }
+}
+
+/// A transition record padded to 64 bytes, so that a modest graph's
+/// transitions outgrow the mapping's first granule many times over.
+struct WideTransition {
+  std::size_t source;
+  std::size_t target;
+  double rate;
+  std::uint64_t padding[5] = {};
+};
+static_assert(sizeof(WideTransition) == 64);
+
+TEST(ExploreEngine, TransitionArrayGrowsInPlaceIdenticallyAtEveryLaneCount) {
+  choreo::util::ThreadPool pool(4);
+  // The 300 x 300 grid again, 599 levels: the array grows before nearly
+  // every fork.  It starts on the heap, moves into a mapping of two
+  // granules, and its 269,101 wide records fill more than 256 granules, so
+  // the mapping doubles at least eight times, moving as it goes.
+  constexpr std::size_t kSide = 300;
+  const auto grid = [](const std::size_t& state) {
+    const std::size_t row = state / kSide;
+    const std::size_t column = state % kSide;
+    std::vector<Move> moves;
+    if (column + 1 < kSide) {
+      moves.push_back({Rate::active(1.0 + 0.5 * static_cast<double>(row)), state + 1});
+    }
+    if (row + 1 < kSide) moves.push_back({Rate::active(2.0), state + kSide});
+    if (row > 0 && column + 1 < kSide) {
+      moves.push_back({Rate::active(3.0), state - kSide + 1});
+    }
+    return moves;
+  };
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    const auto run =
+        run_engine<decltype(grid), WideTransition>(grid, lanes, pool);
+    ASSERT_EQ(run.states.size(), kSide * kSide);
+    EXPECT_GE(run.transitions.size() * sizeof(WideTransition),
+              choreo::explore::MappedArray<WideTransition>::kGranule << 8);
+    // Each state's row is exactly its successors, in order, numbered as
+    // the run numbered their targets: every record survived the moves.
+    std::vector<std::size_t> id(kSide * kSide);
+    for (std::size_t s = 0; s < run.states.size(); ++s) id[run.states[s]] = s;
+    std::vector<Transition> expected;
+    for (std::size_t s = 0; s < run.states.size(); ++s) {
+      for (const Move& move : grid(run.states[s])) {
+        expected.push_back({s, id[move.target], move.rate.value()});
+      }
+    }
+    EXPECT_EQ(run.transitions, expected) << lanes << " lanes";
   }
 }
 

@@ -1,8 +1,10 @@
 // The generator's solver form against the test-only reference in
 // generator_oracle.hpp, on derived spaces: the parametric families and the
-// Tomcat study at one to twelve clients, cached and uncached.  Every
-// generator entry, exit rate and solve must match bit for bit.  Also checks
-// that the solver methods agree with each other where dense LU can run.
+// Tomcat study at one to twelve clients, cached and uncached, each derived
+// at lanes {1, 2, 4, 8} so that the generator's counting sorts and fill run
+// split over the derive's lanes.  Every generator entry, exit rate and
+// solve must match bit for bit.  Also checks that the solver methods agree
+// with each other where dense LU can run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +20,7 @@
 #include "pepa/families.hpp"
 #include "pepa/semantics.hpp"
 #include "pepa/statespace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -54,6 +57,20 @@ std::vector<Family> small_families() {
   return out;
 }
 
+/// The derive lane counts every oracle check runs at.
+constexpr std::size_t kLaneCounts[] = {1, 2, 4, 8};
+
+/// Derives `model` at `lanes` lanes of a pool with real workers, which the
+/// space keeps for its generator.
+cp::StateSpace derive_at(cp::Semantics& semantics, cp::Model& model,
+                         std::size_t lanes) {
+  static choreo::util::ThreadPool pool(3);
+  cp::DeriveOptions options;
+  options.threads = lanes;
+  options.pool = &pool;
+  return cp::StateSpace::derive(semantics, model.system(), options);
+}
+
 void expect_space_matches_oracle(const cp::StateSpace& space,
                                  const std::string& what, bool every_method) {
   const cc::Generator generator = space.generator();
@@ -69,39 +86,44 @@ void expect_space_matches_oracle(const cp::StateSpace& space,
 }
 
 TEST(GeneratorOracle, FamiliesMatchBitForBit) {
-  for (const Family& family : small_families()) {
-    cp::Model model = family.make();
-    cp::Semantics semantics(model.arena());
-    const cp::StateSpace space =
-        cp::StateSpace::derive(semantics, model.system());
-    ASSERT_LE(space.state_count(), 512u) << family.name;
-    expect_space_matches_oracle(space, family.name, true);
-  }
-  // Beyond dense LU: Gauss-Seidel on chains large enough for the parallel
-  // mat-vec of the residual check.
-  for (const std::size_t stations : {12u, 15u}) {
-    cp::Model model = cp::ring(stations);
-    cp::Semantics semantics(model.arena());
-    const cp::StateSpace space =
-        cp::StateSpace::derive(semantics, model.system());
-    expect_space_matches_oracle(
-        space, "ring(" + std::to_string(stations) + ")", false);
+  for (const std::size_t lanes : kLaneCounts) {
+    const std::string at = " at " + std::to_string(lanes) + " lanes";
+    for (const Family& family : small_families()) {
+      cp::Model model = family.make();
+      cp::Semantics semantics(model.arena());
+      const cp::StateSpace space = derive_at(semantics, model, lanes);
+      ASSERT_LE(space.state_count(), 512u) << family.name;
+      expect_space_matches_oracle(space, family.name + at, true);
+    }
+    // Beyond dense LU: Gauss-Seidel on chains large enough for the parallel
+    // mat-vec of the residual check, and for the sorts to split.
+    for (const std::size_t stations : {12u, 15u}) {
+      cp::Model model = cp::ring(stations);
+      cp::Semantics semantics(model.arena());
+      const cp::StateSpace space = derive_at(semantics, model, lanes);
+      expect_space_matches_oracle(
+          space, "ring(" + std::to_string(stations) + ")" + at, false);
+    }
   }
 }
 
 TEST(GeneratorOracle, TomcatOneToTwelveClientsMatchBitForBit) {
-  for (const bool cached : {false, true}) {
-    for (std::size_t clients = 1; clients <= 12; ++clients) {
-      chor::TomcatParams params;
-      params.clients = clients;
-      auto extraction =
-          chor::extract_state_machines(chor::tomcat_model(cached, params));
-      cp::Semantics semantics(extraction.model.arena());
-      const cp::StateSpace space =
-          cp::StateSpace::derive(semantics, extraction.model.system());
-      const std::string what = std::string(cached ? "cached " : "") +
-                               "tomcat[" + std::to_string(clients) + "cl]";
-      expect_space_matches_oracle(space, what, space.state_count() <= 1024);
+  for (const std::size_t lanes : kLaneCounts) {
+    for (const bool cached : {false, true}) {
+      for (std::size_t clients = 1; clients <= 12; ++clients) {
+        chor::TomcatParams params;
+        params.clients = clients;
+        auto extraction =
+            chor::extract_state_machines(chor::tomcat_model(cached, params));
+        cp::Semantics semantics(extraction.model.arena());
+        const cp::StateSpace space =
+            derive_at(semantics, extraction.model, lanes);
+        const std::string what =
+            std::string(cached ? "cached " : "") + "tomcat[" +
+            std::to_string(clients) + "cl] at " + std::to_string(lanes) +
+            " lanes";
+        expect_space_matches_oracle(space, what, space.state_count() <= 1024);
+      }
     }
   }
 }

@@ -10,8 +10,8 @@
 //
 // The *Concurrent* tests are also the ThreadSanitizer workload: many lanes
 // hammer one shared arena + semantics, many service jobs derive at once,
-// and many threads race to build one space's local-state index (run with
-// CHOREO_SANITIZE=thread; see scripts/reproduce.sh).
+// and many threads race to build one space's local-state index or its
+// action index (run with CHOREO_SANITIZE=thread; see scripts/reproduce.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -275,6 +275,71 @@ TEST(ParallelStateSpace, ConcurrentFirstStateMeasuresAgree) {
       ready.fetch_add(1);
       while (ready.load() < kReaders) std::this_thread::yield();
       results[r] = measure_all(fresh, r);  // each starts at its own constant
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(results[r], expected) << "reader " << r;
+  }
+}
+
+// The action index is built by the first query.  Six threads race the
+// first action_transitions and action_throughput calls on a freshly derived
+// space; every slice and every throughput must equal the serially built
+// index's — a flat scan's positions, and its sums in emission order.
+TEST(ParallelStateSpace, ConcurrentFirstActionQueriesAgree) {
+  chor::TomcatParams params;
+  params.clients = 6;
+  auto extraction =
+      chor::extract_state_machines(chor::tomcat_model(false, params));
+  const pepa::ProcessArena& arena = extraction.model.arena();
+  pepa::Semantics semantics(extraction.model.arena());
+  const pepa::StateSpace serial =
+      pepa::StateSpace::derive(semantics, extraction.model.system());
+  const std::vector<double> pi =
+      ctmc::steady_state(serial.generator()).distribution;
+  const std::size_t actions = arena.action_count();
+  // Per action: its positions by a flat scan, then its throughput's bits.
+  std::vector<std::vector<std::uint64_t>> expected(actions);
+  for (std::size_t a = 0; a < actions; ++a) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < serial.transitions().size(); ++i) {
+      const pepa::StateTransition& t = serial.transitions()[i];
+      if (t.action != a) continue;
+      expected[a].push_back(i);
+      sum += pi[t.source] * t.rate;
+    }
+    expected[a].push_back(std::bit_cast<std::uint64_t>(sum));
+  }
+  auto query_all = [&](const pepa::StateSpace& space, std::size_t first) {
+    std::vector<std::vector<std::uint64_t>> out(actions);
+    for (std::size_t k = 0; k < actions; ++k) {
+      const std::size_t a = (first + k) % actions;
+      const double throughput =
+          pepa::action_throughput(space, pi, static_cast<pepa::ActionId>(a));
+      for (const std::uint32_t i : space.lts().action_transitions(a)) {
+        out[a].push_back(i);
+      }
+      out[a].push_back(std::bit_cast<std::uint64_t>(throughput));
+    }
+    return out;
+  };
+
+  const pepa::StateSpace fresh =
+      pepa::StateSpace::derive(semantics, extraction.model.system());
+  constexpr std::size_t kReaders = 6;
+  std::vector<std::vector<std::vector<std::uint64_t>>> results(kReaders);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      // Even readers ask a slice first, odd ones a throughput, so both
+      // calls race the build.
+      if (r % 2 == 0) (void)fresh.lts().action_transitions(r % actions);
+      results[r] = query_all(fresh, r);
     });
   }
   for (std::thread& reader : readers) reader.join();

@@ -4,8 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <thread>
+#include <cstdint>
 
 #include "choreographer/extract_statechart.hpp"
 #include "choreographer/paper_models.hpp"
@@ -29,10 +30,9 @@ std::vector<double> solve(const cp::StateSpace& space) {
   return cc::steady_state(space.generator()).distribution;
 }
 
-/// Derive lane counts the state-measure tests cover.
-std::vector<std::size_t> lane_counts() {
-  return {1, 2, std::max<std::size_t>(1, std::thread::hardware_concurrency())};
-}
+/// Derive lane counts the state-measure tests cover; the space keeps its
+/// lanes for the local-state index.
+std::vector<std::size_t> lane_counts() { return {1, 2, 4, 8}; }
 
 cp::StateSpace derive_at(cp::Semantics& semantics, cp::ProcessId system,
                          std::size_t lanes, bool aggregate = false) {
@@ -284,6 +284,48 @@ TEST(Measures, StateMeasuresMatchScanUnderHiding) {
   expect_measures_match_scan(model);
 }
 
+// The local-state index is a counting sort over ranges of states, split
+// over the derive's lanes once a space has 2^16 states: the sixteen-replica
+// cycle (every state holds both constants many times, so the occurrence
+// counts are kept) and the 12-client Tomcat (each constant at most once).
+// Every lane count must give the one-lane index: the same slices, and the
+// same measures bit for bit.
+TEST(Measures, LocalStateIndexIsTheSameAtEveryLaneCount) {
+  auto replicas = cp::parse_model(R"(
+    P = (a, 1.0).Q;
+    Q = (b, 2.0).P;
+    Sys = P[16];
+    @system Sys;
+  )");
+  chor::TomcatParams params;
+  params.clients = 12;
+  auto tomcat =
+      chor::extract_state_machines(chor::tomcat_model(false, params)).model;
+  for (cp::Model* model : {&replicas, &tomcat}) {
+    const cp::ProcessArena& arena = model->arena();
+    cp::Semantics serial_semantics(model->arena());
+    const auto serial = derive_at(serial_semantics, model->system(), 1);
+    ASSERT_GE(serial.state_count(), std::size_t{1} << 16);
+    const auto pi = choreo::test::ragged_weights(serial.state_count(), 5);
+    for (const std::size_t lanes : {2u, 4u, 8u}) {
+      cp::Semantics semantics(model->arena());
+      const auto space = derive_at(semantics, model->system(), lanes);
+      for (cp::ConstantId c = 0; c < arena.constant_count(); ++c) {
+        const auto expected = serial.local_states(arena).occupying(c);
+        const auto got = space.local_states(arena).occupying(c);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                               expected.end()))
+            << arena.constant_name(c) << " at " << lanes << " lanes";
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      cp::mean_population(space, pi, arena, c)),
+                  std::bit_cast<std::uint64_t>(
+                      cp::mean_population(serial, pi, arena, c)))
+            << arena.constant_name(c) << " at " << lanes << " lanes";
+      }
+    }
+  }
+}
+
 TEST(Measures, ConstantsDeclaredAfterDeriveMeasureZero) {
   auto model = cp::parse_model(kReplicatedClients);
   auto& arena = model.arena();
@@ -304,6 +346,32 @@ TEST(Measures, ConstantsDeclaredAfterDeriveMeasureZero) {
       EXPECT_EQ(cp::mean_population(*space, pi, arena, late), 0.0);
     }
   }
+}
+
+// all_throughputs sums every action in one pass; each sum must equal the
+// action's indexed query bit for bit, over exactly the actions that occur.
+TEST(Measures, AllThroughputsMatchTheIndexedQueries) {
+  chor::TomcatParams params;
+  params.clients = 6;
+  auto extraction =
+      chor::extract_state_machines(chor::tomcat_model(false, params));
+  const cp::ProcessArena& arena = extraction.model.arena();
+  cp::Semantics semantics(extraction.model.arena());
+  const auto space = derive_at(semantics, extraction.model.system(), 2);
+  const auto pi = choreo::test::ragged_weights(space.state_count(), 9);
+  const auto all = cp::all_throughputs(space, pi, arena);
+  std::size_t next = 0;
+  for (cp::ActionId action = 0; action < arena.action_count(); ++action) {
+    if (space.lts().action_transitions(action).empty()) continue;
+    ASSERT_LT(next, all.size());
+    EXPECT_EQ(all[next].first, action);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(all[next].second),
+              std::bit_cast<std::uint64_t>(
+                  cp::action_throughput(space, pi, action)))
+        << arena.action_name(action);
+    ++next;
+  }
+  EXPECT_EQ(next, all.size());
 }
 
 TEST(Measures, AllThroughputsCoverEveryAction) {

@@ -71,6 +71,9 @@ TEST(Pipeline, StageLedgerRecordsAssemblyAndTheSolve) {
   const chor::StageTimings& timings = report.state_machines[0].timings;
   EXPECT_GT(timings.assemble_seconds, 0.0);
   EXPECT_GT(timings.solve_seconds, 0.0);
+  // The measures have their own clock; reflection is clocked apart.
+  EXPECT_GT(timings.measures_seconds, 0.0);
+  EXPECT_GT(timings.reflect_seconds, 0.0);
   EXPECT_EQ(timings.method_used, choreo::ctmc::Method::kDenseLU);
   EXPECT_EQ(timings.iterations, 1u);
   EXPECT_LE(timings.residual, 1e-12);
@@ -89,6 +92,7 @@ TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
   first.iterations = 24;
   first.residual = 1e-13;
   first.derive_stats.serial_seconds = 0.125;
+  first.measures_seconds = 0.0625;
   chor::StageTimings second;
   second.assemble_seconds = 0.5;
   second.solve_seconds = 2.0;
@@ -96,6 +100,7 @@ TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
   second.iterations = 1;
   second.residual = 1e-15;
   second.derive_stats.serial_seconds = 0.25;
+  second.measures_seconds = 0.125;
   total += first;
   total += second;
   EXPECT_EQ(total.assemble_seconds, 0.75);
@@ -104,6 +109,7 @@ TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
   EXPECT_EQ(total.iterations, 25u);
   EXPECT_EQ(total.residual, 1e-13);
   EXPECT_EQ(total.derive_stats.serial_seconds, 0.375);
+  EXPECT_EQ(total.measures_seconds, 0.1875);
 }
 
 TEST(Pipeline, RatesInputChangesResults) {

@@ -168,12 +168,15 @@ TEST(Service, ExportsTheAssemblyStageClock) {
           .wait();
   ASSERT_EQ(result.status, cs::JobStatus::kDone) << result.error;
   EXPECT_GT(result.timings.stages.assemble_seconds, 0.0);
+  EXPECT_GT(result.timings.stages.measures_seconds, 0.0);
   EXPECT_GT(result.timings.stages.iterations, 0u);
   const std::string text = registry.exposition();
-  EXPECT_NE(text.find("# TYPE choreo_stage_assemble_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("choreo_stage_assemble_seconds_count 1\n"),
-            std::string::npos);
+  for (const std::string stage : {"assemble", "measures"}) {
+    const std::string metric = "choreo_stage_" + stage + "_seconds";
+    EXPECT_NE(text.find("# TYPE " + metric + " histogram"), std::string::npos)
+        << metric;
+    EXPECT_NE(text.find(metric + "_count 1\n"), std::string::npos) << metric;
+  }
 }
 
 TEST(Service, CacheHitMergesTheRequestersOwnLayout) {

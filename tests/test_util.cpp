@@ -1,10 +1,11 @@
 // Unit tests for choreo_util: strings, RNG, statistics, thread pool,
-// segmented vector, slot array, bump arena, tables.
+// segmented vector, slot array, bump arena, the split counting sort, tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <future>
 #include <mutex>
 #include <numeric>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "util/bump_arena.hpp"
+#include "util/counting_sort.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/segmented_vector.hpp"
@@ -547,6 +549,142 @@ TEST(ThreadPool, SharedSurvivesStaticDestructorAdjacentUse) {
   static StaticDestructorAdjacentPoolUser user;
   (void)user;
   SUCCEED();
+}
+
+namespace {
+
+/// A counting sort's result: per-key offsets and the items in sorted order.
+struct Sorted {
+  std::vector<std::size_t> offsets;
+  std::vector<std::size_t> order;
+};
+
+/// util::CountingSort of items i by keys[i], over the parts `bounds` cuts.
+Sorted split_sort(const std::vector<std::size_t>& keys, std::size_t key_count,
+                  std::vector<std::size_t> bounds, const cu::Lanes& lanes) {
+  cu::CountingSort<std::size_t> sort(
+      key_count, std::move(bounds), lanes,
+      [&](std::size_t begin, std::size_t end, std::size_t* counts) {
+        for (std::size_t i = begin; i < end; ++i) ++counts[keys[i]];
+      });
+  Sorted out;
+  out.offsets = sort.offsets();
+  out.order.assign(keys.size(), keys.size());
+  sort.place([&](std::size_t begin, std::size_t end, std::size_t* cursor) {
+    for (std::size_t i = begin; i < end; ++i) out.order[cursor[keys[i]]++] = i;
+  });
+  return out;
+}
+
+/// The reference: a serial stable sort of the items by key.
+Sorted stable_sorted(const std::vector<std::size_t>& keys,
+                     std::size_t key_count) {
+  Sorted out;
+  out.order.resize(keys.size());
+  std::iota(out.order.begin(), out.order.end(), std::size_t{0});
+  std::stable_sort(out.order.begin(), out.order.end(),
+                   [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+  out.offsets.assign(key_count + 1, 0);
+  for (const std::size_t key : keys) ++out.offsets[key + 1];
+  std::partial_sum(out.offsets.begin(), out.offsets.end(), out.offsets.begin());
+  return out;
+}
+
+struct SortCase {
+  std::string name;
+  std::vector<std::size_t> keys;
+  std::size_t key_count;
+};
+
+std::vector<SortCase> sort_cases() {
+  std::vector<SortCase> cases;
+  cases.push_back({"empty input", {}, 7});
+  cases.push_back({"no keys", {}, 0});
+  cases.push_back({"single key", std::vector<std::size_t>(70'000, 0), 1});
+  cases.push_back(
+      {"every item under one of many keys", std::vector<std::size_t>(90'000, 17), 64});
+  // Odd keys hold no items; enough items that split_parts cuts several
+  // parts at every lane count above one.
+  cu::Xoshiro256 rng(11);
+  SortCase mixed{"many keys, odd ones empty", {}, 257};
+  for (std::size_t i = 0; i < 200'000; ++i) {
+    mixed.keys.push_back(2 * rng.below(129));
+  }
+  cases.push_back(std::move(mixed));
+  return cases;
+}
+
+}  // namespace
+
+TEST(CountingSort, MatchesAStableSortAtEveryLaneCountOnBothPoolShapes) {
+  cu::ThreadPool inline_pool(0);
+  cu::ThreadPool workers(3);
+  for (const SortCase& test : sort_cases()) {
+    const Sorted expected = stable_sorted(test.keys, test.key_count);
+    const std::size_t n = test.keys.size();
+    for (cu::ThreadPool* pool : {&inline_pool, &workers}) {
+      for (const std::size_t lanes : {1u, 2u, 3u, 8u}) {
+        const cu::Lanes on{pool, lanes};
+        const std::string where = test.name + " at " + std::to_string(lanes) +
+                                  " lanes, " +
+                                  std::to_string(pool->worker_count()) +
+                                  " workers";
+        // The cut split_parts makes, then `lanes` parts every other one of
+        // which holds no items.
+        std::vector<std::size_t> sparse{0};
+        for (std::size_t p = 1; p < 2 * lanes; ++p) {
+          sparse.push_back(p % 2 == 0 ? sparse.back() : n * p / (2 * lanes));
+        }
+        sparse.push_back(n);
+        for (std::vector<std::size_t> bounds :
+             {cu::split_parts(n, on), sparse}) {
+          const Sorted got =
+              split_sort(test.keys, test.key_count, std::move(bounds), on);
+          EXPECT_EQ(got.offsets, expected.offsets) << where;
+          EXPECT_EQ(got.order, expected.order) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(CountingSort, SplitPartsCutsEqualWeightsUpToOnePerLane) {
+  // Too light to split, or one lane: one part.
+  EXPECT_EQ(cu::split_parts(cu::kMinPartWeight, {nullptr, 8}),
+            (std::vector<std::size_t>{0, cu::kMinPartWeight}));
+  EXPECT_EQ(cu::split_parts(1'000'000, {nullptr, 1}),
+            (std::vector<std::size_t>{0, 1'000'000}));
+  EXPECT_EQ(cu::split_parts(0, {nullptr, 4}), (std::vector<std::size_t>{0, 0}));
+  // Heavy enough for every lane: equal unit counts.
+  EXPECT_EQ(cu::split_parts(400'000, {nullptr, 4}),
+            (std::vector<std::size_t>{0, 100'000, 200'000, 300'000, 400'000}));
+  // Weighted: unit u weighs u, so the cuts crowd towards the heavy end and
+  // each part holds about a third of the weight.
+  const std::size_t units = 1000;
+  auto start = [](std::size_t u) { return u * (u - (u > 0 ? 1 : 0)) / 2; };
+  const std::vector<std::size_t> bounds =
+      cu::split_parts(units, {nullptr, 3}, start);
+  ASSERT_EQ(bounds.size(), 4u);
+  EXPECT_EQ(bounds.front(), 0u);
+  EXPECT_EQ(bounds.back(), units);
+  for (std::size_t p = 0; p < 3; ++p) {
+    const double weight =
+        static_cast<double>(start(bounds[p + 1]) - start(bounds[p]));
+    EXPECT_NEAR(weight / static_cast<double>(start(units)), 1.0 / 3.0, 0.01);
+  }
+}
+
+TEST(CountingSort, CheckSeesTheRunningTotalAfterEveryKey) {
+  const std::vector<std::size_t> keys{2, 0, 2, 1, 2};
+  std::vector<std::size_t> totals;
+  cu::CountingSort<std::size_t> sort(
+      3, {0, keys.size()}, {},
+      [&](std::size_t begin, std::size_t end, std::size_t* counts) {
+        for (std::size_t i = begin; i < end; ++i) ++counts[keys[i]];
+      },
+      [&](std::size_t running) { totals.push_back(running); });
+  EXPECT_EQ(totals, (std::vector<std::size_t>{1, 2, 5}));
+  EXPECT_EQ(sort.offsets(), (std::vector<std::size_t>{0, 1, 2, 5}));
 }
 
 TEST(Table, AlignsColumnsAndCountsRows) {
