@@ -18,11 +18,15 @@
 // lane work (DeriveStats::serial_seconds).  The Tomcat rows also time the
 // sorts that follow the derive on its lanes: the generator
 // (StateSpace::generator(), "assemble ms") and the first local_states()
-// call ("local states ms").  Counts print as integers.
+// call ("local states ms"); and they count the minor page faults of a
+// repeated job ("repeat faults"): the same derive, generator, first
+// local_states() call and teardown run again in the same process, over the
+// memory the first run retired.  Counts print as integers.
 // Benchmarks: marking-graph derivation throughput.
 #include "bench_common.hpp"
 
 #include <malloc.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <fstream>
@@ -39,6 +43,7 @@
 #include "pepanet/netsemantics.hpp"
 #include "pepanet/netstatespace.hpp"
 #include "util/error.hpp"
+#include "util/retained_memory.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -77,10 +82,12 @@ std::string count(std::size_t n) { return std::to_string(n); }
 std::string value(double v) { return util::format_double(v); }
 
 /// The process's resident set in bytes (/proc/self/statm), after returning
-/// the allocator's free memory to the system so that a derive's growth is
-/// not hidden by heap an earlier row freed.
+/// the allocator's free memory and the spare transition mapping to the
+/// system, so that a derive's growth is not hidden by memory an earlier row
+/// freed.
 double resident_bytes() {
   malloc_trim(0);
+  util::release_spare_mapping();
   std::ifstream statm("/proc/self/statm");
   double pages = 0.0;
   double resident = 0.0;
@@ -99,6 +106,13 @@ double resident_bytes_per_transition(pepa::Model& model,
       pepa::StateSpace::derive(semantics, model.system(), options);
   return (resident_bytes() - before) /
          static_cast<double>(space.transitions().size());
+}
+
+/// The process's minor page faults so far, over all its threads.
+std::size_t minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::size_t>(usage.ru_minflt);
 }
 
 /// Destroys what a derivation left behind in the order a finished job
@@ -167,66 +181,95 @@ void report() {
   util::TextTable clients({"clients", "lanes", "states", "transitions",
                            "key bits", "derive ms", "serial ms",
                            "assemble ms", "local states ms", "B/transition",
-                           "teardown ms"});
+                           "teardown ms", "repeat faults"});
+  // One job's state-machine leg over a built model: the derive, the sorts
+  // that follow it on its lanes (the generator, and the local-state index
+  // its first state measure builds) and the teardown, with the minor faults
+  // taken from the derive to the end of the teardown.
+  struct TomcatJob {
+    std::size_t states = 0;
+    std::size_t transitions = 0;
+    std::size_t key_words = 0;
+    std::size_t key_bits = 0;
+    double seconds = 0.0;
+    double serial = 0.0;
+    double assemble = 0.0;
+    double local_states = 0.0;
+    double teardown = 0.0;
+    std::size_t faults = 0;
+  };
+  auto tomcat_job = [](std::size_t clients_count,
+                       const pepa::DeriveOptions& options) {
+    chor::TomcatParams params;
+    params.clients = clients_count;
+    auto extraction = std::make_unique<chor::StatechartExtraction>(
+        chor::extract_state_machines(chor::tomcat_model(false, params)));
+    auto semantics =
+        std::make_unique<pepa::Semantics>(extraction->model.arena());
+    TomcatJob job;
+    const std::size_t faults = minor_faults();
+    util::Stopwatch timer;
+    auto space = std::make_unique<pepa::StateSpace>(pepa::StateSpace::derive(
+        *semantics, extraction->model.system(), options));
+    job.seconds = timer.seconds();
+    job.states = space->state_count();
+    job.transitions = space->transitions().size();
+    job.key_words = space->key_words();
+    job.key_bits = space->key_bits();
+    job.serial = space->stats().serial_seconds;
+    timer.restart();
+    benchmark::DoNotOptimize(space->generator().values().data());
+    job.assemble = timer.seconds();
+    timer.restart();
+    benchmark::DoNotOptimize(
+        space->local_states(extraction->model.arena()).size());
+    job.local_states = timer.seconds();
+    job.teardown = timed_teardown(space, semantics, extraction);
+    job.faults = minor_faults() - faults;
+    return job;
+  };
   for (std::size_t c : {1u, 2u, 4u, 6u, 8u, 10u, 12u}) {
     for (const std::size_t threads : {1u, 2u}) {
-      chor::TomcatParams params;
-      params.clients = c;
-      auto extraction = std::make_unique<chor::StatechartExtraction>(
-          chor::extract_state_machines(chor::tomcat_model(false, params)));
-      auto semantics =
-          std::make_unique<pepa::Semantics>(extraction->model.arena());
       pepa::DeriveOptions options;
       options.threads = threads;
       options.pool = threads > 1 ? &population_pool : nullptr;
-      util::Stopwatch timer;
-      auto space = std::make_unique<pepa::StateSpace>(pepa::StateSpace::derive(
-          *semantics, extraction->model.system(), options));
-      const double seconds = timer.seconds();
-      const std::size_t states = space->state_count();
-      const std::size_t transitions = space->transitions().size();
-      const std::size_t key_words = space->key_words();
-      const std::size_t key_bits = space->key_bits();
-      const double serial = space->stats().serial_seconds;
-      // The sorts that follow the derive, on its lanes: the generator, and
-      // the local-state index its first state measure builds.
-      timer.restart();
-      benchmark::DoNotOptimize(space->generator().values().data());
-      const double assemble = timer.seconds();
-      timer.restart();
-      benchmark::DoNotOptimize(
-          space->local_states(extraction->model.arena()).size());
-      const double local_states = timer.seconds();
-      const double teardown = timed_teardown(space, semantics, extraction);
+      const TomcatJob job = tomcat_job(c, options);
+      const std::size_t repeat_faults = tomcat_job(c, options).faults;
+      chor::TomcatParams params;
+      params.clients = c;
       auto fresh =
           chor::extract_state_machines(chor::tomcat_model(false, params));
       const double per_transition =
           resident_bytes_per_transition(fresh.model, options);
-      clients.add_row({std::to_string(c), count(threads), count(states),
-                       count(transitions), count(key_bits),
-                       value(seconds * 1e3), value(serial * 1e3),
-                       value(assemble * 1e3), value(local_states * 1e3),
-                       value(per_transition), value(teardown * 1e3)});
+      clients.add_row({std::to_string(c), count(threads), count(job.states),
+                       count(job.transitions), count(job.key_bits),
+                       value(job.seconds * 1e3), value(job.serial * 1e3),
+                       value(job.assemble * 1e3),
+                       value(job.local_states * 1e3), value(per_transition),
+                       value(job.teardown * 1e3),
+                       count(repeat_faults)});
       bench::json_record(
           bench::JsonObject()
               .field("model", "tomcat[" + std::to_string(c) + "cl]")
               .field("threads", threads)
-              .field("states", states)
-              .field("transitions", transitions)
-              .field("key_words", key_words)
-              .field("key_bits", key_bits)
-              .field("seconds", seconds)
-              .field("serial_seconds", serial)
-              .field("assemble_seconds", assemble)
-              .field("local_states_seconds", local_states)
+              .field("states", job.states)
+              .field("transitions", job.transitions)
+              .field("key_words", job.key_words)
+              .field("key_bits", job.key_bits)
+              .field("seconds", job.seconds)
+              .field("serial_seconds", job.serial)
+              .field("assemble_seconds", job.assemble)
+              .field("local_states_seconds", job.local_states)
               .field("bytes_per_transition", per_transition)
-              .field("teardown_seconds", teardown)
+              .field("teardown_seconds", job.teardown)
+              .field("repeat_minor_faults", repeat_faults)
               .field("states_per_second",
-                     static_cast<double>(states) / seconds));
+                     static_cast<double>(job.states) / job.seconds));
     }
   }
   std::cout << "Tomcat client population (teardown: space, semantics and"
-               " model destroyed):\n"
+               " model destroyed; repeat faults: minor page faults of the"
+               " same job run again):\n"
             << clients << '\n';
 
   // 4. Exploration lanes over the largest models.  Derivation is

@@ -22,7 +22,7 @@ cmake --build build-tsan --target test_parallel_statespace test_service \
 ./build-tsan/tests/test_service 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_metrics 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_util \
-  --gtest_filter='ThreadPool.*:SegmentedVector.*:SlotArray.*:BumpArena.*:CountingSort.*' \
+  --gtest_filter='ThreadPool.*:SegmentedVector.*:SlotArray.*:BumpArena.*:CountingSort.*:RetainedMemory.*' \
   2>&1 | tee -a tsan_output.txt
 # Quotient-direct derivation sorts keys (PEPA) and markings (nets) in the
 # expansion lanes; the lane-count determinism checks run under TSan too.

@@ -1,6 +1,7 @@
 #include "choreographer/pipeline.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "choreographer/extract_activity.hpp"
 #include "choreographer/extract_statechart.hpp"
@@ -36,6 +37,7 @@ StageTimings& StageTimings::operator+=(const StageTimings& other) {
   solve_seconds += other.solve_seconds;
   measures_seconds += other.measures_seconds;
   reflect_seconds += other.reflect_seconds;
+  teardown_seconds += other.teardown_seconds;
   if (method_used == ctmc::Method::kAuto) method_used = other.method_used;
   iterations += other.iterations;
   residual = std::max(residual, other.residual);
@@ -89,6 +91,16 @@ ctmc::SolveResult assemble_and_solve(const Space& space,
   return solved;
 }
 
+/// Releases what an analysis built, in the order a finished job frees it —
+/// the space, then the semantics, then the extraction that owns the term
+/// arena — on the teardown clock.
+template <typename... Owned>
+void tear_down(StageTimings& timings, std::optional<Owned>&... owned) {
+  util::Stopwatch timer;
+  (owned.reset(), ...);
+  timings.teardown_seconds = timer.seconds();
+}
+
 /// The fluid backend's knobs from the analysis options: the ODE tolerance
 /// trio, the state bound reused as the local-derivative-set bound, and the
 /// shared governor.
@@ -107,14 +119,16 @@ ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,
   util::Stopwatch timer;
   ExtractOptions extract_options;
   extract_options.default_rate = options.default_rate;
-  ActivityExtraction extraction = extract_activity_graph(graph, extract_options);
+  std::optional<ActivityExtraction> extracted(
+      extract_activity_graph(graph, extract_options));
+  ActivityExtraction& extraction = *extracted;
 
   ActivityGraphResult result;
   result.graph_name = graph.name();
   result.timings.extract_seconds = timer.seconds();
 
   checkpoint(options);
-  pepanet::NetSemantics semantics(extraction.net);
+  std::optional<pepanet::NetSemantics> semantics(std::in_place, extraction.net);
 
   if (options.aggregation == Aggregation::kFluid) {
     // The fluid backend works on a plain PEPA term; a single-place net
@@ -130,9 +144,9 @@ ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,
     }
     timer.restart();
     const pepa::ProcessId system =
-        semantics.place_context(extraction.net.initial_marking(), 0);
+        semantics->place_context(extraction.net.initial_marking(), 0);
     const auto fluid =
-        fluid::solve_steady(semantics.pepa(), system, governed_fluid(options));
+        fluid::solve_steady(semantics->pepa(), system, governed_fluid(options));
     result.marking_count = fluid.form.dimension();
     result.transition_count = fluid.form.transitions().size();
     result.timings.solve_seconds = timer.seconds();
@@ -157,6 +171,7 @@ ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,
     result.throughputs = fluid_throughputs;
     reflect_throughputs(graph, fluid_throughputs);
     result.timings.reflect_seconds = timer.seconds();
+    tear_down(result.timings, semantics, extracted);
     return result;
   }
 
@@ -171,15 +186,16 @@ ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,
   // Every per-action throughput survives the quotient, so the solve and
   // measure legs below are shared with the unaggregated path.
   derive_options.aggregate = options.aggregation == Aggregation::kExact;
-  const auto space = pepanet::NetStateSpace::derive(semantics, derive_options);
+  std::optional<pepanet::NetStateSpace> space(
+      pepanet::NetStateSpace::derive(*semantics, derive_options));
 
-  result.marking_count = space.marking_count();
-  result.transition_count = space.transitions().size();
-  result.timings.derive_stats = space.stats();
+  result.marking_count = space->marking_count();
+  result.transition_count = space->transitions().size();
+  result.timings.derive_stats = space->stats();
 
   checkpoint(options);
   Throughputs throughputs;
-  const auto solved = assemble_and_solve(space, options, result.timings);
+  const auto solved = assemble_and_solve(*space, options, result.timings);
   checkpoint(options);
   timer.restart();
   for (const auto& action_name : extraction.action_names) {
@@ -188,13 +204,14 @@ ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,
     CHOREO_ASSERT(action.has_value());
     throughputs.emplace_back(
         *action_name,
-        pepanet::action_throughput(space, solved.distribution, *action));
+        pepanet::action_throughput(*space, solved.distribution, *action));
   }
   result.timings.measures_seconds = timer.seconds();
   timer.restart();
   result.throughputs = throughputs;
   reflect_throughputs(graph, throughputs);
   result.timings.reflect_seconds = timer.seconds();
+  tear_down(result.timings, space, semantics, extracted);
   return result;
 }
 
@@ -233,21 +250,23 @@ void reflect_state_measures(uml::Model& model,
 StateMachineResult analyse_state_machines(uml::Model& model,
                                           const AnalysisOptions& options) {
   util::Stopwatch timer;
-  StatechartExtraction extraction = extract_state_machines(model);
+  std::optional<StatechartExtraction> extracted(extract_state_machines(model));
+  StatechartExtraction& extraction = *extracted;
 
   StateMachineResult result;
   result.timings.extract_seconds = timer.seconds();
 
   checkpoint(options);
-  pepa::Semantics semantics(extraction.model.arena());
+  std::optional<pepa::Semantics> semantics(std::in_place,
+                                           extraction.model.arena());
 
   if (options.aggregation == Aggregation::kFluid) {
     // Population-level solve: each machine is one sequential component, so
     // its state occupancies are populations of count-one groups — exactly
     // the per-state probabilities the reflector wants.
     timer.restart();
-    const auto fluid = fluid::solve_steady(semantics, extraction.model.system(),
-                                           governed_fluid(options));
+    const auto fluid = fluid::solve_steady(
+        *semantics, extraction.model.system(), governed_fluid(options));
     result.state_count = fluid.form.dimension();
     result.transition_count = fluid.form.transitions().size();
     result.timings.solve_seconds = timer.seconds();
@@ -267,6 +286,7 @@ StateMachineResult analyse_state_machines(uml::Model& model,
     timer.restart();
     reflect_state_measures(model, extraction, probabilities);
     result.timings.reflect_seconds = timer.seconds();
+    tear_down(result.timings, semantics, extracted);
     return result;
   }
 
@@ -281,32 +301,33 @@ StateMachineResult analyse_state_machines(uml::Model& model,
   // the quotient collapses, so state-diagram analyses aggregate exactly
   // too (the full chain is never built).
   derive_options.aggregate = options.aggregation == Aggregation::kExact;
-  const auto space = pepa::StateSpace::derive(
-      semantics, extraction.model.system(), derive_options);
+  std::optional<pepa::StateSpace> space(pepa::StateSpace::derive(
+      *semantics, extraction.model.system(), derive_options));
 
-  result.state_count = space.state_count();
-  result.transition_count = space.transitions().size();
-  result.timings.derive_stats = space.stats();
+  result.state_count = space->state_count();
+  result.transition_count = space->transitions().size();
+  result.timings.derive_stats = space->stats();
 
   checkpoint(options);
-  const auto solved = assemble_and_solve(space, options, result.timings);
+  const auto solved = assemble_and_solve(*space, options, result.timings);
 
   checkpoint(options);
   timer.restart();
   const pepa::ProcessArena& arena = extraction.model.arena();
   const std::vector<Probabilities> probabilities = state_measures(
       extraction, arena, result, [&](pepa::ConstantId constant) {
-        return pepa::state_probability(space, solved.distribution, arena,
+        return pepa::state_probability(*space, solved.distribution, arena,
                                        constant);
       });
   for (const auto& [action, value] :
-       pepa::all_throughputs(space, solved.distribution, arena)) {
+       pepa::all_throughputs(*space, solved.distribution, arena)) {
     result.throughputs.emplace_back(arena.action_name(action), value);
   }
   result.timings.measures_seconds = timer.seconds();
   timer.restart();
   reflect_state_measures(model, extraction, probabilities);
   result.timings.reflect_seconds = timer.seconds();
+  tear_down(result.timings, space, semantics, extracted);
   return result;
 }
 

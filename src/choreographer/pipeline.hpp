@@ -102,6 +102,9 @@ struct StageTimings {
   double measures_seconds = 0.0;
   /// Writing the measures back into the UML model.
   double reflect_seconds = 0.0;
+  /// Releasing the derived space, the semantics and the extraction (which
+  /// owns the term arena) once the measures are reflected.
+  double teardown_seconds = 0.0;
   /// The steady-state solve: the method that ran (kAuto when none did),
   /// its iterations and its final residual.
   ctmc::Method method_used = ctmc::Method::kAuto;

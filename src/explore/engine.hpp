@@ -32,7 +32,8 @@
 // source-row index of its states — a level's states are a contiguous id
 // range, so their rows are too.  One last fork writes the last level, and
 // the mapping is handed to the TransitionSystem as it is: no second copy,
-// no join.
+// no join.  Every position is written before anything reads it, so a
+// mapping a finished derive retired serves the next one as it stands.
 //
 // The guarantees:
 //
@@ -86,6 +87,7 @@
 #include "util/budget.hpp"
 #include "util/counting_sort.hpp"
 #include "util/error.hpp"
+#include "util/retained_memory.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -205,6 +207,9 @@ DeriveStats run(std::vector<State>& states, StateIndex& index, State initial,
                 ActionName&& action_name, Representable&& representable,
                 Write&& write, TransitionSystem<Transition>& transitions,
                 const EngineOptions& options) {
+  // Every analysis derives before its large allocations, so the heap keeps
+  // a finished job's memory for the next from here on.
+  util::retain_freed_heap();
   util::Stopwatch timer;
   double lane_seconds = 0.0;
   DeriveStats stats;

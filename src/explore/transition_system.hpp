@@ -22,8 +22,6 @@
 // `.source`, `.target`, `.rate` and, for the action index, `.action`.
 #pragma once
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -40,6 +38,7 @@
 
 #include "util/counting_sort.hpp"
 #include "util/error.hpp"
+#include "util/retained_memory.hpp"
 
 namespace choreo::explore {
 
@@ -49,8 +48,12 @@ namespace choreo::explore {
 /// the kernel may ignore): lanes write it front to back, and a 2 MiB page
 /// is one fault where 4 KiB pages are 512.  Up to one granule the records
 /// live on the heap instead, since a mapping's system calls cost more than
-/// a small derive.  The sanitizers do not see into a mapping, so writers
-/// bound their own positions.
+/// a small derive.  A destroyed array retires its mapping, and the next
+/// array to leave the heap takes it (util/retained_memory.hpp), so a
+/// repeated derive writes pages that are already resident.  Records past
+/// the ones written hold whatever the mapping's last user left there.  The
+/// sanitizers do not see into a mapping, so writers bound their own
+/// positions.
 template <typename T>
 class MappedArray {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -67,7 +70,9 @@ class MappedArray {
     std::swap(bytes_, other.bytes_);
     return *this;
   }
-  ~MappedArray() { mapped() ? (void)munmap(data_, bytes_) : std::free(data_); }
+  ~MappedArray() {
+    mapped() ? util::retire_mapping({data_, bytes_}) : std::free(data_);
+  }
 
   T* data() noexcept { return data_; }
   const T* data() const noexcept { return data_; }
@@ -78,24 +83,22 @@ class MappedArray {
   void reserve(std::size_t count) {
     if (count <= capacity()) return;
     std::size_t bytes = std::max(count * sizeof(T), 2 * bytes_);
-    void* grown = nullptr;
     if (bytes <= kGranule) {
-      grown = std::realloc(data_, bytes);
-    } else {
-      bytes = (bytes + kGranule - 1) / kGranule * kGranule;
-      grown = mapped() ? mremap(data_, bytes_, bytes, MREMAP_MAYMOVE)
-                       : mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                              MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-      if (grown == MAP_FAILED) grown = nullptr;
-      if (grown != nullptr) madvise(grown, bytes, MADV_HUGEPAGE);
-      if (grown != nullptr && !mapped()) {  // leaves the heap
-        if (bytes_ != 0) std::memcpy(grown, data_, bytes_);
-        std::free(data_);
-      }
+      void* grown = std::realloc(data_, bytes);
+      if (grown == nullptr) throw std::bad_alloc();
+      data_ = static_cast<T*>(grown);
+      bytes_ = bytes;
+      return;
     }
-    if (grown == nullptr) throw std::bad_alloc();
-    data_ = static_cast<T*>(grown);
-    bytes_ = bytes;
+    bytes = (bytes + kGranule - 1) / kGranule * kGranule;
+    const util::Mapping grown = util::grow_mapping(
+        mapped() ? util::Mapping{data_, bytes_} : util::Mapping{}, bytes);
+    if (!mapped()) {  // leaves the heap
+      if (bytes_ != 0) std::memcpy(grown.data, data_, bytes_);
+      std::free(data_);
+    }
+    data_ = static_cast<T*>(grown.data);
+    bytes_ = grown.bytes;
   }
 
  private:

@@ -174,6 +174,9 @@ struct Scheduler::Impl {
         reflect_seconds(registry.histogram(
             "choreo_stage_reflect_seconds",
             "Reflection of the measures into the UML model per job")),
+        teardown_seconds(registry.histogram(
+            "choreo_stage_teardown_seconds",
+            "Release of the derived space, semantics and extraction per job")),
         explore_rate(registry.histogram(
             "choreo_explore_states_per_second",
             "States discovered per exploration second, per job",
@@ -266,6 +269,7 @@ struct Scheduler::Impl {
   Histogram& solve_seconds;
   Histogram& measures_seconds;
   Histogram& reflect_seconds;
+  Histogram& teardown_seconds;
   Histogram& explore_rate;
   Counter& explored_states_total;
   Counter& dedup_hits_total;
@@ -584,6 +588,7 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
     solve_seconds.observe(stages.solve_seconds);
     measures_seconds.observe(stages.measures_seconds);
     reflect_seconds.observe(stages.reflect_seconds);
+    teardown_seconds.observe(stages.teardown_seconds);
     explored_states_total.increment(stages.derive_stats.dedup_misses);
     dedup_hits_total.increment(stages.derive_stats.dedup_hits);
     dedup_misses_total.increment(stages.derive_stats.dedup_misses);

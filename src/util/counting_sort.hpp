@@ -46,7 +46,9 @@ struct Lanes {
 
 /// An allocator whose value-initialising resize() leaves the elements
 /// uninitialised, for the arrays a sort's parts write whole: their pages are
-/// then first touched by the lanes that write them, not zeroed serially.
+/// then first touched by the lanes that write them, not zeroed serially.  In
+/// a repeated job that first touch no longer faults either: the heap keeps
+/// the previous job's pages (util/retained_memory.hpp).
 template <typename T>
 struct NoInit : std::allocator<T> {
   NoInit() = default;

@@ -10,8 +10,10 @@
 //
 // The *Concurrent* tests are also the ThreadSanitizer workload: many lanes
 // hammer one shared arena + semantics, many service jobs derive at once,
-// and many threads race to build one space's local-state index or its
-// action index (run with CHOREO_SANITIZE=thread; see scripts/reproduce.sh).
+// two threads derive different models in turn over one spare transition
+// mapping, and many threads race to build one space's local-state index or
+// its action index (run with CHOREO_SANITIZE=thread; see
+// scripts/reproduce.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -231,6 +233,54 @@ TEST(ParallelStateSpace, ConcurrentDerivesOnSharedSemanticsAgree) {
   for (std::thread& explorer : explorers) explorer.join();
   for (std::size_t e = 1; e < kExplorers; ++e) {
     EXPECT_EQ(results[e], results[0]) << "explorer " << e;
+  }
+}
+
+// Two threads derive different models over and over, at two lanes each.  A
+// destroyed space retires its transition mapping to one process-wide spare,
+// so a derive may write its records over pages the other model's derive
+// left: every result must still equal that model's serial derive.
+TEST(ParallelStateSpace, ConcurrentRepeatedDerivesOfDifferentModelsAgree) {
+  constexpr std::size_t kRounds = 4;
+  const std::size_t clients[] = {8, 6};  // 25,088 and 3,744 transitions
+  auto extract = [](std::size_t count) {
+    chor::TomcatParams params;
+    params.clients = count;
+    return chor::extract_state_machines(chor::tomcat_model(false, params));
+  };
+  std::vector<std::string> expected[2];
+  for (std::size_t m = 0; m < 2; ++m) {
+    auto extraction = extract(clients[m]);
+    pepa::Semantics semantics(extraction.model.arena());
+    expected[m] = fingerprint(
+        extraction.model.arena(),
+        pepa::StateSpace::derive(semantics, extraction.model.system()));
+  }
+
+  util::ThreadPool pool(4);
+  std::vector<std::vector<std::string>> results[2];
+  std::vector<std::thread> derivers;
+  for (std::size_t m = 0; m < 2; ++m) {
+    derivers.emplace_back([&, m] {
+      auto extraction = extract(clients[m]);
+      pepa::Semantics semantics(extraction.model.arena());
+      pepa::DeriveOptions options;
+      options.threads = 2;
+      options.pool = &pool;
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        const pepa::StateSpace space = pepa::StateSpace::derive(
+            semantics, extraction.model.system(), options);
+        results[m].push_back(fingerprint(extraction.model.arena(), space));
+      }
+    });
+  }
+  for (std::thread& deriver : derivers) deriver.join();
+  for (std::size_t m = 0; m < 2; ++m) {
+    ASSERT_EQ(results[m].size(), kRounds);
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      EXPECT_EQ(results[m][r], expected[m])
+          << clients[m] << " clients, round " << r;
+    }
   }
 }
 

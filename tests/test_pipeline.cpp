@@ -62,8 +62,9 @@ TEST(Pipeline, AnalyseAnnotatesStateMachines) {
 }
 
 // The ledger clocks assembly apart from the solve, splits the derive's
-// serial part out of its clock, and records the solver that ran, with its
-// iterations and residual.
+// serial part out of its clock, records the solver that ran, with its
+// iterations and residual, and clocks the release of what the analysis
+// built.
 TEST(Pipeline, StageLedgerRecordsAssemblyAndTheSolve) {
   cm::Model model = chor::tomcat_model(false);
   const auto report = chor::analyse(model);
@@ -74,11 +75,17 @@ TEST(Pipeline, StageLedgerRecordsAssemblyAndTheSolve) {
   // The measures have their own clock; reflection is clocked apart.
   EXPECT_GT(timings.measures_seconds, 0.0);
   EXPECT_GT(timings.reflect_seconds, 0.0);
+  EXPECT_GT(timings.teardown_seconds, 0.0);
   EXPECT_EQ(timings.method_used, choreo::ctmc::Method::kDenseLU);
   EXPECT_EQ(timings.iterations, 1u);
   EXPECT_LE(timings.residual, 1e-12);
   EXPECT_GT(timings.derive_stats.serial_seconds, 0.0);
   EXPECT_LE(timings.derive_stats.serial_seconds, timings.derive_seconds());
+  // The activity-graph leg clocks its teardown too.
+  cm::Model pda = chor::pda_handover_model();
+  const auto pda_report = chor::analyse(pda);
+  ASSERT_EQ(pda_report.activity_graphs.size(), 1u);
+  EXPECT_GT(pda_report.activity_graphs[0].timings.teardown_seconds, 0.0);
 }
 
 // Folding adds clocks and iterations, keeps the worst residual and the
@@ -93,6 +100,7 @@ TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
   first.residual = 1e-13;
   first.derive_stats.serial_seconds = 0.125;
   first.measures_seconds = 0.0625;
+  first.teardown_seconds = 0.03125;
   chor::StageTimings second;
   second.assemble_seconds = 0.5;
   second.solve_seconds = 2.0;
@@ -101,6 +109,7 @@ TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
   second.residual = 1e-15;
   second.derive_stats.serial_seconds = 0.25;
   second.measures_seconds = 0.125;
+  second.teardown_seconds = 0.0625;
   total += first;
   total += second;
   EXPECT_EQ(total.assemble_seconds, 0.75);
@@ -110,6 +119,7 @@ TEST(Pipeline, StageLedgerFoldsClocksIterationsAndResiduals) {
   EXPECT_EQ(total.residual, 1e-13);
   EXPECT_EQ(total.derive_stats.serial_seconds, 0.375);
   EXPECT_EQ(total.measures_seconds, 0.1875);
+  EXPECT_EQ(total.teardown_seconds, 0.09375);
 }
 
 TEST(Pipeline, RatesInputChangesResults) {

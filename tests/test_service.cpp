@@ -153,8 +153,8 @@ TEST(Service, CachedResultIsByteIdenticalToFreshRun) {
   }
 }
 
-// The scheduler exports the assembly clock next to the other stage
-// histograms, one observation per executed job.
+// The scheduler exports the assembly, measures and teardown clocks next to
+// the other stage histograms, one observation per executed job.
 TEST(Service, ExportsTheAssemblyStageClock) {
   cs::Registry registry;
   cs::SchedulerOptions options;
@@ -169,9 +169,10 @@ TEST(Service, ExportsTheAssemblyStageClock) {
   ASSERT_EQ(result.status, cs::JobStatus::kDone) << result.error;
   EXPECT_GT(result.timings.stages.assemble_seconds, 0.0);
   EXPECT_GT(result.timings.stages.measures_seconds, 0.0);
+  EXPECT_GT(result.timings.stages.teardown_seconds, 0.0);
   EXPECT_GT(result.timings.stages.iterations, 0u);
   const std::string text = registry.exposition();
-  for (const std::string stage : {"assemble", "measures"}) {
+  for (const std::string stage : {"assemble", "measures", "teardown"}) {
     const std::string metric = "choreo_stage_" + stage + "_seconds";
     EXPECT_NE(text.find("# TYPE " + metric + " histogram"), std::string::npos)
         << metric;
