@@ -18,9 +18,9 @@
 // the end-to-end benchmark's sweep_grid model -- the uncached Tomcat server
 // (models/tomcat.pepa) with ten clients, a 6 x 6 log grid over the
 // translate and compile rates.  It times the once-per-sweep set-up (derive
-// plus the rate tape and generator pattern recordings) beside a plain
-// derive of the same model, reports the tape's node count, and the median
-// per-point rebind, assembly and solve seconds.
+// plus the rate tape and generator pattern recordings, each reported apart)
+// beside a plain derive of the same model, reports the tape's node count,
+// and the median per-point rebind, assembly, solve and measures seconds.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -243,6 +243,7 @@ void report() {
   std::vector<double> rebind;
   std::vector<double> assemble;
   std::vector<double> solve;
+  std::vector<double> measures;
   for (std::size_t p = 0; p < spec.point_count(); ++p) {
     timer.restart();
     const std::vector<double> rates =
@@ -254,19 +255,28 @@ void report() {
     timer.restart();
     const ctmc::SolveResult solved = ctmc::steady_state(generator);
     solve.push_back(timer.seconds());
-    benchmark::DoNotOptimize(solved.distribution.data());
+    timer.restart();
+    const std::vector<double> throughputs =
+        shared.throughputs(solved.distribution, rates);
+    measures.push_back(timer.seconds());
+    benchmark::DoNotOptimize(throughputs.data());
   }
+  const sweep::SharedStructure::SetupSeconds& steps = shared.setup_seconds();
   util::TextTable layers({"states", "transitions", "derive ms", "set-up ms",
-                          "tape nodes", "rebind ms/pt", "assembly ms/pt",
-                          "solve ms/pt"});
+                          "tape ms", "pattern ms", "tape nodes",
+                          "rebind ms/pt", "assembly ms/pt", "solve ms/pt",
+                          "measures ms/pt"});
   layers.add_row({std::to_string(space.state_count()),
                   std::to_string(space.transitions().size()),
                   util::format_double(derive_seconds * 1e3),
                   util::format_double(setup_seconds * 1e3),
+                  util::format_double(steps.tape * 1e3),
+                  util::format_double(steps.pattern * 1e3),
                   std::to_string(shared.tape_size()),
                   util::format_double(median(rebind) * 1e3),
                   util::format_double(median(assemble) * 1e3),
-                  util::format_double(median(solve) * 1e3)});
+                  util::format_double(median(solve) * 1e3),
+                  util::format_double(median(measures) * 1e3)});
   bench::json_record(bench::JsonObject()
                          .field("experiment", "sweep_point_layers")
                          .field("model", "tomcat_uncached_10_clients")
@@ -275,10 +285,14 @@ void report() {
                          .field("transitions", space.transitions().size())
                          .field("derive_seconds", derive_seconds)
                          .field("setup_seconds", setup_seconds)
+                         .field("setup_tape_seconds", steps.tape)
+                         .field("setup_pattern_seconds", steps.pattern)
                          .field("tape_nodes", shared.tape_size())
                          .field("rebind_seconds_per_point", median(rebind))
                          .field("assembly_seconds_per_point", median(assemble))
-                         .field("solve_seconds_per_point", median(solve)));
+                         .field("solve_seconds_per_point", median(solve))
+                         .field("measures_seconds_per_point",
+                                median(measures)));
   std::cout << "sweep_grid model (10 clients, 6 x 6 tran x comp grid): "
                "set-up beside a plain derive, median per-point layers\n"
             << layers << '\n';

@@ -17,13 +17,19 @@ cmake -B build-tsan -G Ninja -DCHOREO_SANITIZE=thread
 cmake --build build-tsan --target test_parallel_statespace test_service \
   test_metrics test_util test_quotient test_pepa_semantics test_pepa_ast \
   test_leaf_vector_derive test_explore_engine test_golden_artifacts \
-  test_generator_oracle test_pepa_statespace
+  test_generator_oracle test_pepa_statespace test_fluid test_sweep
 ./build-tsan/tests/test_parallel_statespace 2>&1 | tee tsan_output.txt
 ./build-tsan/tests/test_service 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_metrics 2>&1 | tee -a tsan_output.txt
 ./build-tsan/tests/test_util \
   --gtest_filter='ThreadPool.*:SegmentedVector.*:SlotArray.*:BumpArena.*:CountingSort.*:RetainedMemory.*' \
   2>&1 | tee -a tsan_output.txt
+# The fluid solve is single-threaded; this run guards the shared arena and
+# semantics caches it leans on.
+./build-tsan/tests/test_fluid 2>&1 | tee -a tsan_output.txt
+# Sweep points evaluated concurrently over one shared rate tape, generator
+# pattern and throughput streams, read-only.
+./build-tsan/tests/test_sweep 2>&1 | tee -a tsan_output.txt
 # Quotient-direct derivation sorts keys (PEPA) and markings (nets) in the
 # expansion lanes; the lane-count determinism checks run under TSan too.
 ./build-tsan/tests/test_quotient 2>&1 | tee -a tsan_output.txt

@@ -13,16 +13,19 @@
 //
 // The sparsity (Generator::Structure) is immutable and shared: every
 // generator filled over one GeneratorPattern points at the same structure
-// and owns only its values and exit rates.  Assembly has one path.  The
-// pattern records the structure from transitions: a stable counting sort by
-// source (skipped when they already arrive grouped by source, and taken
-// from their row index when a derived space hands it over), then a counting
-// sort by target in which adjacent transitions of one source merge into one
-// entry.  Each transition gets its entry slot (a self-loop none).  fill()
-// then scatter-adds a payload's rates into the slots, and into the exit
-// sums, in input order, validating each rate on the way; build_from() is
-// record then fill.  Every entry and every exit rate is therefore the sum
-// of its rates in input order from 0.0, whichever route assembled it.
+// and owns only its values and exit rates.  The structure has one recording
+// path: a stable counting sort of the transitions by source (skipped when
+// they already arrive grouped by source, and taken from their row index when
+// a derived space hands it over), then a counting sort by target in which
+// the transitions of one source into one target merge into one entry.  Each
+// transition gets its entry slot (a self-loop none).  build_from() then
+// scatter-adds the transitions' rates into the slots, and into the exit
+// sums, in input order, validating each rate on the way.  A GeneratorPattern
+// (a sweep's, whose transitions are rated by a small table of tape nodes)
+// instead records, per entry and per exit rate, the sequence of nodes that
+// scatter-add would sum, and fill() evaluates each distinct sequence once
+// and gathers.  Every entry and every exit rate is therefore the sum of its
+// rates in input order from 0.0, whichever route assembled it.
 // build_from() reads any contiguous transition-like records (anything
 // exposing .source, .target and .rate — in particular the payload of an
 // explore::TransitionSystem) in place.
@@ -134,36 +137,42 @@ class Generator {
   double max_exit_rate_ = 0.0;
 };
 
-/// The sparsity of a generator, recorded once from its transitions so that
-/// the generators of the same transitions at any positive rates are filled
-/// in place.  Immutable after construction: concurrent fills share one
+/// The sparsity of a generator and how each of its values is summed,
+/// recorded once from its transitions, so that the generators of the same
+/// transitions at any positive rates are filled by gather.  Transition i's
+/// rate is one value of a rate table: rates[rate_nodes[i]].  For every Q^T
+/// entry and every exit rate the pattern records the sequence of table
+/// nodes build_from()'s scatter-add sums there, in input order; a sequence
+/// of one node is coded as that node, and each distinct longer sequence is
+/// one sum.  Immutable after construction: concurrent fills share one
 /// pattern, and the generators they return share its structure.
 class GeneratorPattern {
  public:
   GeneratorPattern() = default;
 
-  /// Records the structure of the generator of `transitions` (at any
-  /// rates) over `state_count` states, sorting on `lanes`.  `rows`, when
-  /// not empty, is the transitions' source-row index: they arrive grouped
-  /// by source, source s's at [rows[s], rows[s + 1]), as a derived space
-  /// holds them.  Throws util::ModelError when the state ids or the entries
+  /// Records the generator of `transitions`, transition i rated
+  /// rates[rate_nodes[i]] of a table of `node_count` rates, over
+  /// `state_count` states, sorting on `lanes`.  `rows`, when not empty, is
+  /// the transitions' source-row index: they arrive grouped by source,
+  /// source s's at [rows[s], rows[s + 1]), as a derived space holds them.
+  /// Throws util::ModelError when the state ids, the entries or the codes
   /// do not fit in 32 bits.
   template <typename Transition>
   GeneratorPattern(std::size_t state_count,
                    std::span<const Transition> transitions,
+                   std::span<const std::uint32_t> rate_nodes,
+                   std::size_t node_count,
                    std::span<const std::size_t> rows = {},
                    const util::Lanes& lanes = {});
 
-  /// The generator of the recorded transitions with transition i at rate
-  /// rates[i], filled on the calling thread: bit-identical to build_from()
-  /// over the same transitions carrying those rates, with the same error
-  /// for the first rate, in input order, that is not positive and finite.
-  template <typename Transition>
-  Generator fill(std::span<const Transition> transitions,
-                 std::span<const double> rates) const {
-    CHOREO_ASSERT(rates.size() == slots_.size());
-    return fill_with(transitions, [&](std::size_t i) { return rates[i]; }, {});
-  }
+  /// The generator at the rate table `rates` (node_count values), on the
+  /// calling thread: each distinct sum is evaluated once, from 0.0 in its
+  /// recorded order, and the Q^T values and exit rates are gathered.  The
+  /// same additions in the same order as build_from() over the transitions
+  /// carrying those rates, so bit-identical to it, with the same error for
+  /// the first transition, in input order and self-loops counted, whose
+  /// rate is not positive and finite.
+  Generator fill(std::span<const double> rates) const;
 
  private:
   friend class Generator;
@@ -176,16 +185,52 @@ class GeneratorPattern {
     std::uint32_t entry;
     std::uint32_t source;
   };
+  /// A recorded structure with each transition's slot, the transitions
+  /// grouped by source, and the transition boundaries of the ranges a
+  /// one-off fill splits over: the sources' ranges for a grouped input,
+  /// else the whole input.
+  struct Recording {
+    explicit Recording(RowBuckets grouped) : sources(std::move(grouped)) {}
 
-  template <typename Transition, typename RateOf>
-  Generator fill_with(std::span<const Transition> transitions, RateOf rate_of,
-                      const util::Lanes& lanes) const;
+    RowBuckets sources;
+    std::shared_ptr<Generator::Structure> structure;
+    util::NoInitVector<Slot> slots;
+    std::vector<std::size_t> parts;
+  };
+  /// The first transition, in input order, rated by a node.
+  struct Use {
+    std::uint32_t node;
+    std::uint32_t source;
+    std::uint32_t target;
+  };
+
+  template <typename Transition>
+  static Recording record(std::size_t state_count,
+                          std::span<const Transition> transitions,
+                          std::span<const std::size_t> rows,
+                          const util::Lanes& lanes);
+  /// build_from()'s fill: scatter-adds each transition's own rate into its
+  /// slot, in input order, over the recording's ranges on `lanes`.
+  template <typename Transition>
+  static Generator scatter(const Recording& recording,
+                           std::span<const Transition> transitions,
+                           const util::Lanes& lanes);
+  /// Codes every entry and exit rate of `recording` as a node or a sum.
+  void compile(const Recording& recording,
+               std::span<const std::uint32_t> rate_nodes);
+  std::size_t sum_count() const noexcept { return sum_begin_.size() - 1; }
 
   std::shared_ptr<const Generator::Structure> structure_;
-  util::NoInitVector<Slot> slots_;  ///< per transition
-  /// Transition boundaries of the ranges a fill splits over: the sources'
-  /// ranges for a grouped input, else the whole input.
-  std::vector<std::size_t> parts_{0, 0};
+  std::size_t node_count_ = 0;
+  /// Per Q^T entry and per state: a node (below node_count_) or sum
+  /// node_count_ + k.
+  util::NoInitVector<std::uint32_t> entry_codes_;
+  util::NoInitVector<std::uint32_t> exit_codes_;
+  /// Sum k adds addends_[sum_begin_[k], sum_begin_[k + 1]).
+  std::vector<std::uint32_t> sum_begin_{0};
+  std::vector<std::uint32_t> addends_;
+  /// Each node a transition is rated by, in order of its first use.
+  std::vector<Use> uses_;
 };
 
 namespace detail {
@@ -210,16 +255,37 @@ Generator Generator::build_from(std::size_t state_count,
                                 std::span<const Transition> transitions,
                                 std::span<const std::size_t> rows,
                                 const util::Lanes& lanes) {
-  return GeneratorPattern(state_count, transitions, rows, lanes)
-      .fill_with(transitions,
-                 [&](std::size_t i) { return transitions[i].rate; }, lanes);
+  return GeneratorPattern::scatter(
+      GeneratorPattern::record(state_count, transitions, rows, lanes),
+      transitions, lanes);
 }
 
 template <typename Transition>
 GeneratorPattern::GeneratorPattern(std::size_t state_count,
                                    std::span<const Transition> transitions,
+                                   std::span<const std::uint32_t> rate_nodes,
+                                   std::size_t node_count,
                                    std::span<const std::size_t> rows,
-                                   const util::Lanes& lanes) {
+                                   const util::Lanes& lanes)
+    : node_count_(node_count) {
+  CHOREO_ASSERT(rate_nodes.size() == transitions.size());
+  const Recording recording = record(state_count, transitions, rows, lanes);
+  std::vector<bool> used(node_count, false);
+  for (std::size_t i = 0; i < transitions.size(); ++i) {
+    const std::uint32_t node = rate_nodes[i];
+    CHOREO_ASSERT(node < node_count);
+    if (used[node]) continue;
+    used[node] = true;
+    uses_.push_back({node, static_cast<std::uint32_t>(transitions[i].source),
+                     static_cast<std::uint32_t>(transitions[i].target)});
+  }
+  compile(recording, rate_nodes);
+}
+
+template <typename Transition>
+GeneratorPattern::Recording GeneratorPattern::record(
+    std::size_t state_count, std::span<const Transition> transitions,
+    std::span<const std::size_t> rows, const util::Lanes& lanes) {
   const std::size_t n = state_count;
   if (n > kNone) {
     throw util::ModelError(util::msg("a chain with ", n,
@@ -227,20 +293,22 @@ GeneratorPattern::GeneratorPattern(std::size_t state_count,
   }
   CHOREO_ASSERT(rows.empty() ||
                 (rows.size() == n + 1 && rows[n] == transitions.size()));
-  const RowBuckets sources =
-      rows.empty() ? RowBuckets(n, transitions.size(),
-                                [&](std::size_t i) {
-                                  return transitions[i].source;
-                                },
-                                lanes)
-                   : RowBuckets(rows);
+  Recording recording(rows.empty() ? RowBuckets(n, transitions.size(),
+                                                [&](std::size_t i) {
+                                                  return transitions[i].source;
+                                                },
+                                                lanes)
+                                   : RowBuckets(rows));
+  const RowBuckets& sources = recording.sources;
   // Ranges of sources of about equal transition counts.
   std::vector<std::size_t> ranges = util::split_parts(
       n, lanes, [&](std::size_t s) { return sources.begin(s); });
-  parts_ = {0, transitions.size()};
+  recording.parts = {0, transitions.size()};
   if (sources.grouped()) {
-    parts_.clear();
-    for (const std::size_t s : ranges) parts_.push_back(sources.begin(s));
+    recording.parts.clear();
+    for (const std::size_t s : ranges) {
+      recording.parts.push_back(sources.begin(s));
+    }
   }
 
   // Count each target row's entries, sources ascending: a run of one
@@ -276,7 +344,8 @@ GeneratorPattern::GeneratorPattern(std::size_t state_count,
   util::NoInitVector<std::uint32_t>& columns = structure->columns;
   columns.resize(structure->row_ptr[n]);
   structure->split.resize(n);
-  slots_.resize(transitions.size());
+  util::NoInitVector<Slot>& slots = recording.slots;
+  slots.resize(transitions.size());
   targets.place([&](std::size_t begin, std::size_t end,
                     std::uint32_t* cursor) {
     std::vector<std::uint32_t> last(n, kNone);
@@ -287,34 +356,37 @@ GeneratorPattern::GeneratorPattern(std::size_t state_count,
         const std::size_t i = sources.at(k);
         const std::size_t target = transitions[i].target;
         if (target == s) {  // a self-loop does not change the CTMC
-          slots_[i] = {kNone, source};
+          slots[i] = {kNone, source};
           continue;
         }
         if (last[target] != source) {
           last[target] = source;
           columns[cursor[target]++] = source;
         }
-        slots_[i] = {cursor[target] - 1, source};
+        slots[i] = {cursor[target] - 1, source};
       }
     }
   });
-  structure_ = std::move(structure);
+  recording.structure = std::move(structure);
+  return recording;
 }
 
-template <typename Transition, typename RateOf>
-Generator GeneratorPattern::fill_with(std::span<const Transition> transitions,
-                                      RateOf rate_of,
-                                      const util::Lanes& lanes) const {
-  CHOREO_ASSERT(transitions.size() == slots_.size());
+template <typename Transition>
+Generator GeneratorPattern::scatter(const Recording& recording,
+                                    std::span<const Transition> transitions,
+                                    const util::Lanes& lanes) {
+  const util::NoInitVector<Slot>& slots = recording.slots;
+  const std::vector<std::size_t>& bounds = recording.parts;
+  CHOREO_ASSERT(transitions.size() == slots.size());
   Generator generator;
-  generator.structure_ = structure_;
-  const std::size_t entries = structure_->columns.size();
-  const std::size_t n = structure_->split.size();
+  generator.structure_ = recording.structure;
+  const std::size_t entries = recording.structure->columns.size();
+  const std::size_t n = recording.structure->split.size();
   generator.values_.resize(entries);
   generator.exit_.resize(n);
   double* values = generator.values_.data();
   double* exit = generator.exit_.data();
-  const std::size_t parts = parts_.size() - 1;
+  const std::size_t parts = bounds.size() - 1;
   // Every entry and exit sum starts from 0.0, zeroed by the lanes.
   util::run_parts(parts, lanes, [&](std::size_t p) {
     std::fill(values + entries * p / parts, values + entries * (p + 1) / parts,
@@ -326,11 +398,11 @@ Generator GeneratorPattern::fill_with(std::span<const Transition> transitions,
   // range's is reported, so the error is the first in input order.
   std::vector<std::size_t> stops(parts);
   util::run_parts(parts, lanes, [&](std::size_t p) {
-    std::size_t i = parts_[p];
-    for (; i < parts_[p + 1]; ++i) {
-      const double rate = rate_of(i);
+    std::size_t i = bounds[p];
+    for (; i < bounds[p + 1]; ++i) {
+      const double rate = transitions[i].rate;
       if (!detail::valid_rate(rate)) break;
-      const Slot slot = slots_[i];
+      const Slot slot = slots[i];
       if (slot.entry == kNone) continue;  // a self-loop
       values[slot.entry] += rate;
       exit[slot.source] += rate;
@@ -338,8 +410,8 @@ Generator GeneratorPattern::fill_with(std::span<const Transition> transitions,
     stops[p] = i;
   });
   for (std::size_t p = 0; p < stops.size(); ++p) {
-    if (stops[p] != parts_[p + 1]) {
-      detail::check_rate(transitions[stops[p]], rate_of(stops[p]));
+    if (stops[p] != bounds[p + 1]) {
+      detail::check_rate(transitions[stops[p]], transitions[stops[p]].rate);
     }
   }
   double max_exit = 0.0;

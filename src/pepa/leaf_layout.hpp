@@ -1,5 +1,6 @@
-// The packed leaf-vector state of a PEPA derive (private to
-// pepa::StateSpace).
+// The packed leaf-vector state of a PEPA derive: built by pepa::StateSpace,
+// and read by the compositions over it (pepa/leaf_moves.hpp), the derive's
+// and a sweep's rate-tape recording.
 //
 // After expand_static the system equation is a fixed tree of cooperation
 // and hiding nodes over leaves, and every derivative keeps that tree: a

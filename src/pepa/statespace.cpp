@@ -8,6 +8,7 @@
 
 #include "pepa/canonical.hpp"
 #include "pepa/leaf_layout.hpp"
+#include "pepa/leaf_moves.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
@@ -166,176 +167,14 @@ std::size_t LocalStateIndex::bytes() const noexcept {
          (states_.capacity() + counts_.capacity()) * sizeof(std::uint32_t);
 }
 
-namespace {
-
-/// The successor function of packed states: each leaf's local moves,
-/// composed over the static tree exactly as Semantics::compute_derivatives
-/// composes a term's — the same emission order, the same apparent-rate
-/// recursion and the same rate arithmetic — so the moves, rates and errors
-/// are those of the term derive without interning a term.
-template <typename Key>
-class LeafMoves {
- public:
-  struct Move {
-    ActionId action;
-    Rate rate;
-    Key target;
-  };
-
-  LeafMoves(const LeafLayout& layout, const ProcessArena& arena)
-      : layout_(layout), arena_(arena) {}
-
-  /// The moves of `source`, in a per-thread buffer that the next call on
-  /// the same thread reuses.
-  std::span<const Move> operator()(const Key& source) const {
-    thread_local std::vector<Move> moves;
-    // Operand moves of the cooperations, one buffer per nesting depth.
-    thread_local std::vector<std::vector<Move>> operands;
-    if (operands.size() <= layout_.depth()) operands.resize(layout_.depth() + 1);
-    moves.clear();
-    compose(layout_.root(), 0, source, operands, moves);
-    return moves;
-  }
-
- private:
-  using Buffers = std::vector<std::vector<Move>>;
-
-  /// Appends node n's moves from `source` to `out`; a cooperation below
-  /// composes its operands in operands[depth].
-  void compose(std::uint32_t n, std::size_t depth, const Key& source,
-               Buffers& operands, std::vector<Move>& out) const {
-    const LeafLayout::Node& node = layout_.node(n);
-    switch (node.kind) {
-      case LeafLayout::Kind::kLeaf: {
-        const LeafLayout::Table& table =
-            layout_.table(layout_.leaf(node.leaf).table);
-        const std::uint32_t local = layout_.local(source.data(), node.leaf);
-        if (table.errors[local]) std::rethrow_exception(table.errors[local]);
-        for (const LeafLayout::LocalMove& move : table.moves_of(local)) {
-          out.push_back({move.action, move.rate, source});
-          layout_.set_local(out.back().target.data(), node.leaf, move.target);
-        }
-        return;
-      }
-      case LeafLayout::Kind::kHiding: {
-        const std::size_t begin = out.size();
-        compose(node.left, depth, source, operands, out);
-        for (std::size_t i = begin; i < out.size(); ++i) {
-          if (set_contains(*node.set, out[i].action)) out[i].action = kTau;
-        }
-        return;
-      }
-      case LeafLayout::Kind::kCooperation:
-        if (node.set->empty()) {
-          // Over the empty set every operand move is independent, in order.
-          compose(node.left, depth, source, operands, out);
-          compose(node.right, depth, source, operands, out);
-        } else {
-          compose_cooperation(node, depth, source, operands, out);
-        }
-        return;
-    }
-  }
-
-  void compose_cooperation(const LeafLayout::Node& node, std::size_t depth,
-                           const Key& source, Buffers& operands,
-                           std::vector<Move>& out) const {
-    std::vector<Move>& both = operands[depth];
-    both.clear();
-    compose(node.left, depth + 1, source, operands, both);
-    const std::size_t middle = both.size();
-    compose(node.right, depth + 1, source, operands, both);
-    const std::vector<ActionId>& set = *node.set;
-    // The independent moves of each side, then the shared pairs.
-    for (const Move& move : both) {
-      if (!set_contains(set, move.action)) out.push_back(move);
-    }
-    const std::uint64_t* right_mask = layout_.mask(node.right);
-    auto offers = [&both](std::size_t from, std::size_t to, ActionId action) {
-      for (std::size_t i = from; i < to; ++i) {
-        if (both[i].action == action) return true;
-      }
-      return false;
-    };
-    for (std::size_t s = 0; s < set.size(); ++s) {
-      const ActionId shared = set[s];
-      // An operand with no move of the action has apparent rate zero and
-      // cannot raise computing it, so only an offering operand is asked.
-      // When only one operand offers, no pair forms, and its apparent rate
-      // is asked only if computing it could raise — the one effect the
-      // term derive's unconditional recursion has there.
-      const bool left_offers = offers(0, middle, shared);
-      const bool right_offers = offers(middle, both.size(), shared);
-      if (!left_offers && !right_offers) continue;
-      if (left_offers != right_offers &&
-          !layout_.may_raise(node, s, right_offers)) {
-        continue;
-      }
-      const std::string& name = arena_.action_name(shared);
-      const Rate left_rate =
-          left_offers ? apparent(node.left, source, shared, name) : Rate();
-      const Rate right_rate =
-          right_offers ? apparent(node.right, source, shared, name) : Rate();
-      if (left_rate.is_zero() || right_rate.is_zero()) continue;
-      for (std::size_t i = 0; i < middle; ++i) {
-        if (both[i].action != shared) continue;
-        for (std::size_t j = middle; j < both.size(); ++j) {
-          if (both[j].action != shared) continue;
-          Move& pair = out.emplace_back(
-              Move{shared,
-                   cooperation_rate(both[i].rate, left_rate, both[j].rate,
-                                    right_rate, name),
-                   both[i].target});
-          // The right operand's leaves move as in the right move.
-          std::uint64_t* target = pair.target.data();
-          const std::uint64_t* right = both[j].target.data();
-          for (std::size_t w = 0; w < pair.target.size(); ++w) {
-            target[w] = (target[w] & ~right_mask[w]) | (right[w] & right_mask[w]);
-          }
-        }
-      }
-    }
-  }
-
-  /// Semantics::compute_apparent over the static tree, the leaves' terms'
-  /// rates read from their tables; `name` is the action's, for Rate::plus.
-  /// Asked only for a cooperation set's actions, never tau.  A zero operand
-  /// of a sum is skipped: Rate::plus returns the other operand as it is.
-  Rate apparent(std::uint32_t n, const Key& source, ActionId action,
-                const std::string& name) const {
-    const LeafLayout::Node& node = layout_.node(n);
-    switch (node.kind) {
-      case LeafLayout::Kind::kLeaf:
-        return layout_.table(layout_.leaf(node.leaf).table)
-            .apparent_rate(layout_.local(source.data(), node.leaf), action);
-      case LeafLayout::Kind::kHiding:
-        if (set_contains(*node.set, action)) return Rate();
-        return apparent(node.left, source, action, name);
-      case LeafLayout::Kind::kCooperation: {
-        const Rate left = apparent(node.left, source, action, name);
-        const Rate right = apparent(node.right, source, action, name);
-        if (set_contains(*node.set, action)) return Rate::min(left, right);
-        if (left.is_zero()) return right;
-        if (right.is_zero()) return left;
-        return left.plus(right, name);
-      }
-    }
-    CHOREO_ASSERT(false);
-    return Rate();
-  }
-
-  const LeafLayout& layout_;
-  const ProcessArena& arena_;
-};
-
-}  // namespace
-
 template <typename Key>
 void StateSpace::explore_keys(const explore::EngineOptions& engine) {
-  using Move = typename LeafMoves<Key>::Move;
+  using Moves = LeafMoves<Key, RateAlgebra>;
+  using Move = typename Moves::Move;
   const LeafLayout& layout = *layout_;
   const ProcessArena& arena = *arena_;
-  const LeafMoves<Key> moves(layout, arena);
+  RateAlgebra algebra(layout, arena);
+  const Moves moves(layout, algebra);
   Key initial(layout.words());
   layout.encode_initial(initial.data());
   std::vector<Key> states;
@@ -431,6 +270,12 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
   space.stats_.serial_seconds += seconds - space.stats_.seconds;
   space.stats_.seconds = seconds;
   return space;
+}
+
+std::span<const std::uint64_t> StateSpace::key(std::size_t index) const {
+  CHOREO_ASSERT(index < state_count_);
+  const std::size_t words = layout_->words();
+  return std::span<const std::uint64_t>(keys_).subspan(index * words, words);
 }
 
 ProcessId StateSpace::state_term(std::size_t index) const {

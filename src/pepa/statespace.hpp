@@ -5,10 +5,12 @@
 // A state is the vector of its leaves' local states over the static
 // cooperation/hiding tree of the system equation (pepa/leaf_layout.hpp),
 // bit-packed into a fixed-width key: successors compose the leaves' local
-// moves over the tree in Semantics' emission order and arithmetic, so no
-// compound term is interned while deriving.  state_term() renders a state's
-// term on demand; the numbering, transitions and rates are those of the
-// term-level derivation bit for bit.
+// moves over the tree in Semantics' emission order and arithmetic
+// (pepa/leaf_moves.hpp), so no compound term is interned while deriving.
+// state_term() renders a state's term on demand; the numbering, transitions
+// and rates are those of the term-level derivation bit for bit.  layout()
+// and key() expose the tree and the packed states, so that a sweep can
+// compose the same moves over its rate tape instead of pepa::Rate values.
 //
 // The exploration loop itself lives in explore::run (src/explore/engine.hpp)
 // — the level-synchronous multi-lane BFS shared with PEPA-net marking-graph
@@ -165,6 +167,11 @@ class StateSpace {
                            const DeriveOptions& options = {});
 
   std::size_t state_count() const noexcept { return state_count_; }
+  /// The static tree, local tables and key geometry of the derive
+  /// (pepa/leaf_layout.hpp).  Only for a derived space.
+  const LeafLayout& layout() const noexcept { return *layout_; }
+  /// State `index`'s packed key: key_words() words.
+  std::span<const std::uint64_t> key(std::size_t index) const;
   /// The term of state `index`, rendered on demand: its cooperation and
   /// hiding nodes are interned in the arena the space was derived over
   /// (which must outlive the space), so equal states render to equal ids.

@@ -303,19 +303,30 @@ TapeRecorder::NodeId TapeRecorder::prefix_rate(pepa::ProcessId id,
   return intern(out);
 }
 
-// Rate::plus and Rate::min return an operand unchanged when the other is
-// zero, and min returns its active operand against a passive one.  Those
-// cases depend only on zero-ness and kind, which every point shares with the
-// base values, so they fold here instead of becoming nodes.
+std::uint32_t& TapeRecorder::PairMemo::at(std::uint32_t a, std::uint32_t b) {
+  if (a < kDense && b < kDense) {
+    if (dense_.empty()) dense_.assign(std::size_t{kDense} * kDense, kNone);
+    return dense_[std::size_t{a} * kDense + b];
+  }
+  return spill_.try_emplace((std::uint64_t{a} << 32) | b, kNone).first->second;
+}
+
+// A memo hit of plus() or cooperation() is the node only when its action is
+// the one asked: equal operands under another action are another node, which
+// the hash-consing finds (and the memo keeps the first).
 TapeRecorder::NodeId TapeRecorder::plus(NodeId a, NodeId b,
                                         pepa::ActionId context) {
   if (rate(a).is_zero()) return b;
   if (rate(b).is_zero()) return a;
+  std::uint32_t& seen = sums_.at(a, b);
+  if (seen != kNone && tape_.nodes_[seen].action == context) return seen;
   RateTape::Node out;
   out.kind = RateTape::Kind::kPlus;
   out.action = context;
   out.operands = {a, b, 0, 0};
-  return intern(out);
+  const NodeId id = intern(out);
+  if (seen == kNone) seen = id;
+  return id;
 }
 
 TapeRecorder::NodeId TapeRecorder::min(NodeId a, NodeId b) {
@@ -325,10 +336,35 @@ TapeRecorder::NodeId TapeRecorder::min(NodeId a, NodeId b) {
   if (left.is_passive() != right.is_passive()) {
     return left.is_passive() ? b : a;
   }
-  RateTape::Node out;
-  out.kind = RateTape::Kind::kMin;
-  out.operands = {a, b, 0, 0};
-  return intern(out);
+  std::uint32_t& seen = minima_.at(a, b);
+  if (seen == kNone) {
+    RateTape::Node out;
+    out.kind = RateTape::Kind::kMin;
+    out.operands = {a, b, 0, 0};
+    seen = intern(out);
+  }
+  return seen;
+}
+
+TapeRecorder::NodeId TapeRecorder::cooperation(NodeId r1, NodeId apparent1,
+                                               NodeId r2, NodeId apparent2,
+                                               pepa::ActionId action) {
+  auto pair = [this](NodeId rate, NodeId apparent) {
+    std::uint32_t& seen = pairs_.at(rate, apparent);
+    if (seen == kNone) seen = pair_count_++;
+    return seen;
+  };
+  const std::uint32_t left = pair(r1, apparent1);
+  const std::uint32_t right = pair(r2, apparent2);
+  std::uint32_t& seen = laws_.at(left, right);
+  if (seen != kNone && tape_.nodes_[seen].action == action) return seen;
+  RateTape::Node law;
+  law.kind = RateTape::Kind::kCooperation;
+  law.action = action;
+  law.operands = {r1, apparent1, r2, apparent2};
+  const NodeId id = intern(law);
+  if (seen == kNone) seen = id;
+  return id;
 }
 
 TapeRecorder::NodeMemo& TapeRecorder::memo(pepa::ProcessId base) {
@@ -445,12 +481,9 @@ TapeRecorder::Range TapeRecorder::compute_moves(pepa::ProcessId base) {
           if (moves_[l].action != shared) continue;
           for (std::uint32_t r = right.begin; r < right.end; ++r) {
             if (moves_[r].action != shared) continue;
-            RateTape::Node law;
-            law.kind = RateTape::Kind::kCooperation;
-            law.action = shared;
-            law.operands = {moves_[l].rate, apparent_left, moves_[r].rate,
-                            apparent_right};
-            const NodeId rate = intern(law);
+            const NodeId rate =
+                cooperation(moves_[l].rate, apparent_left, moves_[r].rate,
+                            apparent_right, shared);
             moves_.push_back({shared, rate});
           }
         }

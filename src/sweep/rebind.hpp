@@ -14,28 +14,30 @@
 //     no derived parameters, no hash-consing conflicts) and refuses
 //     otherwise — a wrong silent rebind would be a corrupted analysis.
 //
-//   * A TapeRecorder runs the SOS once, symbolically, over the *base* terms
-//     and compiles every rate it computes into a RateTape: a hash-consed
-//     program over the swept axes whose nodes are literals, scaled axes
-//     (scale * value), apparent-rate sums and minima, and the cooperation
-//     rate law, in the order the walk first computes them.  Because it is
-//     the same syntax-directed recursion that derived the base space
-//     (Semantics::compute_derivatives / compute_apparent), the recorded
-//     moves of a state align one-to-one (same order, same multiplicity)
-//     with the base state's transition row, so each transition's rate is
-//     one tape node.  The walk is memoised on flat storage: every node's
-//     moves are a [begin, end) range of one buffer, a constant shares its
-//     body's range, and apparent rates are kept only for the (node, action)
-//     pairs the walk asks for.  Each recorded node is evaluated at the base
-//     values, so operands that Rate::plus and Rate::min would return
-//     unchanged (a zero, or a passive operand of min) fold away: zero-ness
-//     and kind never depend on a positive value.  A sweep point is then
-//     RateTape::evaluate() — tens of nodes of arithmetic, no term walk —
-//     plus a gather; evaluating in node order raises the first error the
-//     walk would.  The sweep runner records the tape once per sweep
-//     (runner.cpp), over the derived states' terms for the exact backend
-//     and over the vector form's local states for the fluid one.  Neither
-//     writes into the model's arena.
+//   * A TapeRecorder is the SOS's rate algebra over a RateTape: a
+//     hash-consed program over the swept axes whose nodes are literals,
+//     scaled axes (scale * value), apparent-rate sums and minima, and the
+//     cooperation rate law, in the order they are first computed.  Its
+//     term walk (moves(), apparent()) is the syntax-directed recursion of
+//     Semantics::compute_derivatives / compute_apparent with a tape node in
+//     place of every rate, memoised on flat storage: every term's moves are
+//     a [begin, end) range of one buffer, a constant shares its body's
+//     range, and apparent rates are kept only for the (term, action) pairs
+//     asked for.  Its folds (plus(), min(), cooperation()) evaluate each new
+//     node at the base values, so operands that Rate::plus and Rate::min
+//     would return unchanged (a zero, or a passive operand of min) fold
+//     away: zero-ness and kind never depend on a positive value.  A fold
+//     whose operand nodes were seen before is found by lookups in small
+//     dense tables over node ids, not by hashing a node.  The sweep runner
+//     (runner.cpp) records one tape per sweep: for
+//     the exact backend by composing every derived state's moves over the
+//     space's leaf layout (pepa/leaf_moves.hpp) with the recorder's folds,
+//     its walk run over the leaves' local terms only, so each transition
+//     gets the node of its rate; for the fluid backend by walking the
+//     vector form's local states.  Neither renders a state term or writes
+//     into the model's arena.  A sweep point is then RateTape::evaluate():
+//     tens of nodes of arithmetic, no term walk.  Evaluating in node order
+//     raises the first error the recording walk would.
 //
 // The module also content-addresses models: structure_fingerprint() hashes
 // the rate-stripped model (the identity shared by every point of a sweep)
@@ -167,11 +169,17 @@ struct TapeMove {
   RateTape::NodeId rate;
 };
 
-/// Records a RateTape by running the SOS over a rebinder's base terms with
-/// tape nodes in place of rates (see the header comment).  Single-threaded;
-/// drop it once recording is done, which frees its memo.
+/// Records a RateTape: the rate algebra of the SOS over tape nodes (see the
+/// header comment).  moves() and apparent() walk base terms; plus(), min()
+/// and cooperation() are the folds a composition over them makes, which
+/// SharedStructure's recording over the leaf layout calls too.
+/// Single-threaded; drop it once recording is done, which frees its memo.
 class TapeRecorder {
  public:
+  using NodeId = RateTape::NodeId;
+  /// The zero rate ("no capacity"), which never becomes a node.
+  static constexpr NodeId kZero = 0xffffffffu;
+
   /// Records into `tape`, which must be empty; `rebinder` and `tape` must
   /// outlive the recorder.
   TapeRecorder(const RateRebinder& rebinder, RateTape& tape);
@@ -183,16 +191,28 @@ class TapeRecorder {
   /// repeats its recursion without re-checking).
   std::span<const TapeMove> moves(pepa::ProcessId base);
 
+  /// The apparent rate of `action` in a base term, the node of
+  /// Semantics::apparent_rate (kZero for none).  The same precondition as
+  /// moves().
+  NodeId apparent(pepa::ProcessId base, pepa::ActionId action);
+
+  /// Rate::plus (`context` names the action), Rate::min and
+  /// pepa::cooperation_rate over nodes.  Rate::plus and Rate::min return an
+  /// operand unchanged when the other is zero, and min returns its active
+  /// operand against a passive one; those cases depend only on zero-ness
+  /// and kind, which every point shares with the base values, so they fold
+  /// instead of becoming nodes.  A fold whose operands were seen before is
+  /// found in the folds' dense tables (see PairMemo).
+  NodeId plus(NodeId a, NodeId b, pepa::ActionId context);
+  NodeId min(NodeId a, NodeId b);
+  NodeId cooperation(NodeId r1, NodeId apparent1, NodeId r2,
+                     NodeId apparent2, pepa::ActionId action);
+
   /// A recorded node's rate at the base values.
-  const pepa::Rate& base_rate(RateTape::NodeId node) const {
-    return base_[node];
-  }
+  const pepa::Rate& base_rate(NodeId node) const { return base_[node]; }
 
  private:
-  using NodeId = RateTape::NodeId;
   static constexpr std::uint32_t kNone = 0xffffffffu;
-  /// The zero rate ("no capacity"), which never becomes a node.
-  static constexpr NodeId kZero = 0xffffffffu;
 
   /// A node's moves: moves_[begin, end).
   struct Range {
@@ -218,11 +238,22 @@ class TapeRecorder {
     bool operator()(const RateTape::Node& a,
                     const RateTape::Node& b) const noexcept;
   };
+  /// What one fold made of each pair of operands (kNone: not seen yet).
+  /// Tapes are small, so operand ids below kDense index a dense table; a
+  /// pair beyond it is kept in a hash map on the two ids.
+  class PairMemo {
+   public:
+    std::uint32_t& at(std::uint32_t a, std::uint32_t b);
+
+   private:
+    static constexpr std::uint32_t kDense = 128;
+    std::vector<std::uint32_t> dense_;
+    std::unordered_map<std::uint64_t, std::uint32_t> spill_;
+  };
 
   NodeMemo& memo(pepa::ProcessId base);
   Range move_range(pepa::ProcessId base);
   Range compute_moves(pepa::ProcessId base);
-  NodeId apparent(pepa::ProcessId base, pepa::ActionId action);
   NodeId compute_apparent(pepa::ProcessId base, pepa::ActionId action);
   /// Makes room for `extra` more moves without a reallocation, so moves
   /// can be copied from one range of the buffer onto its end.
@@ -234,8 +265,6 @@ class TapeRecorder {
   /// A node's base rate; the zero rate for kZero.
   pepa::Rate rate(NodeId id) const;
   NodeId prefix_rate(pepa::ProcessId id, const pepa::ProcessNode& node);
-  NodeId plus(NodeId a, NodeId b, pepa::ActionId context);
-  NodeId min(NodeId a, NodeId b);
 
   const RateRebinder& rebinder_;
   RateTape& tape_;
@@ -244,6 +273,13 @@ class TapeRecorder {
   std::vector<NodeMemo> nodes_;  ///< indexed by base ProcessId
   std::vector<TapeMove> moves_;
   std::vector<ApparentEntry> apparent_;
+  /// The folds' memos.  A cooperation law is memoised on its two (rate,
+  /// apparent rate) operand pairs, each numbered by pairs_.
+  PairMemo sums_;
+  PairMemo minima_;
+  PairMemo pairs_;
+  PairMemo laws_;
+  std::uint32_t pair_count_ = 0;
 };
 
 }  // namespace choreo::sweep

@@ -1,5 +1,6 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <exception>
@@ -9,7 +10,9 @@
 #include <span>
 #include <sstream>
 
+#include "pepa/leaf_moves.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
 namespace choreo::sweep {
@@ -159,6 +162,127 @@ class FluidStructure {
   std::vector<RateTape::NodeId> rate_nodes_;  ///< per local derivative
 };
 
+/// SharedStructure's rate algebra for pepa::LeafMoves: every rate a tape
+/// node.  A leaf's local moves and apparent rates get theirs from the
+/// recorder's walk over that local term, when the composition first reaches
+/// it; the folds are the recorder's.  So the tape's nodes come in the order
+/// the composition first uses them, and no state term is rendered.
+class LeafTape {
+ public:
+  using Value = RateTape::NodeId;
+  using Context = pepa::ActionId;
+
+  LeafTape(const pepa::LeafLayout& layout, TapeRecorder& recorder)
+      : layout_(layout), recorder_(recorder), tables_(layout.table_count()) {
+    for (std::uint32_t t = 0; t < tables_.size(); ++t) {
+      const pepa::LeafLayout::Table& table = layout_.table(t);
+      tables_[t].moves.resize(table.moves.size());
+      tables_[t].recorded.assign(table.terms.size(), false);
+      tables_[t].apparent.assign(table.apparent.size(), kUnset);
+    }
+  }
+
+  static Context context(pepa::ActionId action) { return action; }
+  static Value zero() { return TapeRecorder::kZero; }
+  static bool is_zero(Value node) { return node == TapeRecorder::kZero; }
+
+  /// The nodes of local term `local`'s moves, recorded on first use and
+  /// checked against the table's moves.
+  const Value* leaf_rates(std::uint32_t t, std::uint32_t local) {
+    const pepa::LeafLayout::Table& table = layout_.table(t);
+    Nodes& nodes = tables_[t];
+    Value* rates = nodes.moves.data() + table.move_begin[local];
+    if (nodes.recorded[local]) return rates;
+    const std::span<const TapeMove> moves = recorder_.moves(table.terms[local]);
+    const std::span<const pepa::LeafLayout::LocalMove> derived =
+        table.moves_of(local);
+    const std::string where =
+        util::msg("local state ", local, " of leaf table ", t);
+    if (moves.size() != derived.size()) {
+      throw misaligned(where, "derived state space");
+    }
+    for (std::size_t m = 0; m < moves.size(); ++m) {
+      if (moves[m].action != derived[m].action) {
+        throw misaligned(where, "derived state space");
+      }
+      rates[m] = moves[m].rate;
+    }
+    nodes.recorded[local] = true;
+    return rates;
+  }
+
+  Value leaf_apparent(std::uint32_t t, std::uint32_t local,
+                      pepa::ActionId action) {
+    const pepa::LeafLayout::Table& table = layout_.table(t);
+    for (std::uint32_t a = table.apparent_begin[local];
+         a < table.apparent_begin[local + 1]; ++a) {
+      if (table.apparent[a].action != action) continue;
+      if (table.apparent[a].error) {
+        std::rethrow_exception(table.apparent[a].error);
+      }
+      Value& node = tables_[t].apparent[a];
+      if (node == kUnset) node = recorder_.apparent(table.terms[local], action);
+      return node;
+    }
+    return zero();
+  }
+
+  Value plus(Value a, Value b, Context action) {
+    return recorder_.plus(a, b, action);
+  }
+  Value min(Value a, Value b) { return recorder_.min(a, b); }
+  Value cooperation(Value r1, Value apparent1, Value r2, Value apparent2,
+                    Context action) {
+    return recorder_.cooperation(r1, apparent1, r2, apparent2, action);
+  }
+
+ private:
+  /// Not recorded yet; kZero is a recorded apparent rate of zero.
+  static constexpr Value kUnset = TapeRecorder::kZero - 1;
+
+  /// One table's nodes, aligned with its moves and apparent entries.
+  struct Nodes {
+    std::vector<Value> moves;
+    std::vector<bool> recorded;  ///< per local term: its moves' nodes set
+    std::vector<Value> apparent;
+  };
+
+  const pepa::LeafLayout& layout_;
+  TapeRecorder& recorder_;
+  std::vector<Nodes> tables_;
+};
+
+/// Every transition's tape node: each state's moves composed over the
+/// space's leaf layout in `algebra`, checked against the state's derived
+/// row.  The derivation commits the moves in composition order and refuses
+/// top-level passive moves, so a row holds every composed move.
+template <typename Key>
+std::vector<RateTape::NodeId> record_rates(const pepa::StateSpace& space,
+                                           LeafTape& algebra) {
+  const pepa::LeafMoves<Key, LeafTape> compose(space.layout(), algebra);
+  const std::span<const pepa::StateTransition> transitions =
+      space.transitions();
+  std::vector<RateTape::NodeId> nodes(transitions.size());
+  Key key(space.key_words());
+  for (std::size_t state = 0; state < space.state_count(); ++state) {
+    const std::span<const std::uint64_t> words = space.key(state);
+    std::copy(words.begin(), words.end(), key.data());
+    const auto moves = compose(key);
+    const std::span<const pepa::StateTransition> row = space.lts().from(state);
+    const auto offset = static_cast<std::size_t>(row.data() - transitions.data());
+    if (moves.size() != row.size()) {
+      throw misaligned(util::msg("state ", state), "derived state space");
+    }
+    for (std::size_t j = 0; j < moves.size(); ++j) {
+      if (row[j].action != moves[j].action) {
+        throw misaligned(util::msg("state ", state), "derived state space");
+      }
+      nodes[offset + j] = moves[j].rate;
+    }
+  }
+  return nodes;
+}
+
 }  // namespace
 
 const char* to_string(Backend backend) {
@@ -177,31 +301,17 @@ SharedStructure::SharedStructure(pepa::Model& model,
     : rebinder_(model, std::move(parameters)),
       semantics_(model.arena()),
       space_(pepa::StateSpace::derive(semantics_, model.system(), options)) {
+  setup_.derive = space_.stats().seconds;
+  util::Stopwatch timer;
   const std::span<const pepa::StateTransition> transitions =
       space_.transitions();
-  rate_nodes_.resize(transitions.size());
   {
     // Scoped: the recorder's memo is freed before the pattern is built.
     TapeRecorder recorder(rebinder_, tape_);
-    const pepa::StateTransition* base = transitions.data();
-    for (std::size_t state = 0; state < space_.state_count(); ++state) {
-      const std::span<const pepa::StateTransition> row =
-          space_.lts().from(state);
-      const std::size_t offset = static_cast<std::size_t>(row.data() - base);
-      const std::span<const TapeMove> moves =
-          recorder.moves(space_.state_term(state));
-      // The derivation refuses top-level passive moves, so the rows hold
-      // every recorded move.
-      if (moves.size() != row.size()) {
-        throw misaligned(util::msg("state ", state), "derived state space");
-      }
-      for (std::size_t j = 0; j < moves.size(); ++j) {
-        if (row[j].action != moves[j].action) {
-          throw misaligned(util::msg("state ", state), "derived state space");
-        }
-        rate_nodes_[offset + j] = moves[j].rate;
-      }
-    }
+    LeafTape algebra(space_.layout(), recorder);
+    rate_nodes_ = space_.key_words() == 1
+                      ? record_rates<pepa::WordKey>(space_, algebra)
+                      : record_rates<pepa::HeapKey>(space_, algebra);
   }
   // The tape must reproduce every derived rate bit for bit at the base
   // values.  Besides a recording fault, this catches a swept rate whose
@@ -218,34 +328,71 @@ SharedStructure::SharedStructure(pepa::Model& model,
           rebound, transitions[i].rate, "derived state space");
     }
   }
+  setup_.tape = timer.seconds();
+  timer.restart();
+
+  // The throughput streams: a counting sort of the non-tau transitions by
+  // action, ascending within each action.  They are built before the
+  // pattern, whose per-transition slots are freed at its end: a point's
+  // generator values, of the same size, then reuse that block.  With the
+  // streams in it instead, traced sweep_grid solves ran 10-20% slower on
+  // identical generators (a heap-placement effect on the solver's arrays).
+  const std::size_t actions = semantics_.arena().action_count();
+  flow_begin_.assign(actions + 1, 0);
+  for (const pepa::StateTransition& t : transitions) {
+    if (t.action != pepa::kTau) ++flow_begin_[t.action + 1];
+  }
+  for (std::size_t a = 0; a < actions; ++a) flow_begin_[a + 1] += flow_begin_[a];
+  flows_.resize(flow_begin_[actions]);
+  std::vector<std::size_t> cursor(flow_begin_.begin(), flow_begin_.end() - 1);
+  for (std::size_t i = 0; i < transitions.size(); ++i) {
+    const pepa::StateTransition& t = transitions[i];
+    if (t.action != pepa::kTau) {
+      flows_[cursor[t.action]++] = {t.source, rate_nodes_[i]};
+    }
+  }
   pattern_ = ctmc::GeneratorPattern(space_.state_count(), transitions,
-                                    space_.lts().row_offsets(),
+                                    std::span<const std::uint32_t>(rate_nodes_),
+                                    tape_.size(), space_.lts().row_offsets(),
                                     space_.lanes());
+  setup_.pattern = timer.seconds();
 }
 
 std::vector<double> SharedStructure::rebind_rates(
     const RateRebinder::Point& point) const {
-  return tape_.rates(point.values(), rate_nodes_);
+  const std::vector<pepa::Rate> evaluated = tape_.evaluate(point.values());
+  std::vector<double> rates(evaluated.size());
+  for (std::size_t k = 0; k < rates.size(); ++k) {
+    rates[k] = evaluated[k].value();
+  }
+  return rates;
+}
+
+std::vector<double> SharedStructure::transition_rates(
+    std::span<const double> rates) const {
+  std::vector<double> out(rate_nodes_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = rates[rate_nodes_[i]];
+  return out;
 }
 
 ctmc::Generator SharedStructure::generator(
     std::span<const double> rates) const {
-  return pattern_.fill(space_.transitions(), rates);
+  return pattern_.fill(rates);
 }
 
 std::vector<double> SharedStructure::throughputs(
     std::span<const double> distribution, std::span<const double> rates) const {
-  const std::span<const pepa::StateTransition> transitions =
-      space_.transitions();
-  // One ascending pass, one accumulator per non-tau action: each sum takes
-  // the products TransitionSystem::action_throughput's slice would, in the
-  // same order — bit-identical to the base-space measure at the base point.
+  // Each action's sum takes the products TransitionSystem::action_throughput's
+  // slice would, in the same order — bit-identical to the base-space measure
+  // at the base point.
   std::vector<double> out(semantics_.arena().action_count() - 1, 0.0);
-  for (std::size_t i = 0; i < transitions.size(); ++i) {
-    const pepa::ActionId action = transitions[i].action;
-    if (action == pepa::kTau) continue;
-    CHOREO_ASSERT(action <= out.size());
-    out[action - 1] += distribution[transitions[i].source] * rates[i];
+  for (std::size_t action = 1; action + 1 < flow_begin_.size(); ++action) {
+    double sum = 0.0;
+    for (std::size_t k = flow_begin_[action]; k < flow_begin_[action + 1];
+         ++k) {
+      sum += distribution[flows_[k].source] * rates[flows_[k].rate];
+    }
+    out[action - 1] = sum;
   }
   return out;
 }

@@ -4,28 +4,35 @@
 // then compiles everything a point needs that does not depend on its
 // values, once:
 //
-//   * the rate tape (rebind.hpp): a TapeRecorder re-runs the SOS over every
-//     derived state's term with tape nodes in place of rates.  Because SOS
-//     derivation commutes with rate substitution, the j-th recorded move of
-//     a state is the j-th transition of the base state's CSR row (the
-//     exploration engine commits transitions in derivative order and
-//     refuses top-level passive moves), so each transition gets one tape
-//     node.  The alignment (action, row length) is checked here, once,
-//     together with each node reproducing its transition's derived rate bit
-//     for bit at the base values; a mismatch fails the sweep before any
-//     point runs.  The recorder's memo is freed before the next step.
-//   * the generator pattern (ctmc::GeneratorPattern), recorded straight
-//     from the derived transitions: the shared Q^T structure and each
-//     transition's entry slot.
+//   * the rate tape (rebind.hpp): every derived state's moves are composed
+//     again over the space's leaf layout (pepa::LeafMoves, the derive's own
+//     composition) in the TapeRecorder's algebra, so the j-th composed move
+//     of a state is the j-th transition of its CSR row (the exploration
+//     engine commits moves in composition order and refuses top-level
+//     passive moves), and each transition gets the tape node of its rate.
+//     The leaves' local moves and apparent rates get their nodes from the
+//     recorder's walk over the local terms; no state term is rendered.  The
+//     alignment (action, row length) is checked here, once, together with
+//     each node reproducing its transition's derived rate bit for bit at
+//     the base values; a mismatch fails the sweep before any point runs.
+//     The recorder's memo is freed before the next step.
+//   * the generator pattern (ctmc::GeneratorPattern), recorded from the
+//     derived transitions and their nodes: the shared Q^T structure and,
+//     for every entry and every exit rate, the sequence of nodes its sum
+//     adds (a single node coded as itself).
+//   * the throughput streams: each non-tau action's (source, node) pairs in
+//     ascending transition order.
 //
-// A point then costs arithmetic plus its solve: rebind_rates() evaluates the
-// tape (tens of nodes) and gathers one rate per transition, and generator()
-// fills the point's Q^T values and exit rates over the pattern with the
-// additions build_from() would make, in the same order, so every rate,
+// A point's rates are then the tape's node values: rebind_rates()
+// evaluates the tape (tens of nodes) and nothing else.  generator()
+// evaluates each distinct sum once and fills the point's Q^T values and
+// exit rates by gather, the additions build_from() would make, in the same
+// order; throughputs() streams each action's pairs.  So every rate,
 // generator and table is bit-identical to assembling from scratch.  A point
-// copies no index array: its generator shares the pattern's structure.  The
-// tape, the node index and the pattern are immutable, so concurrent point
-// lanes share them read-only.
+// copies no index array: its generator shares the pattern's structure.
+// transition_rates() expands a point's rates per transition.  The tape, the
+// pattern and the streams are immutable, so concurrent point lanes share
+// them read-only.
 //
 // The fluid backend shares the tape the same way.  It builds the base
 // model's fluid::VectorForm once and records one tape node per local
@@ -119,15 +126,22 @@ struct SweepTable {
 };
 
 /// The once-per-sweep artefacts: the rebinder, the semantics, the single
-/// derived state space, its rate tape and its generator pattern, plus the
-/// per-point payload rebinding.
+/// derived state space, its rate tape, its generator pattern and its
+/// throughput streams, plus the per-point payload rebinding.
 class SharedStructure {
  public:
+  /// Seconds the constructor spent on each step of the set-up.
+  struct SetupSeconds {
+    double derive = 0.0;   ///< the state-space derivation
+    double tape = 0.0;     ///< recording the rate tape, and its checks
+    double pattern = 0.0;  ///< the generator pattern and throughput streams
+  };
+
   /// Derives the state space of `model` once (util::ModelError /
-  /// util::BudgetError as usual) and records its rate tape and generator
-  /// pattern.  Throws util::ModelError when the recorded moves do not
-  /// align with the derived transitions.  The model must outlive this
-  /// object.
+  /// util::BudgetError as usual) and records its rate tape, generator
+  /// pattern and throughput streams.  Throws util::ModelError when the
+  /// recorded moves do not align with the derived transitions.  The model
+  /// must outlive this object.
   SharedStructure(pepa::Model& model, std::vector<std::string> parameters,
                   const pepa::DeriveOptions& options = {});
 
@@ -135,22 +149,28 @@ class SharedStructure {
   pepa::Semantics& semantics() noexcept { return semantics_; }
   const pepa::StateSpace& space() const noexcept { return space_; }
   std::uint64_t structure() const noexcept { return rebinder_.structure(); }
+  const SetupSeconds& setup_seconds() const noexcept { return setup_; }
 
-  /// The sweep point's transition rates, index-aligned with
-  /// space().transitions(): the tape evaluated at the point's values, one
-  /// node gathered per transition.  Thread-safe; throws util::ModelError
-  /// with the first rate error the SOS would raise at these values.
+  /// The sweep point's rates: the value of every rate-tape node at the
+  /// point's values, in node order (tape_size() of them).  Thread-safe;
+  /// throws util::ModelError with the first rate error the SOS would raise
+  /// at these values.
   std::vector<double> rebind_rates(const RateRebinder::Point& point) const;
 
-  /// The CTMC generator for one point's rates (index-aligned with
-  /// space().transitions()), filled over the recorded pattern.
+  /// Each transition's rate under a point's rates (rebind_rates()),
+  /// index-aligned with space().transitions().
+  std::vector<double> transition_rates(std::span<const double> rates) const;
+
+  /// The CTMC generator for one point's rates (rebind_rates()), filled
+  /// over the recorded pattern.
   ctmc::Generator generator(std::span<const double> rates) const;
 
   /// Nodes in the rate tape: the distinct rate expressions of the sweep.
   std::size_t tape_size() const noexcept { return tape_.size(); }
 
   /// Steady-state throughput of every non-tau arena action (in action-id
-  /// order) under one point's rates — the measure columns of a SweepTable.
+  /// order) under one point's rates (rebind_rates()) — the measure columns
+  /// of a SweepTable.
   std::vector<double> throughputs(std::span<const double> distribution,
                                   std::span<const double> rates) const;
 
@@ -158,12 +178,23 @@ class SharedStructure {
   std::vector<std::string> measure_names() const;
 
  private:
+  /// One term of a throughput: a transition's source and rate node.
+  struct Flow {
+    std::uint32_t source;
+    RateTape::NodeId rate;
+  };
+
   RateRebinder rebinder_;
   pepa::Semantics semantics_;
   pepa::StateSpace space_;
   RateTape tape_;
   std::vector<RateTape::NodeId> rate_nodes_;  ///< per transition
   ctmc::GeneratorPattern pattern_;
+  /// Each non-tau action's transitions as flows, in ascending transition
+  /// order: flows_[flow_begin_[a], flow_begin_[a + 1]).
+  std::vector<std::size_t> flow_begin_;
+  std::vector<Flow> flows_;
+  SetupSeconds setup_;
 };
 
 /// Runs the whole sweep: validates the spec, derives once (exact backend),

@@ -321,21 +321,38 @@ std::vector<double> mixed_rates(std::size_t count, std::uint64_t seed) {
   return rates;
 }
 
-/// A pattern recorded once from `transitions` fills, at three fresh rate
-/// payloads, the generator the reference builds from the same transitions
-/// carrying those rates.
+/// Transition i's node of a table of `node_count` rates: its own when there
+/// is one per transition, else round robin, so entries and exit sums add
+/// repeated nodes.
+std::vector<std::uint32_t> round_robin_nodes(std::size_t transitions,
+                                             std::size_t node_count) {
+  std::vector<std::uint32_t> nodes(transitions);
+  for (std::size_t i = 0; i < transitions; ++i) {
+    nodes[i] = static_cast<std::uint32_t>(i % node_count);
+  }
+  return nodes;
+}
+
+/// A pattern recorded once from `transitions`, rated by `node_count`
+/// nodes, fills, at three fresh rate tables, the generator the reference
+/// builds from the same transitions carrying those rates.
 template <typename Transitions>
 void expect_pattern_fills_reference(std::size_t n,
-                                    const Transitions& transitions) {
+                                    const Transitions& transitions,
+                                    std::size_t node_count) {
   using Transition = typename Transitions::value_type;
   const std::span<const Transition> view(transitions);
-  const cc::GeneratorPattern pattern(n, view);
+  const std::vector<std::uint32_t> nodes =
+      round_robin_nodes(transitions.size(), node_count);
+  const cc::GeneratorPattern pattern(
+      n, view, std::span<const std::uint32_t>(nodes), node_count);
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    const std::vector<double> rates = mixed_rates(transitions.size(), seed);
+    const std::vector<double> rates = mixed_rates(node_count, seed);
     std::vector<Transition> rated(transitions.begin(), transitions.end());
-    for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[i];
-    SCOPED_TRACE(::testing::Message() << "payload seed " << seed);
-    expect_same_generator(pattern.fill(view, rates),
+    for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[nodes[i]];
+    SCOPED_TRACE(::testing::Message() << "payload seed " << seed << ", "
+                                      << node_count << " nodes");
+    expect_same_generator(pattern.fill(rates),
                           reference_generator(n, rated));
   }
 }
@@ -343,7 +360,9 @@ void expect_pattern_fills_reference(std::size_t n,
 }  // namespace
 
 TEST(AssemblyOracle, PatternFillMatchesReferenceOnScrambledInput) {
-  expect_pattern_fills_reference(40, scrambled_transitions(40));
+  const std::vector<cc::RatedTransition> transitions = scrambled_transitions(40);
+  expect_pattern_fills_reference(40, transitions, transitions.size());
+  expect_pattern_fills_reference(40, transitions, 7);
 }
 
 TEST(AssemblyOracle, PatternFillMatchesReferenceOnGroupedInput) {
@@ -351,28 +370,25 @@ TEST(AssemblyOracle, PatternFillMatchesReferenceOnGroupedInput) {
   std::stable_sort(
       transitions.begin(), transitions.end(),
       [](const auto& a, const auto& b) { return a.source < b.source; });
-  expect_pattern_fills_reference(40, transitions);
+  expect_pattern_fills_reference(40, transitions, transitions.size());
+  expect_pattern_fills_reference(40, transitions, 7);
 }
 
 TEST(AssemblyOracle, PatternFillMatchesReferenceOnDerivedSpace) {
   cp::Model model = cp::ring(14);
   cp::Semantics semantics(model.arena());
   const cp::StateSpace space = cp::StateSpace::derive(semantics, model.system());
-  expect_pattern_fills_reference(space.state_count(), space.transitions());
+  expect_pattern_fills_reference(space.state_count(), space.transitions(),
+                                 space.transitions().size());
+  expect_pattern_fills_reference(space.state_count(), space.transitions(), 5);
 }
 
-// The fill validates the payload as build_from() does: the first offending
-// rate in input order is reported, with build_from()'s message.
+// The fill validates the rates as build_from() does: the first offending
+// transition in input order is reported, with build_from()'s message, a
+// self-loop counted in its place although it adds to no entry.
 TEST(AssemblyOracle, PatternFillReportsTheFirstNonPositiveRateInInputOrder) {
   const std::vector<cc::RatedTransition> transitions = scrambled_transitions(40);
   const std::span<const cc::RatedTransition> view(transitions);
-  const cc::GeneratorPattern pattern(40, view);
-  std::vector<double> rates = mixed_rates(transitions.size(), 14);
-  rates[200] = 0.0;
-  rates[100] = -1.0;
-  rates[300] = std::numeric_limits<double>::infinity();
-  std::vector<cc::RatedTransition> rated = transitions;
-  for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[i];
   auto message = [](auto&& assemble) {
     try {
       assemble();
@@ -381,11 +397,46 @@ TEST(AssemblyOracle, PatternFillReportsTheFirstNonPositiveRateInInputOrder) {
     }
     return std::string("no error");
   };
-  const std::string expected =
-      message([&] { cc::Generator::build(40, rated); });
-  EXPECT_NE(expected.find("has non-positive rate -1"), std::string::npos)
-      << expected;
-  EXPECT_EQ(message([&] { pattern.fill(view, rates); }), expected);
+  auto expect_same_error = [&](const std::vector<std::uint32_t>& nodes,
+                               const std::vector<double>& rates) {
+    const cc::GeneratorPattern pattern(
+        40, view, std::span<const std::uint32_t>(nodes), rates.size());
+    std::vector<cc::RatedTransition> rated = transitions;
+    for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[nodes[i]];
+    const std::string expected =
+        message([&] { cc::Generator::build(40, rated); });
+    EXPECT_EQ(message([&] { pattern.fill(rates); }), expected);
+    return expected;
+  };
+
+  std::vector<double> rates = mixed_rates(transitions.size(), 14);
+  rates[200] = 0.0;
+  rates[100] = -1.0;
+  rates[300] = std::numeric_limits<double>::infinity();
+  const std::string first = expect_same_error(
+      round_robin_nodes(transitions.size(), transitions.size()), rates);
+  EXPECT_NE(first.find("has non-positive rate -1"), std::string::npos)
+      << first;
+
+  // Shared nodes, the first self-loop rated by a node of its own: each node
+  // alone made invalid is first used by a different transition.
+  std::vector<std::uint32_t> nodes = round_robin_nodes(transitions.size(), 7);
+  const auto loop = std::find_if(
+      transitions.begin(), transitions.end(),
+      [](const cc::RatedTransition& t) { return t.source == t.target; });
+  ASSERT_NE(loop, transitions.end());
+  nodes[static_cast<std::size_t>(loop - transitions.begin())] = 7;
+  for (std::size_t node = 0; node < 8; ++node) {
+    std::vector<double> shared = mixed_rates(8, 15);
+    shared[node] = node % 2 == 0 ? 0.0 : -2.5;
+    SCOPED_TRACE(::testing::Message() << "node " << node);
+    const std::string error = expect_same_error(nodes, shared);
+    EXPECT_NE(error, "no error");
+    if (node == 7) {
+      EXPECT_EQ(error, cu::msg("transition ", loop->source, " -> ",
+                               loop->target, " has non-positive rate -2.5"));
+    }
+  }
 }
 
 namespace {

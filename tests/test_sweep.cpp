@@ -290,9 +290,10 @@ std::string with_values(std::string source,
   return source;
 }
 
-/// At every point, rebind_rates() must equal bit for bit the transition
-/// rates of a fresh derivation of the model re-parsed at the point's
-/// values, over the same transitions in the same order.
+/// At every point, rebind_rates() expanded per transition must equal bit
+/// for bit the transition rates of a fresh derivation of the model
+/// re-parsed at the point's values, over the same transitions in the same
+/// order.
 void expect_rebind_matches_reparse(
     const std::string& source, const std::vector<std::string>& parameters,
     const std::vector<std::vector<double>>& points) {
@@ -301,8 +302,8 @@ void expect_rebind_matches_reparse(
   const std::span<const pepa::StateTransition> base =
       shared.space().transitions();
   for (const std::vector<double>& values : points) {
-    const std::vector<double> rates =
-        shared.rebind_rates(shared.rebinder().at(values));
+    const std::vector<double> rates = shared.transition_rates(
+        shared.rebind_rates(shared.rebinder().at(values)));
     pepa::Model reference = pepa::parse_model(
         with_values(source, parameters, values), "reference");
     pepa::Semantics semantics(reference.arena());
@@ -427,6 +428,218 @@ TEST(SweepRunner, RebindMatchesRemapOnEveryTapeNodeKind) {
       "Q = (back, s).P;\n"
       "@system P;\n",
       {"r"}, {{0.5}, {1.0}, {9.0}});
+}
+
+/// Sweeps `source` over `axes` at `threads` lanes and requires every row's
+/// measures to equal, bit for bit, the throughputs of the model re-parsed
+/// at the row's values: derived afresh, assembled by build_from and solved
+/// with the sweep's solver options.
+void expect_sweep_rows_match_reparse(const std::string& source,
+                                     const std::vector<sweep::Axis>& axes,
+                                     std::size_t threads) {
+  pepa::Model model = pepa::parse_model(source, "sweep");
+  sweep::SweepSpec spec;
+  spec.axes = axes;
+  util::ThreadPool pool(threads);
+  sweep::SweepOptions options;
+  options.threads = threads;
+  options.pool = &pool;
+  const sweep::SweepTable table = sweep::sweep(model, spec, options);
+  ASSERT_EQ(table.rows.size(), spec.point_count());
+  for (const sweep::SweepRow& row : table.rows) {
+    ASSERT_TRUE(row.ok()) << row.error;
+    pepa::Model reference = pepa::parse_model(
+        with_values(source, spec.parameter_names(), row.values), "reference");
+    pepa::Semantics semantics(reference.arena());
+    const pepa::StateSpace space =
+        pepa::StateSpace::derive(semantics, reference.system());
+    const ctmc::SolveResult solved =
+        ctmc::steady_state(space.generator(), options.solver);
+    ASSERT_EQ(row.measures.size(), reference.arena().action_count() - 1);
+    for (pepa::ActionId action = 1; action < reference.arena().action_count();
+         ++action) {
+      const double expected =
+          space.lts().action_throughput(solved.distribution, action);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row.measures[action - 1]),
+                std::bit_cast<std::uint64_t>(expected))
+          << table.measures[action - 1] << " at " << threads
+          << " lanes: swept " << row.measures[action - 1] << ", re-parsed "
+          << expected << " at " << axes[0].parameter << "=" << row.values[0];
+    }
+  }
+}
+
+/// The two generators are the same bit for bit: structure, values and
+/// exit rates.
+void expect_same_generator(const ctmc::Generator& actual,
+                           const ctmc::Generator& expected,
+                           const std::string& what) {
+  EXPECT_EQ(actual.structure().row_ptr, expected.structure().row_ptr) << what;
+  EXPECT_TRUE(std::equal(actual.structure().split.begin(),
+                         actual.structure().split.end(),
+                         expected.structure().split.begin(),
+                         expected.structure().split.end()))
+      << what;
+  EXPECT_TRUE(std::equal(actual.structure().columns.begin(),
+                         actual.structure().columns.end(),
+                         expected.structure().columns.begin(),
+                         expected.structure().columns.end()))
+      << what;
+  test::expect_same_doubles(actual.values(), expected.values(),
+                            what + " values");
+  test::expect_same_doubles(actual.exit_rates(), expected.exit_rates(),
+                            what + " exit rates");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.max_exit_rate()),
+            std::bit_cast<std::uint64_t>(expected.max_exit_rate()))
+      << what;
+}
+
+// Sums of more than one rate: a state's a- and b-moves into one target
+// merge into one generator entry, and every exit rate adds several
+// transitions, while the c- and e-moves are self-loops, which add to no
+// entry but are still checked in input order.  Every point's generator and
+// throughputs must equal build_from's over the re-parsed model's derived
+// rates, and every row the re-parsed solve's, at lanes {1, 2, nproc}.
+TEST(SweepRunner, MergedEntriesAndSelfLoopsMatchBuildFrom) {
+  const std::string source =
+      "r = 1.0; s = 2.0; t = 3.0; u = 0.25;\n"
+      "P = (c, u).P + (a, r).Q + (b, s).Q;\n"
+      "Q = (d, t).P + (e, r).Q;\n"
+      "System = P[3];\n"
+      "@system System;\n";
+  const std::vector<sweep::Axis> axes = {
+      sweep::Axis::list("r", {0.3, 1.0, 7.0}),
+      sweep::Axis::list("s", {0.5, 2.0})};
+  sweep::SweepSpec spec;
+  spec.axes = axes;
+
+  pepa::Model model = pepa::parse_model(source, "merged");
+  sweep::SharedStructure shared(model, spec.parameter_names());
+  for (std::size_t p = 0; p < spec.point_count(); ++p) {
+    const std::vector<double> rates =
+        shared.rebind_rates(shared.rebinder().at(spec.point(p)));
+    pepa::Model reference = pepa::parse_model(
+        with_values(source, spec.parameter_names(), spec.point(p)),
+        "reference");
+    pepa::Semantics semantics(reference.arena());
+    const pepa::StateSpace space =
+        pepa::StateSpace::derive(semantics, reference.system());
+    const ctmc::Generator expected = ctmc::Generator::build_from(
+        space.state_count(), space.transitions());
+    const std::string what = "point " + std::to_string(p);
+    const ctmc::Generator generator = shared.generator(rates);
+    expect_same_generator(generator, expected, what);
+    ASSERT_GT(generator.structure().columns.size(), 0u);
+    EXPECT_LT(generator.structure().columns.size(),
+              space.transitions().size())
+        << "no entry merges two transitions";
+    const ctmc::SolveResult solved = ctmc::steady_state(expected);
+    const std::vector<double> throughputs =
+        shared.throughputs(solved.distribution, rates);
+    for (pepa::ActionId action = 1; action < reference.arena().action_count();
+         ++action) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(throughputs[action - 1]),
+                std::bit_cast<std::uint64_t>(space.lts().action_throughput(
+                    solved.distribution, action)))
+          << what << ", action " << reference.arena().action_name(action);
+    }
+  }
+
+  const std::size_t nproc =
+      std::max(1u, std::thread::hardware_concurrency());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, nproc}) {
+    expect_sweep_rows_match_reparse(source, axes, threads);
+  }
+
+  // Each tape node made invalid in turn: the generator reports build_from's
+  // error for the first offending transition in input order.  State 0's
+  // first transition is the self-loop rated u, whose node nothing earlier
+  // uses.
+  auto message = [](auto&& assemble) {
+    try {
+      assemble();
+    } catch (const util::ModelError& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  const std::span<const pepa::StateTransition> base =
+      shared.space().transitions();
+  ASSERT_EQ(base[0].source, base[0].target);
+  bool self_loop_reported = false;
+  for (std::size_t node = 0; node < shared.tape_size(); ++node) {
+    std::vector<double> rates =
+        shared.rebind_rates(shared.rebinder().at(spec.point(0)));
+    rates[node] = node % 2 == 0 ? -1.0 : 0.0;
+    std::vector<pepa::StateTransition> rated(base.begin(), base.end());
+    const std::vector<double> per_transition = shared.transition_rates(rates);
+    for (std::size_t i = 0; i < rated.size(); ++i) {
+      rated[i].rate = per_transition[i];
+    }
+    const std::string expected = message([&] {
+      ctmc::Generator::build_from(
+          shared.space().state_count(),
+          std::span<const pepa::StateTransition>(rated));
+    });
+    EXPECT_EQ(message([&] { shared.generator(rates); }), expected)
+        << "node " << node;
+    self_loop_reported =
+        self_loop_reported ||
+        expected ==
+            util::msg("transition 0 -> 0 has non-positive rate ", rates[node]);
+  }
+  EXPECT_TRUE(self_loop_reported);
+}
+
+// Trees that are not a flat interleaving: a dynamic leaf (a cooperation
+// under a prefix, whose local terms' moves and apparent rates are walked by
+// the recorder), a hidden shared action under an outer cooperation, and
+// weighted passive partners under a replicated operand.  Each rebinds bit
+// for bit like the re-parsed model, and its sweep rows match re-parsed
+// solves.
+TEST(SweepRunner, LeafLayoutRecordingMatchesReparseOnNestedTrees) {
+  struct Case {
+    std::string source;
+    std::vector<sweep::Axis> axes;
+    std::vector<std::vector<double>> points;
+  };
+  const std::vector<Case> cases = {
+      {"r = 1.0; s = 2.0; t = 3.0;\n"
+       "Boot = (boot, r).(Work <sync> Help);\n"
+       "Work = (sync, s).Rest; Rest = (tick, t).Work;\n"
+       "Help = (sync, infty).Help2; Help2 = (tick, s).Help;\n"
+       "Clock = (tick, infty).Clock;\n"
+       "System = Boot <tick> Clock;\n"
+       "@system System;\n",
+       {sweep::Axis::list("s", {0.5, 2.0, 6.0}),
+        sweep::Axis::list("t", {0.2, 3.0})},
+       {{0.5, 0.2}, {2.0, 3.0}, {6.0, 1.5}}},
+      {"r = 1.0; s = 2.0; t = 4.0;\n"
+       "P = (a, r).P1; P1 = (b, s).P;\n"
+       "Q = (a, infty).Q1 + (e, t).Q; Q1 = (c, t).Q;\n"
+       "R = (a, t).R1 + (b, infty).R1; R1 = (d, s).R;\n"
+       "System = ((P <a> Q) / {a}) <a, b> R;\n"
+       "@system System;\n",
+       {sweep::Axis::list("r", {0.5, 1.0, 3.0}),
+        sweep::Axis::list("s", {0.25, 2.0})},
+       {{0.5, 2.0}, {1.0, 2.0}, {3.0, 0.25}}},
+      {"r = 1.0; s = 2.0;\n"
+       "P = (a, r).P;\n"
+       "Q = (a, 2*infty).Q1 + (a, infty).Q2;\n"
+       "Q1 = (b, s).Q; Q2 = (c, s).Q;\n"
+       "System = P <a> Q[2];\n"
+       "@system System;\n",
+       {sweep::Axis::list("r", {0.2, 1.0, 5.0}),
+        sweep::Axis::list("s", {0.5, 7.0})},
+       {{0.2, 7.0}, {1.0, 2.0}, {5.0, 0.5}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.source);
+    std::vector<std::string> parameters;
+    for (const sweep::Axis& axis : c.axes) parameters.push_back(axis.parameter);
+    expect_rebind_matches_reparse(c.source, parameters, c.points);
+    expect_sweep_rows_match_reparse(c.source, c.axes, 1);
+  }
 }
 
 // A point whose arithmetic fails records the error the SOS raises there
@@ -672,8 +885,12 @@ TEST(SweepGolden, EveryPointMatchesTheGeneratorOracle) {
       const ctmc::Generator generator = shared.generator(rates);
       if (structure == nullptr) structure = &generator.structure();
       EXPECT_EQ(&generator.structure(), structure) << "point " << p;
+      const std::vector<double> transition_rates =
+          shared.transition_rates(rates);
       std::vector<pepa::StateTransition> rated(base.begin(), base.end());
-      for (std::size_t i = 0; i < rated.size(); ++i) rated[i].rate = rates[i];
+      for (std::size_t i = 0; i < rated.size(); ++i) {
+        rated[i].rate = transition_rates[i];
+      }
       const test::OracleGenerator oracle =
           test::oracle_generator(shared.space().state_count(), rated);
       const std::string what = "point " + std::to_string(p);
