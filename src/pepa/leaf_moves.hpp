@@ -2,31 +2,29 @@
 // generic over the rate algebra it composes in.
 //
 // LeafMoves composes each leaf's local moves over the static tree exactly as
-// Semantics::compute_derivatives composes a term's: the same emission order,
-// the same apparent-rate recursion and the same order of rate computations.
-// Where the term derive computes a rate, LeafMoves asks its algebra:
+// the SOS walk (pepa/semantics.hpp) composes a term's: the same emission
+// order, the same apparent-rate recursion and the same order of rate
+// computations.  Where the term walk computes a rate, LeafMoves asks its
+// algebra the term walk's operations but prefix() (zero(), is_zero(),
+// plus(), min(), cooperation() and context()), and for the leaves:
 //
 //   - leaf_rates(table, local): the rates of a local term's moves, by move;
-//   - leaf_apparent(table, local, action): a local term's apparent rate;
-//   - plus(a, b, context), min(a, b) and cooperation(r1, a1, r2, a2,
-//     context): Rate::plus, Rate::min and pepa::cooperation_rate, where
-//     `context` is context(action) of the action being composed;
-//   - zero() and is_zero(): the "no capacity" value.
+//   - leaf_apparent(table, local, action): a local term's apparent rate.
 //
 // A zero operand of a sum is skipped before plus() is asked, and an apparent
 // rate no pair uses is asked only when computing it could raise
-// (LeafLayout::may_raise), as the derive does.  Two algebras exist:
-// RateAlgebra below, which computes pepa::Rate values and is what
-// StateSpace::derive runs, and the sweep's tape recorder
-// (src/sweep/runner.cpp), which composes the same walk over rate-tape nodes
-// so that each derived transition gets the node of its rate.
+// (LeafLayout::may_raise), as the derive does.  The two algebras are those
+// of the term walk with the leaves added: LeafRates below, RateAlgebra's
+// arithmetic over the rates the layout's tables hold, which is what
+// StateSpace::derive runs; and the sweep's LeafTape (src/sweep/runner.cpp),
+// the TapeRecorder's folds over the nodes a tape walk of the leaves' local
+// terms gives, so that each derived transition gets the node of its rate.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "pepa/leaf_layout.hpp"
@@ -35,26 +33,18 @@
 
 namespace choreo::pepa {
 
-/// The derive's rate algebra: pepa::Rate arithmetic, leaf rates read from
-/// the layout's tables.  Stateless, so lanes share one.
-class RateAlgebra {
+/// The derive's rate algebra: RateAlgebra's arithmetic, the leaves' rates
+/// read from the layout's tables.  Stateless, so lanes share one.
+class LeafRates : public RateAlgebra {
  public:
-  using Value = Rate;
-  /// The action's name, for the messages of Rate::plus and cooperation_rate.
-  using Context = const std::string&;
-
   /// A local term's move rates, indexed by move.
   struct LocalRates {
     const LeafLayout::LocalMove* moves;
     const Rate& operator[](std::size_t m) const { return moves[m].rate; }
   };
 
-  RateAlgebra(const LeafLayout& layout, const ProcessArena& arena)
-      : layout_(layout), arena_(arena) {}
-
-  Context context(ActionId action) const { return arena_.action_name(action); }
-  static Rate zero() { return Rate(); }
-  static bool is_zero(const Rate& rate) { return rate.is_zero(); }
+  LeafRates(const LeafLayout& layout, const ProcessArena& arena)
+      : RateAlgebra(arena), layout_(layout) {}
 
   LocalRates leaf_rates(std::uint32_t table, std::uint32_t local) const {
     const LeafLayout::Table& t = layout_.table(table);
@@ -64,19 +54,9 @@ class RateAlgebra {
                      ActionId action) const {
     return layout_.table(table).apparent_rate(local, action);
   }
-  static Rate plus(const Rate& a, const Rate& b, Context name) {
-    return a.plus(b, name);
-  }
-  static Rate min(const Rate& a, const Rate& b) { return Rate::min(a, b); }
-  static Rate cooperation(const Rate& r1, const Rate& apparent1,
-                          const Rate& r2, const Rate& apparent2,
-                          Context name) {
-    return cooperation_rate(r1, apparent1, r2, apparent2, name);
-  }
 
  private:
   const LeafLayout& layout_;
-  const ProcessArena& arena_;
 };
 
 /// The moves of packed states of type Key (WordKey or HeapKey), each rate a
@@ -216,8 +196,8 @@ class LeafMoves {
     }
   }
 
-  /// Semantics::compute_apparent over the static tree, the leaves' terms'
-  /// rates asked of the algebra.  Asked only for a cooperation set's
+  /// The term walk's compute_apparent over the static tree, the leaves'
+  /// terms' rates asked of the algebra.  Asked only for a cooperation set's
   /// actions, never tau.  A zero operand of a sum is skipped: Rate::plus
   /// returns the other operand as it is.
   Value apparent(std::uint32_t n, const Key& source, ActionId action,

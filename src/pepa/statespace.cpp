@@ -169,11 +169,11 @@ std::size_t LocalStateIndex::bytes() const noexcept {
 
 template <typename Key>
 void StateSpace::explore_keys(const explore::EngineOptions& engine) {
-  using Moves = LeafMoves<Key, RateAlgebra>;
+  using Moves = LeafMoves<Key, LeafRates>;
   using Move = typename Moves::Move;
   const LeafLayout& layout = *layout_;
   const ProcessArena& arena = *arena_;
-  RateAlgebra algebra(layout, arena);
+  LeafRates algebra(layout, arena);
   const Moves moves(layout, algebra);
   Key initial(layout.words());
   layout.encode_initial(initial.data());

@@ -17,27 +17,26 @@
 //   * A TapeRecorder is the SOS's rate algebra over a RateTape: a
 //     hash-consed program over the swept axes whose nodes are literals,
 //     scaled axes (scale * value), apparent-rate sums and minima, and the
-//     cooperation rate law, in the order they are first computed.  Its
-//     term walk (moves(), apparent()) is the syntax-directed recursion of
-//     Semantics::compute_derivatives / compute_apparent with a tape node in
-//     place of every rate, memoised on flat storage: every term's moves are
-//     a [begin, end) range of one buffer, a constant shares its body's
-//     range, and apparent rates are kept only for the (term, action) pairs
-//     asked for.  Its folds (plus(), min(), cooperation()) evaluate each new
-//     node at the base values, so operands that Rate::plus and Rate::min
-//     would return unchanged (a zero, or a passive operand of min) fold
-//     away: zero-ness and kind never depend on a positive value.  A fold
-//     whose operand nodes were seen before is found by lookups in small
-//     dense tables over node ids, not by hashing a node.  The sweep runner
-//     (runner.cpp) records one tape per sweep: for
-//     the exact backend by composing every derived state's moves over the
-//     space's leaf layout (pepa/leaf_moves.hpp) with the recorder's folds,
-//     its walk run over the leaves' local terms only, so each transition
-//     gets the node of its rate; for the fluid backend by walking the
-//     vector form's local states.  Neither renders a state term or writes
-//     into the model's arena.  A sweep point is then RateTape::evaluate():
-//     tens of nodes of arithmetic, no term walk.  Evaluating in node order
-//     raises the first error the recording walk would.
+//     cooperation rate law, in the order they are first computed.  It has
+//     no walk of its own: pepa's one SOS walk (pepa/semantics.hpp) runs in
+//     it as a TapeWalk, with a tape node in place of every rate.  Its folds
+//     (plus(), min(), cooperation()) evaluate each new node at the base
+//     values, so operands that Rate::plus and Rate::min would return
+//     unchanged (a zero, or a passive operand of min) fold away: zero-ness
+//     and kind never depend on a positive value.  A fold whose operand
+//     nodes were seen before is found by lookups in small dense tables over
+//     node ids, not by hashing a node.  The sweep runner (runner.cpp)
+//     records one tape per sweep: for the exact backend by composing every
+//     derived state's moves over the space's leaf layout
+//     (pepa/leaf_moves.hpp) with the recorder's folds, the leaves' local
+//     terms walked by a TapeWalk, so each transition gets the node of its
+//     rate; for the fluid backend by walking the vector form's local states.
+//     Neither renders a state term or writes into the model's arena: every
+//     target a TapeWalk reaches was interned when the base model was
+//     derived (or its vector form built), so the walk only finds it.  A
+//     sweep point is then RateTape::evaluate(): tens of nodes of
+//     arithmetic, no term walk.  Evaluating in node order raises the first
+//     error the recording walk would.
 //
 // The module also content-addresses models: structure_fingerprint() hashes
 // the rate-stripped model (the identity shared by every point of a sweep)
@@ -54,6 +53,7 @@
 #include <vector>
 
 #include "pepa/model.hpp"
+#include "pepa/semantics.hpp"
 
 namespace choreo::sweep {
 
@@ -163,20 +163,15 @@ class RateTape {
   std::vector<Node> nodes_;
 };
 
-/// One enabled activity of a base term: its action and its rate's tape node.
-struct TapeMove {
-  pepa::ActionId action;
-  RateTape::NodeId rate;
-};
-
-/// Records a RateTape: the rate algebra of the SOS over tape nodes (see the
-/// header comment).  moves() and apparent() walk base terms; plus(), min()
-/// and cooperation() are the folds a composition over them makes, which
-/// SharedStructure's recording over the leaf layout calls too.
-/// Single-threaded; drop it once recording is done, which frees its memo.
+/// Records a RateTape: the SOS's rate algebra over tape nodes (see the
+/// header comment), for pepa's walk over base terms (TapeWalk) and for
+/// SharedStructure's composition over the leaf layout.  Single-threaded;
+/// drop it once recording is done, which frees its memos.
 class TapeRecorder {
  public:
   using NodeId = RateTape::NodeId;
+  using Value = NodeId;
+  using Context = pepa::ActionId;
   /// The zero rate ("no capacity"), which never becomes a node.
   static constexpr NodeId kZero = 0xffffffffu;
 
@@ -184,17 +179,13 @@ class TapeRecorder {
   /// outlive the recorder.
   TapeRecorder(const RateRebinder& rebinder, RateTape& tape);
 
-  /// The moves of a base term in the emission order of
-  /// Semantics::derivatives, each rate a tape node (never zero).  The span
-  /// stays valid until the next moves() call.  Only call after the base
-  /// model has been derived (derivation validates guardedness; this walk
-  /// repeats its recursion without re-checking).
-  std::span<const TapeMove> moves(pepa::ProcessId base);
+  static Context context(pepa::ActionId action) { return action; }
+  static NodeId zero() { return kZero; }
+  static bool is_zero(NodeId node) { return node == kZero; }
 
-  /// The apparent rate of `action` in a base term, the node of
-  /// Semantics::apparent_rate (kZero for none).  The same precondition as
-  /// moves().
-  NodeId apparent(pepa::ProcessId base, pepa::ActionId action);
+  /// The node of prefix `id`'s rate: its scaled axis when the prefix is
+  /// swept, else its literal rate.
+  NodeId prefix(pepa::ProcessId id, const pepa::ProcessNode& node);
 
   /// Rate::plus (`context` names the action), Rate::min and
   /// pepa::cooperation_rate over nodes.  Rate::plus and Rate::min return an
@@ -208,29 +199,14 @@ class TapeRecorder {
   NodeId cooperation(NodeId r1, NodeId apparent1, NodeId r2,
                      NodeId apparent2, pepa::ActionId action);
 
-  /// A recorded node's rate at the base values.
-  const pepa::Rate& base_rate(NodeId node) const { return base_[node]; }
+  /// A recorded node's rate at the base values; the zero rate for kZero.
+  pepa::Rate base_rate(NodeId node) const {
+    return node == kZero ? pepa::Rate() : base_[node];
+  }
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  /// A node's moves: moves_[begin, end).
-  struct Range {
-    std::uint32_t begin = kNone;  ///< kNone: not computed yet
-    std::uint32_t end = 0;
-    std::uint32_t size() const noexcept { return end - begin; }
-  };
-  /// Per base node: its move range and the head of its apparent-rate list
-  /// (a chain through apparent_, kNone-terminated).
-  struct NodeMemo {
-    Range moves;
-    std::uint32_t apparent = kNone;
-  };
-  struct ApparentEntry {
-    NodeId rate;
-    pepa::ActionId action;
-    std::uint32_t next;
-  };
   struct NodeHash {
     std::size_t operator()(const RateTape::Node& node) const noexcept;
   };
@@ -251,28 +227,13 @@ class TapeRecorder {
     std::unordered_map<std::uint64_t, std::uint32_t> spill_;
   };
 
-  NodeMemo& memo(pepa::ProcessId base);
-  Range move_range(pepa::ProcessId base);
-  Range compute_moves(pepa::ProcessId base);
-  NodeId compute_apparent(pepa::ProcessId base, pepa::ActionId action);
-  /// Makes room for `extra` more moves without a reallocation, so moves
-  /// can be copied from one range of the buffer onto its end.
-  void reserve_moves(std::size_t extra);
-  std::uint32_t moves_end() const;
-
   /// The node of `node`, recording (and evaluating) it when new.
   NodeId intern(const RateTape::Node& node);
-  /// A node's base rate; the zero rate for kZero.
-  pepa::Rate rate(NodeId id) const;
-  NodeId prefix_rate(pepa::ProcessId id, const pepa::ProcessNode& node);
 
   const RateRebinder& rebinder_;
   RateTape& tape_;
   std::vector<pepa::Rate> base_;  ///< per tape node
   std::unordered_map<RateTape::Node, NodeId, NodeHash, NodeEq> ids_;
-  std::vector<NodeMemo> nodes_;  ///< indexed by base ProcessId
-  std::vector<TapeMove> moves_;
-  std::vector<ApparentEntry> apparent_;
   /// The folds' memos.  A cooperation law is memoised on its two (rate,
   /// apparent rate) operand pairs, each numbered by pairs_.
   PairMemo sums_;
@@ -281,5 +242,9 @@ class TapeRecorder {
   PairMemo laws_;
   std::uint32_t pair_count_ = 0;
 };
+
+/// pepa's SOS walk over a base model's terms in a TapeRecorder: derivatives
+/// and apparent rates whose rates are tape nodes.
+using TapeWalk = pepa::BasicSemantics<TapeRecorder>;
 
 }  // namespace choreo::sweep

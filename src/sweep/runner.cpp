@@ -113,15 +113,15 @@ class FluidStructure {
       return;
     }
     // The exact backend's set-up checks, local state by local state: the
-    // recorded moves of a local state are its derivatives, in order, and
+    // tape walk's moves of a local state are its derivatives, in order, and
     // reproduce their rates bit for bit at the base values.
-    TapeRecorder recorder(rebinder_, tape_);
+    TapeWalk walk(model.arena(), TapeRecorder(rebinder_, tape_));
     rate_nodes_.reserve(form_.derivative_count());
     for (const fluid::Group& group : form_.groups()) {
       for (std::size_t s = 0; s < group.states.size(); ++s) {
         const std::string where = util::msg("local state ", group.first + s);
-        const std::span<const TapeMove> moves =
-            recorder.moves(group.states[s]);
+        const std::span<const TapeWalk::Move> moves =
+            walk.derivatives(group.states[s]);
         const std::span<const pepa::Derivative> derivatives =
             semantics_.derivatives(group.states[s]);
         if (moves.size() != derivatives.size()) {
@@ -131,7 +131,8 @@ class FluidStructure {
           if (moves[j].action != derivatives[j].action) {
             throw misaligned(where, "vector form");
           }
-          const double rebound = recorder.base_rate(moves[j].rate).value();
+          const double rebound =
+              walk.algebra().base_rate(moves[j].rate).value();
           const double derived = derivatives[j].rate.value();
           if (!same_bits(rebound, derived)) {
             throw unreproduced("a local transition from " + where, rebound,
@@ -163,17 +164,17 @@ class FluidStructure {
 };
 
 /// SharedStructure's rate algebra for pepa::LeafMoves: every rate a tape
-/// node.  A leaf's local moves and apparent rates get theirs from the
-/// recorder's walk over that local term, when the composition first reaches
-/// it; the folds are the recorder's.  So the tape's nodes come in the order
+/// node.  A leaf's local moves and apparent rates get theirs from the tape
+/// walk over that local term, when the composition first reaches it; the
+/// folds are the walk's recorder's.  So the tape's nodes come in the order
 /// the composition first uses them, and no state term is rendered.
 class LeafTape {
  public:
   using Value = RateTape::NodeId;
   using Context = pepa::ActionId;
 
-  LeafTape(const pepa::LeafLayout& layout, TapeRecorder& recorder)
-      : layout_(layout), recorder_(recorder), tables_(layout.table_count()) {
+  LeafTape(const pepa::LeafLayout& layout, TapeWalk& walk)
+      : layout_(layout), walk_(walk), tables_(layout.table_count()) {
     for (std::uint32_t t = 0; t < tables_.size(); ++t) {
       const pepa::LeafLayout::Table& table = layout_.table(t);
       tables_[t].moves.resize(table.moves.size());
@@ -193,7 +194,8 @@ class LeafTape {
     Nodes& nodes = tables_[t];
     Value* rates = nodes.moves.data() + table.move_begin[local];
     if (nodes.recorded[local]) return rates;
-    const std::span<const TapeMove> moves = recorder_.moves(table.terms[local]);
+    const std::span<const TapeWalk::Move> moves =
+        walk_.derivatives(table.terms[local]);
     const std::span<const pepa::LeafLayout::LocalMove> derived =
         table.moves_of(local);
     const std::string where =
@@ -221,19 +223,21 @@ class LeafTape {
         std::rethrow_exception(table.apparent[a].error);
       }
       Value& node = tables_[t].apparent[a];
-      if (node == kUnset) node = recorder_.apparent(table.terms[local], action);
+      if (node == kUnset) {
+        node = walk_.apparent_rate(table.terms[local], action);
+      }
       return node;
     }
     return zero();
   }
 
   Value plus(Value a, Value b, Context action) {
-    return recorder_.plus(a, b, action);
+    return walk_.algebra().plus(a, b, action);
   }
-  Value min(Value a, Value b) { return recorder_.min(a, b); }
+  Value min(Value a, Value b) { return walk_.algebra().min(a, b); }
   Value cooperation(Value r1, Value apparent1, Value r2, Value apparent2,
                     Context action) {
-    return recorder_.cooperation(r1, apparent1, r2, apparent2, action);
+    return walk_.algebra().cooperation(r1, apparent1, r2, apparent2, action);
   }
 
  private:
@@ -248,7 +252,7 @@ class LeafTape {
   };
 
   const pepa::LeafLayout& layout_;
-  TapeRecorder& recorder_;
+  TapeWalk& walk_;
   std::vector<Nodes> tables_;
 };
 
@@ -306,9 +310,10 @@ SharedStructure::SharedStructure(pepa::Model& model,
   const std::span<const pepa::StateTransition> transitions =
       space_.transitions();
   {
-    // Scoped: the recorder's memo is freed before the pattern is built.
-    TapeRecorder recorder(rebinder_, tape_);
-    LeafTape algebra(space_.layout(), recorder);
+    // Scoped: the tape walk's memos are freed before the throughput
+    // streams and the pattern are built.
+    TapeWalk walk(semantics_.arena(), TapeRecorder(rebinder_, tape_));
+    LeafTape algebra(space_.layout(), walk);
     rate_nodes_ = space_.key_words() == 1
                       ? record_rates<pepa::WordKey>(space_, algebra)
                       : record_rates<pepa::HeapKey>(space_, algebra);

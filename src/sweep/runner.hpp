@@ -10,12 +10,13 @@
 //     of a state is the j-th transition of its CSR row (the exploration
 //     engine commits moves in composition order and refuses top-level
 //     passive moves), and each transition gets the tape node of its rate.
-//     The leaves' local moves and apparent rates get their nodes from the
-//     recorder's walk over the local terms; no state term is rendered.  The
-//     alignment (action, row length) is checked here, once, together with
-//     each node reproducing its transition's derived rate bit for bit at
-//     the base values; a mismatch fails the sweep before any point runs.
-//     The recorder's memo is freed before the next step.
+//     The leaves' local moves and apparent rates get their nodes from a
+//     TapeWalk over the local terms: pepa's one SOS walk, the derive's
+//     Semantics, run in the recorder's algebra.  No state term is rendered.
+//     The alignment (action, row length) is checked here, once, together
+//     with each node reproducing its transition's derived rate bit for bit
+//     at the base values; a mismatch fails the sweep before any point runs.
+//     The walk's memos are freed before the next step.
 //   * the generator pattern (ctmc::GeneratorPattern), recorded from the
 //     derived transitions and their nodes: the shared Q^T structure and,
 //     for every entry and every exit rate, the sequence of nodes its sum
@@ -36,8 +37,9 @@
 //
 // The fluid backend shares the tape the same way.  It builds the base
 // model's fluid::VectorForm once and records one tape node per local
-// derivative of each group state, under the same set-up checks (actions
-// align, rates reproduce bit for bit at the base values).  A point
+// derivative of each group state, read from a TapeWalk over that state,
+// under the same set-up checks (actions align, rates reproduce bit for bit
+// at the base values).  A point
 // evaluates the tape, refills a copy of the form's local rates
 // (VectorForm::with_rates) and integrates it; no point builds a form or
 // writes into the model's arena.

@@ -10,9 +10,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -23,7 +25,10 @@
 
 #include "fluid/analysis.hpp"
 #include "generator_oracle.hpp"
+#include "pepa/families.hpp"
+#include "pepa/leaf_layout.hpp"
 #include "pepa/parser.hpp"
+#include "pepa/printer.hpp"
 #include "service/cache.hpp"
 #include "service/metrics.hpp"
 #include "service/scheduler.hpp"
@@ -591,19 +596,19 @@ TEST(SweepRunner, MergedEntriesAndSelfLoopsMatchBuildFrom) {
   EXPECT_TRUE(self_loop_reported);
 }
 
-// Trees that are not a flat interleaving: a dynamic leaf (a cooperation
-// under a prefix, whose local terms' moves and apparent rates are walked by
-// the recorder), a hidden shared action under an outer cooperation, and
-// weighted passive partners under a replicated operand.  Each rebinds bit
-// for bit like the re-parsed model, and its sweep rows match re-parsed
-// solves.
-TEST(SweepRunner, LeafLayoutRecordingMatchesReparseOnNestedTrees) {
-  struct Case {
-    std::string source;
-    std::vector<sweep::Axis> axes;
-    std::vector<std::vector<double>> points;
-  };
-  const std::vector<Case> cases = {
+/// Trees that are not a flat interleaving, with a sweep over each: a
+/// dynamic leaf (a cooperation under a prefix, whose local terms' moves and
+/// apparent rates the tape walk reaches), a hidden shared action under an
+/// outer cooperation, and weighted passive partners under a replicated
+/// operand.
+struct NestedTree {
+  std::string source;
+  std::vector<sweep::Axis> axes;
+  std::vector<std::vector<double>> points;
+};
+
+std::vector<NestedTree> nested_trees() {
+  return {
       {"r = 1.0; s = 2.0; t = 3.0;\n"
        "Boot = (boot, r).(Work <sync> Help);\n"
        "Work = (sync, s).Rest; Rest = (tick, t).Work;\n"
@@ -633,12 +638,220 @@ TEST(SweepRunner, LeafLayoutRecordingMatchesReparseOnNestedTrees) {
         sweep::Axis::list("s", {0.5, 7.0})},
        {{0.2, 7.0}, {1.0, 2.0}, {5.0, 0.5}}},
   };
-  for (const Case& c : cases) {
+}
+
+// Each nested tree rebinds bit for bit like the re-parsed model, and its
+// sweep rows match re-parsed solves.
+TEST(SweepRunner, LeafLayoutRecordingMatchesReparseOnNestedTrees) {
+  for (const NestedTree& c : nested_trees()) {
     SCOPED_TRACE(c.source);
     std::vector<std::string> parameters;
     for (const sweep::Axis& axis : c.axes) parameters.push_back(axis.parameter);
     expect_rebind_matches_reparse(c.source, parameters, c.points);
     expect_sweep_rows_match_reparse(c.source, c.axes, 1);
+  }
+}
+
+/// The parameters of `model` a rebinder can sweep: those some prefix's rate
+/// was written as.  A model built through the arena (the families) records
+/// no rate provenance, so each of its active prefixes whose rate is a
+/// parameter's value is first tagged with that parameter.
+std::vector<std::string> sweepable_parameters(pepa::Model& model) {
+  if (model.prefix_rate_tags().empty()) {
+    const pepa::ProcessArena& arena = model.arena();
+    for (pepa::ProcessId id = 0; id < arena.node_count(); ++id) {
+      const pepa::ProcessNode& node = arena.node(id);
+      if (node.op != pepa::Op::kPrefix || node.rate.is_passive()) continue;
+      for (const auto& [name, value] : model.parameters()) {
+        if (node.rate.value() == value) {
+          model.note_prefix_rate(id, pepa::PrefixRateTag{name, 1.0});
+          break;
+        }
+      }
+    }
+  }
+  std::vector<std::string> parameters;
+  for (const auto& [name, value] : model.parameters()) {
+    if (model.parameter_is_opaque(name)) continue;
+    for (const auto& [prefix, tag] : model.prefix_rate_tags()) {
+      if (tag.parameter == name) {
+        parameters.push_back(name);
+        break;
+      }
+    }
+  }
+  return parameters;
+}
+
+/// The text of the util::Error that `run` throws, or empty.
+template <typename Run>
+std::string error_of(Run&& run) {
+  try {
+    run();
+  } catch (const util::Error& error) {
+    return error.what();
+  }
+  return {};
+}
+
+/// A tape walk over `model` agrees with `semantics` on each of `terms`: the
+/// same derivatives in action and target, each rate's node worth the Rate
+/// bit for bit at the base values, and the same apparent rate of every
+/// action of the arena (or the same error computing one).
+void expect_walks_agree(pepa::Model& model, pepa::Semantics& semantics,
+                        std::span<const pepa::ProcessId> terms,
+                        const std::string& what) {
+  const sweep::RateRebinder rebinder(model, sweepable_parameters(model));
+  sweep::RateTape tape;
+  sweep::TapeWalk walk(model.arena(), sweep::TapeRecorder(rebinder, tape));
+  const pepa::ProcessArena& arena = model.arena();
+  auto same = [&walk](sweep::RateTape::NodeId node, const pepa::Rate& rate) {
+    const pepa::Rate base = walk.algebra().base_rate(node);
+    return base.is_passive() == rate.is_passive() &&
+           std::bit_cast<std::uint64_t>(base.value()) ==
+               std::bit_cast<std::uint64_t>(rate.value());
+  };
+  for (const pepa::ProcessId term : terms) {
+    const std::string where = what + ": " + pepa::to_string(arena, term);
+    std::span<const pepa::Derivative> expected;
+    std::span<const sweep::TapeWalk::Move> moves;
+    const std::string raised =
+        error_of([&] { expected = semantics.derivatives(term); });
+    EXPECT_EQ(error_of([&] { moves = walk.derivatives(term); }), raised)
+        << where;
+    if (raised.empty()) {
+      ASSERT_EQ(moves.size(), expected.size()) << where;
+      for (std::size_t j = 0; j < moves.size(); ++j) {
+        EXPECT_EQ(moves[j].action, expected[j].action) << where << ", move " << j;
+        EXPECT_EQ(moves[j].target, expected[j].target) << where << ", move " << j;
+        EXPECT_TRUE(same(moves[j].rate, expected[j].rate))
+            << where << ", move " << j << ": "
+            << walk.algebra().base_rate(moves[j].rate).to_string() << " vs "
+            << expected[j].rate.to_string();
+      }
+    }
+    for (pepa::ActionId action = 0; action < arena.action_count(); ++action) {
+      pepa::Rate rate;
+      sweep::RateTape::NodeId node = sweep::TapeRecorder::kZero;
+      const std::string apparent_raised =
+          error_of([&] { rate = semantics.apparent_rate(term, action); });
+      EXPECT_EQ(error_of([&] { node = walk.apparent_rate(term, action); }),
+                apparent_raised)
+          << where << ", apparent " << arena.action_name(action);
+      if (apparent_raised.empty()) {
+        EXPECT_TRUE(same(node, rate))
+            << where << ", apparent " << arena.action_name(action) << ": "
+            << walk.algebra().base_rate(node).to_string() << " vs "
+            << rate.to_string();
+      }
+    }
+  }
+}
+
+/// expect_walks_agree on every leaf-table term of `model`'s derive, and on
+/// every local state of its vector form where the form builds.  Returns
+/// whether the form built.
+bool expect_walks_agree_on_local_terms(pepa::Model& model,
+                                       const std::string& what) {
+  pepa::Semantics semantics(model.arena());
+  const pepa::StateSpace space =
+      pepa::StateSpace::derive(semantics, model.system());
+  std::vector<pepa::ProcessId> terms;
+  for (std::uint32_t t = 0; t < space.layout().table_count(); ++t) {
+    const std::vector<pepa::ProcessId>& local = space.layout().table(t).terms;
+    terms.insert(terms.end(), local.begin(), local.end());
+  }
+  EXPECT_FALSE(terms.empty()) << what;
+  expect_walks_agree(model, semantics, terms, what + " leaf tables");
+
+  std::optional<fluid::VectorForm> form;
+  error_of([&] { form = fluid::VectorForm::build(semantics, model.system()); });
+  if (!form) return false;
+  terms.clear();
+  for (const fluid::Group& group : form->groups()) {
+    terms.insert(terms.end(), group.states.begin(), group.states.end());
+  }
+  expect_walks_agree(model, semantics, terms, what + " vector form");
+  return true;
+}
+
+// pepa's one SOS walk in its two algebras: the tape instance reproduces the
+// Rate instance on every local term a sweep walks, targets included.
+TEST(SweepRunner, TapeWalkMatchesTheRateWalkOnEveryLocalTerm) {
+  std::size_t files = 0;
+  std::size_t forms = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CHOREO_MODELS_DIR)) {
+    if (entry.path().extension() != ".pepa") continue;
+    std::ifstream stream(entry.path(), std::ios::binary);
+    std::ostringstream buffer;
+    buffer << stream.rdbuf();
+    pepa::Model model =
+        pepa::parse_model(buffer.str(), entry.path().filename().string());
+    forms += expect_walks_agree_on_local_terms(
+        model, entry.path().filename().string());
+    ++files;
+  }
+  EXPECT_GE(files, 3u);
+  for (const auto& [clients, servers] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{4, 3}, {1, 1}}) {
+    pepa::Model model = pepa::client_server(clients, {.servers = servers});
+    forms += expect_walks_agree_on_local_terms(
+        model, util::msg("client_server(", clients, ", ", servers, ")"));
+  }
+  {
+    pepa::Model model = pepa::pda_handover(5, {.transmitters = 3});
+    forms += expect_walks_agree_on_local_terms(model, "pda_handover(5, 3)");
+  }
+  {
+    pepa::Model model = pepa::ring(8);
+    forms += expect_walks_agree_on_local_terms(model, "ring(8)");
+  }
+  for (const NestedTree& c : nested_trees()) {
+    pepa::Model model = pepa::parse_model(c.source, "nested");
+    forms += expect_walks_agree_on_local_terms(model, c.source);
+  }
+  // The form builds for the model files, the families and one nested tree.
+  EXPECT_GE(forms, 8u);
+}
+
+// rebind.hpp's promise: sweep set-up writes nothing into the model's arena.
+// Every term the tape walk reaches was interned by the base derive (exact
+// backend) or by the vector form's build (fluid backend).
+TEST(SweepRunner, SetUpInternsNoTerm) {
+  std::vector<std::pair<std::string, std::vector<sweep::Axis>>> models;
+  for (const NestedTree& c : nested_trees()) models.emplace_back(c.source, c.axes);
+  models.emplace_back(tomcat_jsp_source(3),
+                      std::vector<sweep::Axis>{
+                          sweep::Axis::list("tran", {0.2, 3.0}),
+                          sweep::Axis::list("comp", {0.3, 2.0})});
+  for (const auto& [source, axes] : models) {
+    SCOPED_TRACE(source);
+    sweep::SweepSpec spec;
+    spec.axes = axes;
+    {
+      pepa::Model model = pepa::parse_model(source, "exact");
+      {
+        pepa::Semantics semantics(model.arena());
+        pepa::StateSpace::derive(semantics, model.system());
+      }
+      const std::size_t derived = model.arena().node_count();
+      const sweep::SharedStructure shared(model, spec.parameter_names());
+      EXPECT_EQ(model.arena().node_count(), derived);
+    }
+    {
+      pepa::Model model = pepa::parse_model(source, "fluid");
+      {
+        pepa::Semantics semantics(model.arena());
+        error_of([&] { fluid::VectorForm::build(semantics, model.system()); });
+      }
+      const std::size_t built = model.arena().node_count();
+      sweep::SweepOptions options;
+      options.backend = sweep::Backend::kFluid;
+      options.threads = 1;
+      sweep::sweep(model, spec, options);
+      EXPECT_EQ(model.arena().node_count(), built);
+    }
   }
 }
 
