@@ -6,6 +6,9 @@
 //     E_a = (d log target) / (d log rate_a)
 //
 // estimated by central finite differences over the exact CTMC solution.
+// The caller's AnalysisOptions::rates are applied once; a perturbation then
+// scales only the activity's active rates, so a shared action's passive
+// side stays passive and the model's synchronisation is unchanged.
 // Elasticities compose naturally: throughput is homogeneous of degree 1 in
 // the full rate vector, so over *all* activities they sum to 1 -- the
 // reported numbers are literally "shares of the bottleneck".

@@ -3,6 +3,7 @@
 // one), and the PDA case study's bottleneck ranking.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <numeric>
 
 #include "choreographer/paper_models.hpp"
@@ -67,6 +68,38 @@ TEST(Sensitivity, ElasticitiesSumToOne) {
   const auto pda = chor::throughput_sensitivity(chor::pda_handover_model(),
                                                 "download_file_1");
   EXPECT_NEAR(sum_of_elasticities(pda), 1.0, 1e-3);
+
+  // With several clients, request and response are shared actions with a
+  // passive side; a perturbation that made them active would change the
+  // model's synchronisation.
+  for (const std::size_t clients : {std::size_t{3}, std::size_t{6}}) {
+    const auto tomcat = chor::throughput_sensitivity(
+        chor::tomcat_model(false, {.clients = clients}), "response");
+    EXPECT_NEAR(sum_of_elasticities(tomcat), 1.0, 1e-3)
+        << clients << " clients";
+  }
+}
+
+TEST(Sensitivity, RatesOverrideMatchesAModelWrittenWithThatRate) {
+  // A .rates override of translate is the model with translate rated so:
+  // the same base, the same base rates and the same elasticities.
+  chor::SensitivityOptions overridden;
+  overridden.analysis.rates = {{"translate", 1.5}};
+  const auto via_override = chor::throughput_sensitivity(
+      chor::tomcat_model(false, {.clients = 3}), "response", overridden);
+  const auto written = chor::throughput_sensitivity(
+      chor::tomcat_model(false, {.clients = 3, .translate_rate = 1.5}),
+      "response");
+  EXPECT_EQ(via_override.base_value, written.base_value);
+  ASSERT_EQ(via_override.entries.size(), written.entries.size());
+  for (std::size_t i = 0; i < written.entries.size(); ++i) {
+    EXPECT_EQ(via_override.entries[i].activity, written.entries[i].activity);
+    EXPECT_EQ(via_override.entries[i].base_rate, written.entries[i].base_rate)
+        << written.entries[i].activity;
+    EXPECT_EQ(via_override.entries[i].elasticity,
+              written.entries[i].elasticity)
+        << written.entries[i].activity;
+  }
 }
 
 TEST(Sensitivity, PdaBottleneckIsTheHandover) {
