@@ -9,6 +9,13 @@ cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 
+# The end-to-end benchmark's own test, as CI's benchmark-selftest job runs
+# it.  perfbench/cpp/traced_pipeline.cpp mirrors the library call for call
+# (pepa::Semantics, the sweep's SharedStructure), so a change there must
+# keep it building and its smoke runs correct.  It builds in the ignored
+# .bench_build/.
+python3 perfbench/selftest.py
+
 # Data-race check: parallel exploration and the service concurrency tests
 # under TSan.  test_parallel_statespace is the heaviest workload: many
 # exploration lanes over one shared arena + semantics, plus concurrent
