@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "choreographer/extract_activity.hpp"
 #include "choreographer/extract_statechart.hpp"
@@ -361,7 +362,7 @@ xml::Document analyse_project(const xml::Document& project,
 
   // Reflector output, then the Poseidon postprocessor re-merges layout.
   xml::Document reflected = uml::to_xmi(model);
-  return uml::postprocess(reflected, split.layout);
+  return uml::postprocess(std::move(reflected), split.layout);
 }
 
 AnalysisReport analyse_project_file(const std::string& input_path,

@@ -1,6 +1,6 @@
 #include "service/cache.hpp"
 
-#include <sstream>
+#include <utility>
 
 #include "ctmc/steady_state.hpp"
 #include "uml/layout.hpp"
@@ -22,34 +22,47 @@ std::string cache_key_for_model(const xml::Document& model,
   compact.indent = 0;
   compact.declaration = false;
 
-  std::ostringstream key;
-  key << xml::to_string(model, compact) << '\n';
-  key << "solver=" << ctmc::method_name(options.solver.method)
-      << " tolerance=" << util::format_double(options.solver.tolerance)
-      << " max_iterations=" << options.solver.max_iterations
-      << " relaxation=" << util::format_double(options.solver.relaxation)
-      << " dense_cutoff=" << options.solver.dense_cutoff
-      << " default_rate=" << util::format_double(options.default_rate)
-      << " max_states=" << options.max_states
-      // Keying the aggregation level keeps quotient-direct artifacts
-      // (exact: quotient-sized counts, canonical representatives) from
-      // ever colliding with full-chain or fluid results.
-      << " aggregation=" << static_cast<int>(options.aggregation);
+  std::string key = xml::to_string(model, compact);
+  key += "\nsolver=";
+  key += ctmc::method_name(options.solver.method);
+  key += " tolerance=";
+  key += util::format_double(options.solver.tolerance);
+  key += " max_iterations=";
+  key += std::to_string(options.solver.max_iterations);
+  key += " relaxation=";
+  key += util::format_double(options.solver.relaxation);
+  key += " dense_cutoff=";
+  key += std::to_string(options.solver.dense_cutoff);
+  key += " default_rate=";
+  key += util::format_double(options.default_rate);
+  key += " max_states=";
+  key += std::to_string(options.max_states);
+  // Keying the aggregation level keeps quotient-direct artifacts
+  // (exact: quotient-sized counts, canonical representatives) from
+  // ever colliding with full-chain or fluid results.
+  key += " aggregation=";
+  key += std::to_string(static_cast<int>(options.aggregation));
   // The fluid knobs shape results only at the fluid level; keying them
   // unconditionally would split identical exact analyses apart.
   if (options.aggregation == chor::Aggregation::kFluid) {
-    key << " fluid_rel_tol=" << util::format_double(options.fluid_rel_tol)
-        << " fluid_abs_tol=" << util::format_double(options.fluid_abs_tol)
-        << " fluid_t_end=" << util::format_double(options.fluid_t_end);
+    key += " fluid_rel_tol=";
+    key += util::format_double(options.fluid_rel_tol);
+    key += " fluid_abs_tol=";
+    key += util::format_double(options.fluid_abs_tol);
+    key += " fluid_t_end=";
+    key += util::format_double(options.fluid_t_end);
   }
   // derive_threads is deliberately absent: exploration is deterministic, so
   // results at any lane count are interchangeable cache-wise.
   // Rates apply in file order (later assignments win), so the order is
   // part of the content.
   for (const auto& [activity, rate] : options.rates) {
-    key << " rate:" << activity << '=' << util::format_double(rate);
+    key += " rate:";
+    key += activity;
+    key += '=';
+    key += util::format_double(rate);
   }
-  return std::move(key).str();
+  return key;
 }
 
 std::uint64_t fingerprint(const std::string& key) {
@@ -85,12 +98,12 @@ ResultCache::ResultCache(const CacheOptions& options)
                                 "Entries currently held by the result "
                                 "cache")) {}
 
-std::optional<CachedAnalysis> ResultCache::get(const std::string& key) {
+std::shared_ptr<const CachedAnalysis> ResultCache::get(const std::string& key) {
   std::lock_guard lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     misses_.increment();
-    return std::nullopt;
+    return nullptr;
   }
   hits_.increment();
   lru_.splice(lru_.begin(), lru_, it->second);
@@ -115,8 +128,12 @@ std::size_t node_bytes(const xml::Node& node) {
 
 std::size_t ResultCache::entry_bytes(const std::string& key,
                                      const CachedAnalysis& analysis) {
+  // The bookkeeping is counted as when an entry held its analysis by
+  // value, so budgets, evictions and the hit pattern are unchanged.
+  constexpr std::size_t kEntryBytes =
+      sizeof(std::string) + sizeof(CachedAnalysis) + sizeof(std::size_t);
   std::size_t bytes =
-      key.size() + sizeof(Entry) + node_bytes(analysis.reflected_model.root());
+      key.size() + kEntryBytes + node_bytes(analysis.reflected_model.root());
   for (const auto& graph : analysis.report.activity_graphs) {
     bytes += graph.graph_name.size() + sizeof(graph);
     for (const auto& [name, value] : graph.throughputs) {
@@ -135,8 +152,9 @@ std::size_t ResultCache::entry_bytes(const std::string& key,
   return bytes;
 }
 
-void ResultCache::put(const std::string& key, const CachedAnalysis& analysis) {
-  const std::size_t bytes = entry_bytes(key, analysis);
+void ResultCache::put(const std::string& key,
+                      std::shared_ptr<const CachedAnalysis> analysis) {
+  const std::size_t bytes = entry_bytes(key, *analysis);
   std::lock_guard lock(mutex_);
   if (bytes > max_bytes_) {
     // Dropped silently before: the counter makes an over-budget entry
@@ -153,7 +171,7 @@ void ResultCache::put(const std::string& key, const CachedAnalysis& analysis) {
     lru_.erase(it->second);
     index_.erase(it);
   }
-  lru_.push_front(Entry{key, analysis, bytes});
+  lru_.push_front(Entry{key, std::move(analysis), bytes});
   index_.emplace(key, lru_.begin());
   bytes_ += bytes;
   evict_until_within_budget();

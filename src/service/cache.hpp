@@ -14,6 +14,10 @@
 // requester's own layout, so a designer never receives somebody else's
 // diagram arrangement back.
 //
+// Entries are immutable and shared: get() hands out a handle to the
+// stored entry instead of a copy, so a reader keeps its entry alive after
+// it is evicted or replaced, and no document is copied under the mutex.
+//
 // Entries are evicted least-recently-used under a byte budget.
 // Hit/miss/eviction counters and byte/entry gauges are kept in a metrics
 // Registry.  All operations are thread-safe.
@@ -21,8 +25,8 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -68,14 +72,17 @@ class ResultCache {
  public:
   explicit ResultCache(const CacheOptions& options = {});
 
-  /// Returns a copy of the cached analysis and refreshes its recency, or
-  /// nullopt on miss.  Counts a hit or a miss either way.
-  std::optional<CachedAnalysis> get(const std::string& key);
+  /// Returns the cached analysis and refreshes its recency, or null on a
+  /// miss.  Counts a hit or a miss either way.  The entry is shared with
+  /// the cache and never changes; the handle keeps it alive after it is
+  /// evicted or replaced.
+  std::shared_ptr<const CachedAnalysis> get(const std::string& key);
 
   /// Stores (or replaces) the entry, then evicts least-recently-used
   /// entries until the budget holds.  An entry larger than the whole
   /// budget is not stored.
-  void put(const std::string& key, const CachedAnalysis& analysis);
+  void put(const std::string& key,
+           std::shared_ptr<const CachedAnalysis> analysis);
 
   std::size_t entry_count() const;
   std::size_t byte_count() const;
@@ -88,7 +95,7 @@ class ResultCache {
 
   struct Entry {
     std::string key;
-    CachedAnalysis analysis;
+    std::shared_ptr<const CachedAnalysis> analysis;
     std::size_t bytes = 0;
   };
 

@@ -89,6 +89,25 @@ struct JobTimings {
   /// Pipeline stage totals folded over the report's graphs (clocks and
   /// discovery counters sum, peak frontier takes the maximum).
   chor::StageTimings stages;
+  /// The document path around the pipeline stages, each inside
+  /// run_seconds and disjoint from `stages` and from each other.  A cache
+  /// hit runs neither from_xmi nor to_xmi; a sweep job runs none of them.
+  /// Reading the project: the file read and xml::parse_file, or the copy
+  /// of an inline document.
+  double read_seconds = 0.0;
+  /// uml::preprocess, the layout split.
+  double preprocess_seconds = 0.0;
+  /// The cache key, the lookup and, on a miss, the store.
+  double cache_seconds = 0.0;
+  /// uml::from_xmi, summed over attempts.
+  double from_xmi_seconds = 0.0;
+  /// uml::to_xmi of the analysed model.
+  double to_xmi_seconds = 0.0;
+  /// uml::postprocess, the layout merge.
+  double postprocess_seconds = 0.0;
+  /// xml::to_string of the annotated project, plus the write to
+  /// JobRequest::output_path when one is set.
+  double write_seconds = 0.0;
 };
 
 struct JobResult {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <mutex>
-#include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +18,7 @@
 #include "uml/layout.hpp"
 #include "uml/xmi.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "xml/parse.hpp"
@@ -62,10 +63,12 @@ class GaugeDelta {
   std::int64_t delta_;
 };
 
+/// Lower-case hexadecimal without leading zeros.
 std::string hex64(std::uint64_t value) {
-  std::ostringstream stream;
-  stream << std::hex << value;
-  return stream.str();
+  char buffer[16];
+  return std::string(buffer, std::to_chars(buffer, buffer + sizeof buffer,
+                                           value, 16)
+                                 .ptr);
 }
 
 /// The result-affecting options of one sweep point, rendered
@@ -75,19 +78,27 @@ std::string hex64(std::uint64_t value) {
 /// point-by-point.
 std::string sweep_options_key(const SweepJobRequest& job,
                               const chor::AnalysisOptions& options) {
-  std::ostringstream key;
-  key << "backend=" << sweep::to_string(job.backend)
-      << " solver=" << ctmc::method_name(options.solver.method)
-      << " tolerance=" << util::format_double(options.solver.tolerance)
-      << " max_iterations=" << options.solver.max_iterations
-      << " relaxation=" << util::format_double(options.solver.relaxation)
-      << " dense_cutoff=" << options.solver.dense_cutoff;
+  std::string key = "backend=";
+  key += sweep::to_string(job.backend);
+  key += " solver=";
+  key += ctmc::method_name(options.solver.method);
+  key += " tolerance=";
+  key += util::format_double(options.solver.tolerance);
+  key += " max_iterations=";
+  key += std::to_string(options.solver.max_iterations);
+  key += " relaxation=";
+  key += util::format_double(options.solver.relaxation);
+  key += " dense_cutoff=";
+  key += std::to_string(options.solver.dense_cutoff);
   if (job.backend == sweep::Backend::kFluid) {
-    key << " fluid_rel_tol=" << util::format_double(options.fluid_rel_tol)
-        << " fluid_abs_tol=" << util::format_double(options.fluid_abs_tol)
-        << " fluid_t_end=" << util::format_double(options.fluid_t_end);
+    key += " fluid_rel_tol=";
+    key += util::format_double(options.fluid_rel_tol);
+    key += " fluid_abs_tol=";
+    key += util::format_double(options.fluid_abs_tol);
+    key += " fluid_t_end=";
+    key += util::format_double(options.fluid_t_end);
   }
-  return key.str();
+  return key;
 }
 
 }  // namespace
@@ -177,6 +188,28 @@ struct Scheduler::Impl {
         teardown_seconds(registry.histogram(
             "choreo_stage_teardown_seconds",
             "Release of the derived space, semantics and extraction per job")),
+        read_seconds(registry.histogram(
+            "choreo_stage_read_seconds",
+            "Reading and parsing the project document per job")),
+        preprocess_seconds(registry.histogram(
+            "choreo_stage_preprocess_seconds",
+            "Layout split of the project (UML preprocessor) per job")),
+        cache_seconds(registry.histogram(
+            "choreo_stage_cache_seconds",
+            "Cache key, lookup and store per job")),
+        from_xmi_seconds(registry.histogram(
+            "choreo_stage_from_xmi_seconds",
+            "Reading the UML model from its XMI document per analysed job")),
+        to_xmi_seconds(registry.histogram(
+            "choreo_stage_to_xmi_seconds",
+            "Writing the analysed UML model back to XMI per analysed job")),
+        postprocess_seconds(registry.histogram(
+            "choreo_stage_postprocess_seconds",
+            "Layout merge of the annotated model (UML postprocessor) per "
+            "job")),
+        write_seconds(registry.histogram(
+            "choreo_stage_write_seconds",
+            "Serialising (and writing out) the annotated project per job")),
         explore_rate(registry.histogram(
             "choreo_explore_states_per_second",
             "States discovered per exploration second, per job",
@@ -270,6 +303,13 @@ struct Scheduler::Impl {
   Histogram& measures_seconds;
   Histogram& reflect_seconds;
   Histogram& teardown_seconds;
+  Histogram& read_seconds;
+  Histogram& preprocess_seconds;
+  Histogram& cache_seconds;
+  Histogram& from_xmi_seconds;
+  Histogram& to_xmi_seconds;
+  Histogram& postprocess_seconds;
+  Histogram& write_seconds;
   Histogram& explore_rate;
   Counter& explored_states_total;
   Counter& dedup_hits_total;
@@ -355,11 +395,11 @@ void Scheduler::Impl::execute_sweep(const std::shared_ptr<JobState>& state,
     const std::string options_key = sweep_options_key(job, request.options);
     keys.resize(count);
     for (std::size_t p = 0; p < count; ++p) {
-      keys[p] = util::msg(
-          "sweep:", hex64(rebinder.structure()), ":",
-          hex64(rebinder.rate_fingerprint(job.spec.point(p))), ":",
-          options_key);
-      std::optional<CachedAnalysis> entry = options.cache->get(keys[p]);
+      keys[p] = "sweep:" + hex64(rebinder.structure()) + ':' +
+                hex64(rebinder.rate_fingerprint(job.spec.point(p))) + ':' +
+                options_key;
+      const std::shared_ptr<const CachedAnalysis> entry =
+          options.cache->get(keys[p]);
       if (entry && !entry->report.activity_graphs.empty()) {
         const chor::ActivityGraphResult& graph =
             entry->report.activity_graphs.front();
@@ -436,7 +476,7 @@ void Scheduler::Impl::execute_sweep(const std::shared_ptr<JobState>& state,
   if (options.cache != nullptr) {
     for (std::size_t p = 0; p < count; ++p) {
       if (hit[p] || !table.rows[p].ok()) continue;
-      CachedAnalysis entry;
+      auto entry = std::make_shared<CachedAnalysis>();
       chor::ActivityGraphResult graph;
       graph.graph_name = job.model_path;
       graph.marking_count = table.state_count;
@@ -445,8 +485,8 @@ void Scheduler::Impl::execute_sweep(const std::shared_ptr<JobState>& state,
         graph.throughputs.emplace_back(table.measures[m],
                                        table.rows[p].measures[m]);
       }
-      entry.report.activity_graphs.push_back(std::move(graph));
-      options.cache->put(keys[p], entry);
+      entry->report.activity_graphs.push_back(std::move(graph));
+      options.cache->put(keys[p], std::move(entry));
     }
   }
 
@@ -502,29 +542,37 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
     execute_sweep(state, result);
     return;
   }
+  JobTimings& timings = result.timings;
+  util::Stopwatch clock;
   const xml::Document project =
       request.input_path ? xml::parse_file(*request.input_path)
                          : request.project;
+  timings.read_seconds = clock.seconds();
 
   // The Figure-4 pipeline, opened up so the cache can sit between the
   // Poseidon pre- and postprocessor: the cache stores the reflected
   // *model* half, and every requester — hit or miss — gets their own
   // layout merged back.
+  clock.restart();
   const uml::SplitProject split = uml::preprocess(project);
+  timings.preprocess_seconds = clock.seconds();
 
   std::string key;
+  std::shared_ptr<const CachedAnalysis> cached;
   xml::Document reflected;
   // Cache hits and failures report the requested level; a successful run
   // overwrites this with the level the winning attempt actually used.
   result.aggregation_used = request.options.aggregation;
   if (options.cache != nullptr) {
+    clock.restart();
     key = cache_key_for_model(split.model, request.options);
-    if (std::optional<CachedAnalysis> cached = options.cache->get(key)) {
-      result.report = std::move(cached->report);
-      reflected = std::move(cached->reflected_model);
+    cached = options.cache->get(key);
+    if (cached) {
+      result.report = cached->report;
       result.from_cache = true;
       result.attempts = 0;
     }
+    timings.cache_seconds = clock.seconds();
   }
 
   if (!result.from_cache) {
@@ -542,9 +590,13 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
       try {
         // A failed attempt leaves the model partially annotated, so each
         // attempt re-reads it from the pristine split document.
+        clock.restart();
         uml::Model model = uml::from_xmi(split.model);
+        timings.from_xmi_seconds += clock.seconds();
         result.report = chor::analyse(model, attempt_options);
+        clock.restart();
         reflected = uml::to_xmi(model);
+        timings.to_xmi_seconds = clock.seconds();
         result.aggregation_used = attempt_options.aggregation;
         break;
       } catch (const util::InterruptedError&) {
@@ -576,12 +628,12 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
       }
     }
     for (const auto& graph : result.report.activity_graphs) {
-      result.timings.stages += graph.timings;
+      timings.stages += graph.timings;
     }
     for (const auto& machines : result.report.state_machines) {
-      result.timings.stages += machines.timings;
+      timings.stages += machines.timings;
     }
-    const chor::StageTimings& stages = result.timings.stages;
+    const chor::StageTimings& stages = timings.stages;
     extract_seconds.observe(stages.extract_seconds);
     derive_seconds.observe(stages.derive_seconds());
     assemble_seconds.observe(stages.assemble_seconds);
@@ -589,6 +641,8 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
     measures_seconds.observe(stages.measures_seconds);
     reflect_seconds.observe(stages.reflect_seconds);
     teardown_seconds.observe(stages.teardown_seconds);
+    from_xmi_seconds.observe(timings.from_xmi_seconds);
+    to_xmi_seconds.observe(timings.to_xmi_seconds);
     explored_states_total.increment(stages.derive_stats.dedup_misses);
     dedup_hits_total.increment(stages.derive_stats.dedup_hits);
     dedup_misses_total.increment(stages.derive_stats.dedup_misses);
@@ -614,11 +668,24 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
           stages.derive_seconds());
     }
     if (options.cache != nullptr) {
-      options.cache->put(key, CachedAnalysis{result.report, reflected});
+      // The entry gets a copy of the document and the annotated project
+      // below takes the original, so a miss copies it once.  The other
+      // way round (the entry keeps the original, which the cache holds for
+      // as long as the process runs) read about 4 MiB more peak RSS on the
+      // service benchmark.
+      clock.restart();
+      options.cache->put(key, std::make_shared<const CachedAnalysis>(
+                                  CachedAnalysis{result.report, reflected}));
+      timings.cache_seconds += clock.seconds();
     }
   }
 
-  const xml::Document annotated = uml::postprocess(reflected, split.layout);
+  clock.restart();
+  const xml::Document annotated =
+      cached ? uml::postprocess(cached->reflected_model, split.layout)
+             : uml::postprocess(std::move(reflected), split.layout);
+  timings.postprocess_seconds = clock.seconds();
+  clock.restart();
   result.annotated_xmi = xml::to_string(annotated);
   result.status = JobStatus::kDone;
 
@@ -631,6 +698,12 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
                     *request.output_path, "'");
     }
   }
+  timings.write_seconds = clock.seconds();
+  read_seconds.observe(timings.read_seconds);
+  preprocess_seconds.observe(timings.preprocess_seconds);
+  if (options.cache != nullptr) cache_seconds.observe(timings.cache_seconds);
+  postprocess_seconds.observe(timings.postprocess_seconds);
+  write_seconds.observe(timings.write_seconds);
 }
 
 void Scheduler::Impl::run_job(const std::shared_ptr<JobState>& state) {

@@ -27,13 +27,12 @@ SplitProject preprocess(const xml::Document& project) {
   return split;
 }
 
-xml::Document postprocess(const xml::Document& reflected,
+xml::Document postprocess(xml::Document reflected,
                           const std::vector<xml::Node>& layout) {
-  xml::Document merged = reflected;
   for (const xml::Node& node : layout) {
-    merged.root().add_child(node);
+    reflected.root().add_child(node);
   }
-  return merged;
+  return reflected;
 }
 
 }  // namespace choreo::uml

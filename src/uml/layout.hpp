@@ -33,8 +33,9 @@ SplitProject preprocess(const xml::Document& project);
 
 /// Merges reflected model content with the original layout subtrees
 /// (Poseidon postprocessor).  Layout nodes are re-appended to the root in
-/// their original order.
-xml::Document postprocess(const xml::Document& reflected,
+/// their original order.  Pass a document the caller no longer needs as an
+/// rvalue to merge into it without a copy.
+xml::Document postprocess(xml::Document reflected,
                           const std::vector<xml::Node>& layout);
 
 }  // namespace choreo::uml

@@ -1,8 +1,8 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace choreo::util {
 
@@ -80,16 +80,33 @@ std::string format_double(double value) {
   if (value == 0.0) return std::signbit(value) ? "-0" : "0";
   if (std::isnan(value)) return "nan";
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
-  // Shortest representation from a ladder of precisions that round-trips
-  // visually (reports, model printers); not meant for serialising exact bits.
+  // The shortest round-trip form in scientific notation has the fewest
+  // significant digits any decimal that reads back to `value` can have (its
+  // mantissa has neither leading nor trailing zeros), so no "%.*g"
+  // precision below that count can read back either.  (The default
+  // shortest form is no use here: it switches to fixed notation, whose
+  // trailing zeros of a large integer are not significant.)
   char buffer[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
-    double parsed = 0.0;
-    std::sscanf(buffer, "%lf", &parsed);
-    if (parsed == value) break;
+  char* const last = buffer + sizeof buffer;
+  const char* const shortest_end =
+      std::to_chars(buffer, last, value, std::chars_format::scientific).ptr;
+  int significant = 0;
+  for (const char* c = buffer; c != shortest_end && *c != 'e'; ++c) {
+    if (std::isdigit(static_cast<unsigned char>(*c))) ++significant;
   }
-  return buffer;
+  // From there, the smallest precision whose text reads back bit-exactly;
+  // 17 digits always do.  to_chars with a precision is printf("%.*g") in
+  // the C locale and from_chars rounds as strtod does.
+  char* end = buffer;
+  for (int precision = significant;; ++precision) {
+    end = std::to_chars(buffer, last, value, std::chars_format::general,
+                        precision)
+              .ptr;
+    double parsed = 0.0;
+    std::from_chars(buffer, end, parsed);
+    if (parsed == value || precision >= 17) break;
+  }
+  return std::string(buffer, end);
 }
 
 }  // namespace choreo::util

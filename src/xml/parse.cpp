@@ -1,8 +1,10 @@
 #include "xml/parse.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -43,23 +45,30 @@ class Parser {
   }
 
  private:
+  static constexpr std::size_t npos = std::string_view::npos;
+
+  /// Raises at the current position.  Line and column are counted from the
+  /// input here, so scanning never tracks them: the line is one more than
+  /// the newlines before the position, the column one more than the bytes
+  /// since the last of them.
   [[noreturn]] void fail(const std::string& message) const {
-    throw util::ParseError(options_.source_name, line_, column_, message);
+    const std::string_view before = input_.substr(0, pos_);
+    const auto newlines =
+        static_cast<std::size_t>(std::count(before.begin(), before.end(), '\n'));
+    const std::size_t last_newline = before.rfind('\n');
+    const std::size_t column =
+        last_newline == npos ? pos_ + 1 : pos_ - last_newline;
+    throw util::ParseError(options_.source_name, newlines + 1, column, message);
+  }
+
+  /// Moves to the end of the input and raises there.
+  [[noreturn]] void fail_at_end(const std::string& message) {
+    pos_ = input_.size();
+    fail(message);
   }
 
   bool at_end() const noexcept { return pos_ >= input_.size(); }
   char peek() const { return input_[pos_]; }
-
-  char advance() {
-    const char c = input_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    return c;
-  }
 
   bool lookahead(std::string_view token) const {
     return input_.substr(pos_, token.size()) == token;
@@ -67,7 +76,7 @@ class Parser {
 
   bool consume(std::string_view token) {
     if (!lookahead(token)) return false;
-    for (std::size_t i = 0; i < token.size(); ++i) advance();
+    pos_ += token.size();
     return true;
   }
 
@@ -75,12 +84,23 @@ class Parser {
     if (!consume(token)) fail(util::msg("expected ", what));
   }
 
+  /// Returns the text up to the next `terminator` and moves past the
+  /// terminator; raises `unterminated` at the end of the input when there is
+  /// none.
+  std::string_view scan_to(std::string_view terminator, const char* unterminated) {
+    const std::size_t found = input_.find(terminator, pos_);
+    if (found == npos) fail_at_end(unterminated);
+    const std::string_view text = input_.substr(pos_, found - pos_);
+    pos_ = found + terminator.size();
+    return text;
+  }
+
   void skip_bom() {
     consume("\xEF\xBB\xBF");
   }
 
   void skip_ws() {
-    while (!at_end() && std::isspace(static_cast<unsigned char>(peek()))) advance();
+    while (!at_end() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;
   }
 
   /// Skips whitespace and comments between top-level constructs.
@@ -104,17 +124,14 @@ class Parser {
       skip_ws();
       if (consume("?>")) return attributes;
       if (at_end()) fail("unterminated XML declaration");
-      attributes.push_back(parse_attribute());
+      const auto [name, value] = parse_attribute();
+      attributes.push_back({std::string(name), std::string(value)});
     }
   }
 
   void skip_processing_instruction() {
     expect("<?", "processing instruction");
-    while (!at_end()) {
-      if (consume("?>")) return;
-      advance();
-    }
-    fail("unterminated processing instruction");
+    scan_to("?>", "unterminated processing instruction");
   }
 
   void skip_doctype() {
@@ -125,7 +142,7 @@ class Parser {
     int depth = 1;
     char quote = '\0';
     while (!at_end() && depth > 0) {
-      const char c = advance();
+      const char c = input_[pos_++];
       if (quote != '\0') {
         if (c == quote) quote = '\0';
         continue;
@@ -141,90 +158,79 @@ class Parser {
     if (depth != 0 || quote != '\0') fail("unterminated DOCTYPE declaration");
   }
 
-  std::string parse_name() {
+  std::string_view parse_name() {
     if (at_end() || !is_name_start(peek())) fail("expected a name");
-    std::string name;
-    name.push_back(advance());
-    while (!at_end() && is_name_char(peek())) name.push_back(advance());
-    return name;
+    const std::size_t begin = pos_++;
+    while (!at_end() && is_name_char(peek())) ++pos_;
+    return input_.substr(begin, pos_ - begin);
   }
 
-  Attribute parse_attribute() {
-    Attribute attribute;
-    attribute.name = parse_name();
+  /// Parses name="value" and returns the name and the decoded value (see
+  /// decode_entities for how long the value's view lives).
+  std::pair<std::string_view, std::string_view> parse_attribute() {
+    const std::string_view name = parse_name();
     skip_ws();
     expect("=", "'=' after attribute name");
     skip_ws();
     if (at_end() || (peek() != '"' && peek() != '\'')) {
       fail("expected a quoted attribute value");
     }
-    const char quote = advance();
-    std::string raw;
+    const char quote = input_[pos_++];
+    const std::size_t begin = pos_;
     while (!at_end() && peek() != quote) {
       if (peek() == '<') fail("'<' in attribute value");
-      raw.push_back(advance());
+      ++pos_;
     }
     if (at_end()) fail("unterminated attribute value");
-    advance();  // closing quote
-    attribute.value = decode_entities(raw);
-    return attribute;
+    const std::string_view raw = input_.substr(begin, pos_ - begin);
+    ++pos_;  // closing quote
+    return {name, decode_entities(raw)};
   }
 
   Node parse_comment() {
     expect("<!--", "comment");
-    std::string content;
-    while (!at_end()) {
-      if (consume("-->")) return Node::comment(std::move(content));
-      content.push_back(advance());
-    }
-    fail("unterminated comment");
+    return Node::comment(std::string(scan_to("-->", "unterminated comment")));
   }
 
   Node parse_cdata() {
     expect("<![CDATA[", "CDATA section");
-    std::string content;
-    while (!at_end()) {
-      if (consume("]]>")) return Node::cdata(std::move(content));
-      content.push_back(advance());
-    }
-    fail("unterminated CDATA section");
+    return Node::cdata(std::string(scan_to("]]>", "unterminated CDATA section")));
   }
 
   Node parse_element() {
     expect("<", "'<'");
-    Node node = Node::element(parse_name());
+    Node node = Node::element(std::string(parse_name()));
     while (true) {
       skip_ws();
       if (consume("/>")) return node;
       if (consume(">")) break;
       if (at_end()) fail("unterminated start tag");
-      Attribute attribute = parse_attribute();
-      if (node.has_attr(attribute.name)) {
-        fail(util::msg("duplicate attribute '", attribute.name, "'"));
+      const auto [name, value] = parse_attribute();
+      if (node.has_attr(name)) {
+        fail(util::msg("duplicate attribute '", name, "'"));
       }
-      node.set_attr(attribute.name, attribute.value);
+      node.set_attr(name, value);
     }
     parse_content(node);
     return node;
   }
 
   void parse_content(Node& parent) {
-    std::string pending_text;
-    auto flush_text = [&] {
-      if (pending_text.empty()) return;
-      const bool ignorable =
-          options_.drop_ignorable_whitespace &&
-          util::trim(pending_text).empty();
-      if (!ignorable) parent.add_text(decode_entities(pending_text));
-      pending_text.clear();
-    };
-
     while (true) {
-      if (at_end()) fail(util::msg("unterminated element <", parent.name(), ">"));
-      if (lookahead("</")) {
-        flush_text();
-        consume("</");
-        const std::string name = parse_name();
+      // Character data runs to the next markup; it is decoded (and checked)
+      // only there, so an element cut off inside text reports the cut.
+      const std::size_t markup = input_.find('<', pos_);
+      if (markup == npos) {
+        fail_at_end(util::msg("unterminated element <", parent.name(), ">"));
+      }
+      const std::string_view text = input_.substr(pos_, markup - pos_);
+      pos_ = markup;
+      if (!text.empty() && !(options_.drop_ignorable_whitespace &&
+                             util::trim(text).empty())) {
+        parent.add_text(std::string(decode_entities(text)));
+      }
+      if (consume("</")) {
+        const std::string_view name = parse_name();
         if (name != parent.name()) {
           fail(util::msg("mismatched end tag </", name, "> for <", parent.name(),
                          ">"));
@@ -234,61 +240,52 @@ class Parser {
         return;
       }
       if (lookahead("<!--")) {
-        flush_text();
         parent.add_child(parse_comment());
-        continue;
-      }
-      if (lookahead("<![CDATA[")) {
-        flush_text();
+      } else if (lookahead("<![CDATA[")) {
         parent.add_child(parse_cdata());
-        continue;
-      }
-      if (lookahead("<?")) {
-        flush_text();
+      } else if (lookahead("<?")) {
         skip_processing_instruction();
-        continue;
-      }
-      if (peek() == '<') {
-        flush_text();
-        parent.add_child(parse_element());
-        continue;
-      }
-      pending_text.push_back(advance());
-    }
-  }
-
-  std::string decode_entities(std::string_view raw) {
-    std::string out;
-    out.reserve(raw.size());
-    for (std::size_t i = 0; i < raw.size();) {
-      if (raw[i] != '&') {
-        out.push_back(raw[i++]);
-        continue;
-      }
-      const std::size_t semicolon = raw.find(';', i);
-      if (semicolon == std::string_view::npos) fail("unterminated entity");
-      const std::string_view entity = raw.substr(i + 1, semicolon - i - 1);
-      if (entity == "lt") {
-        out.push_back('<');
-      } else if (entity == "gt") {
-        out.push_back('>');
-      } else if (entity == "amp") {
-        out.push_back('&');
-      } else if (entity == "quot") {
-        out.push_back('"');
-      } else if (entity == "apos") {
-        out.push_back('\'');
-      } else if (!entity.empty() && entity.front() == '#') {
-        out += decode_char_reference(entity.substr(1));
       } else {
-        fail(util::msg("unknown entity '&", std::string(entity), ";'"));
+        parent.add_child(parse_element());
       }
-      i = semicolon + 1;
     }
-    return out;
   }
 
-  std::string decode_char_reference(std::string_view digits) {
+  /// Resolves entity and character references.  Returns `raw` itself when
+  /// it has none, and otherwise a view of a buffer the next call reuses.
+  std::string_view decode_entities(std::string_view raw) {
+    std::size_t amp = raw.find('&');
+    if (amp == npos) return raw;
+    decoded_.clear();
+    std::size_t plain = 0;
+    for (; amp != npos; amp = raw.find('&', plain)) {
+      decoded_.append(raw, plain, amp - plain);
+      const std::size_t semicolon = raw.find(';', amp);
+      if (semicolon == npos) fail("unterminated entity");
+      const std::string_view entity = raw.substr(amp + 1, semicolon - amp - 1);
+      if (entity == "lt") {
+        decoded_.push_back('<');
+      } else if (entity == "gt") {
+        decoded_.push_back('>');
+      } else if (entity == "amp") {
+        decoded_.push_back('&');
+      } else if (entity == "quot") {
+        decoded_.push_back('"');
+      } else if (entity == "apos") {
+        decoded_.push_back('\'');
+      } else if (!entity.empty() && entity.front() == '#') {
+        append_char_reference(entity.substr(1));
+      } else {
+        fail(util::msg("unknown entity '&", entity, ";'"));
+      }
+      plain = semicolon + 1;
+    }
+    decoded_.append(raw, plain);
+    return decoded_;
+  }
+
+  /// Appends the UTF-8 encoding of a numeric reference's code point.
+  void append_char_reference(std::string_view digits) {
     const bool hex =
         !digits.empty() && (digits.front() == 'x' || digits.front() == 'X');
     const std::string_view body = hex ? digits.substr(1) : digits;
@@ -321,7 +318,7 @@ class Parser {
       fail("character reference to a surrogate code point");
     }
     // UTF-8 encode.
-    std::string out;
+    std::string& out = decoded_;
     if (code < 0x80) {
       out.push_back(static_cast<char>(code));
     } else if (code < 0x800) {
@@ -339,14 +336,13 @@ class Parser {
     } else {
       fail("character reference out of range");
     }
-    return out;
   }
 
   std::string_view input_;
   const ParseOptions& options_;
   std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t column_ = 1;
+  /// decode_entities' output when a text has references.
+  std::string decoded_;
 };
 
 }  // namespace
@@ -358,10 +354,17 @@ Document parse_document(std::string_view input, const ParseOptions& options) {
 Document parse_file(const std::string& path, ParseOptions options) {
   std::ifstream stream(path, std::ios::binary);
   if (!stream) throw util::Error(util::msg("cannot open '", path, "'"));
-  std::ostringstream buffer;
-  buffer << stream.rdbuf();
   if (options.source_name == "<xml>") options.source_name = path;
-  const std::string contents = buffer.str();
+  // Read straight into the one string the parser scans; the size is only a
+  // hint, so a file that is not regular (or changes meanwhile) reads whole.
+  std::string contents;
+  std::error_code no_size;
+  const std::uintmax_t size = std::filesystem::file_size(path, no_size);
+  if (!no_size) contents.reserve(static_cast<std::size_t>(size));
+  char chunk[1 << 14];
+  while (stream.read(chunk, sizeof chunk), stream.gcount() > 0) {
+    contents.append(chunk, static_cast<std::size_t>(stream.gcount()));
+  }
   return parse_document(contents, options);
 }
 

@@ -1,11 +1,15 @@
 // Tests of the concurrent analysis service: scheduler lifecycle, the
-// content-addressed result cache, determinism of cached results, the
-// ≥64-job concurrency stress, and timeout/cancellation semantics.
+// content-addressed result cache and its shared entries, determinism of
+// cached results, the document-path clocks, the ≥64-job concurrency
+// stress, and timeout/cancellation semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,8 +101,8 @@ TEST(Cache, LruEvictsUnderByteBudget) {
   options.registry = &registry;
   cs::ResultCache probe({.max_bytes = 1 << 30, .registry = &registry});
 
-  cs::CachedAnalysis analysis;
-  analysis.reflected_model = cm::to_xmi(chor::pda_handover_model());
+  auto analysis = std::make_shared<cs::CachedAnalysis>();
+  analysis->reflected_model = cm::to_xmi(chor::pda_handover_model());
   probe.put("probe", analysis);
   const std::size_t per_entry = probe.byte_count();
   ASSERT_GT(per_entry, 0u);
@@ -109,14 +113,195 @@ TEST(Cache, LruEvictsUnderByteBudget) {
   cache.put("a", analysis);
   cache.put("b", analysis);
   EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_TRUE(cache.get("a").has_value());  // refresh: "b" is now LRU
+  EXPECT_NE(cache.get("a"), nullptr);  // refresh: "b" is now LRU
   cache.put("c", analysis);
   EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
+  EXPECT_NE(cache.get("a"), nullptr);
+  EXPECT_EQ(cache.get("b"), nullptr);
+  EXPECT_NE(cache.get("c"), nullptr);
   EXPECT_EQ(
       registry.counter("choreo_cache_evictions_total", "").value(), 1u);
+}
+
+namespace {
+
+/// Bytes of one node subtree as the cache charges them.
+std::size_t charged_node_bytes(const cx::Node& node) {
+  std::size_t bytes = sizeof(node) + node.name().size() + node.content().size();
+  for (const cx::Attribute& attribute : node.attributes()) {
+    bytes += attribute.name.size() + attribute.value.size();
+  }
+  for (const cx::Node& child : node.children()) {
+    bytes += charged_node_bytes(child);
+  }
+  return bytes;
+}
+
+/// The byte charge of one entry as the cache made it when entries held
+/// their analysis by value (the key, a {key, analysis, bytes} record, the
+/// document's nodes and the report's rows); shared entries keep it.
+std::size_t by_value_entry_bytes(const std::string& key,
+                                 const cs::CachedAnalysis& analysis) {
+  std::size_t bytes = key.size() + sizeof(std::string) +
+                      sizeof(cs::CachedAnalysis) + sizeof(std::size_t) +
+                      charged_node_bytes(analysis.reflected_model.root());
+  for (const auto& graph : analysis.report.activity_graphs) {
+    bytes += graph.graph_name.size() + sizeof(graph);
+    for (const auto& [name, value] : graph.throughputs) {
+      bytes += name.size() + sizeof(value);
+    }
+  }
+  for (const auto& machines : analysis.report.state_machines) {
+    bytes += sizeof(machines);
+    for (const auto& row : machines.probabilities) {
+      bytes += row.size() * sizeof(double);
+    }
+    for (const auto& [name, value] : machines.throughputs) {
+      bytes += name.size() + sizeof(value);
+    }
+  }
+  return bytes;
+}
+
+/// An entry whose report names the generation `tag`, as does its document's
+/// root, so a reader can tell a torn or recycled entry from an intact one.
+std::shared_ptr<const cs::CachedAnalysis> tagged_entry(const std::string& tag,
+                                                       std::size_t rows) {
+  auto analysis = std::make_shared<cs::CachedAnalysis>();
+  cx::Node root = cx::Node::element("XMI");
+  root.set_attr("tag", tag);
+  for (std::size_t r = 0; r < rows; ++r) {
+    root.add_element("UML:Row").set_attr("index", std::to_string(r));
+  }
+  analysis->reflected_model.set_root(std::move(root));
+  chor::ActivityGraphResult graph;
+  graph.graph_name = tag;
+  graph.throughputs = {{"a", 1.0}, {"b", 2.0}};
+  analysis->report.activity_graphs.push_back(std::move(graph));
+  chor::StateMachineResult machines;
+  machines.probabilities = {std::vector<double>(rows, 0.5)};
+  analysis->report.state_machines.push_back(std::move(machines));
+  return analysis;
+}
+
+bool intact(const cs::CachedAnalysis& analysis) {
+  return analysis.reflected_model.root().attr_or("tag", "") ==
+         analysis.report.activity_graphs.front().graph_name;
+}
+
+}  // namespace
+
+// The shared entries are charged what entries held by value were, so one
+// sequence of puts and gets leaves the same bytes after every step and
+// evicts the same keys as a byte-budget LRU over that charge.
+TEST(Cache, ByteCountAndEvictionOrderFollowTheByValueCharge) {
+  const std::vector<std::pair<std::string, std::size_t>> shapes = {
+      {"a", 3}, {"bb", 9}, {"ccc", 1}, {"dddd", 6}, {"e", 12}};
+  std::map<std::string, std::shared_ptr<const cs::CachedAnalysis>> entries;
+  std::map<std::string, std::size_t> charge;
+  for (const auto& [key, rows] : shapes) {
+    entries[key] = tagged_entry(key, rows);
+    charge[key] = by_value_entry_bytes(key, *entries[key]);
+  }
+  const std::size_t budget = charge["a"] + charge["bb"] + charge["dddd"];
+
+  // The reference: keys most recently used first, with their charges.
+  std::vector<std::string> model;
+  std::size_t model_bytes = 0;
+  auto model_use = [&](const std::string& key) {
+    const auto it = std::find(model.begin(), model.end(), key);
+    if (it == model.end()) return false;
+    model.erase(it);
+    model.insert(model.begin(), key);
+    return true;
+  };
+  auto model_put = [&](const std::string& key) {
+    const auto it = std::find(model.begin(), model.end(), key);
+    if (it != model.end()) {
+      model_bytes -= charge[key];
+      model.erase(it);
+    }
+    model.insert(model.begin(), key);
+    model_bytes += charge[key];
+    while (model_bytes > budget && model.size() > 1) {
+      model_bytes -= charge[model.back()];
+      model.pop_back();
+    }
+  };
+
+  cs::Registry registry;
+  cs::ResultCache cache({.max_bytes = budget, .registry = &registry});
+  const std::vector<std::string> steps = {
+      "put a",  "put bb", "get a",    "put ccc", "put dddd", "get bb",
+      "put e",  "get a",  "put bb",   "get ccc", "put a",    "put dddd",
+      "get e",  "put ccc", "put bb",  "get dddd", "put e",   "get a"};
+  for (const std::string& step : steps) {
+    const std::string key = step.substr(4);
+    if (step.starts_with("put")) {
+      cache.put(key, entries[key]);
+      model_put(key);
+    } else {
+      EXPECT_EQ(cache.get(key) != nullptr, model_use(key)) << step;
+    }
+    EXPECT_EQ(cache.byte_count(), model_bytes) << step;
+    EXPECT_EQ(cache.entry_count(), model.size()) << step;
+  }
+  for (const auto& [key, rows] : shapes) {
+    const bool held =
+        std::find(model.begin(), model.end(), key) != model.end();
+    EXPECT_EQ(cache.get(key) != nullptr, held) << key;
+  }
+  EXPECT_GT(registry.counter("choreo_cache_evictions_total", "").value(), 4u);
+}
+
+// Readers keep the entries they were handed while writers replace and
+// evict the same keys under them; every entry stays intact and the budget
+// holds.  Runs under ThreadSanitizer in CI.
+TEST(Cache, ReadersKeepEvictedEntriesWhileWritersReplaceThem) {
+  constexpr std::size_t kKeys = 4;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 400;
+  const std::size_t per_entry =
+      by_value_entry_bytes("key0", *tagged_entry("g0000000", 8));
+  cs::Registry registry;
+  // Room for two entries: nearly every put evicts another key.
+  cs::ResultCache cache(
+      {.max_bytes = per_entry * 2 + per_entry / 2, .registry = &registry});
+
+  std::atomic<std::size_t> torn{0};
+  std::atomic<std::size_t> reads{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::shared_ptr<const cs::CachedAnalysis>> held;
+      for (std::size_t i = 0; i < kRounds; ++i) {
+        const std::string key = "key" + std::to_string((t + i) % kKeys);
+        if (i % 3 == 0) {
+          char tag[16];
+          std::snprintf(tag, sizeof tag, "g%07zu", t * kRounds + i);
+          cache.put(key, tagged_entry(tag, 8));
+        } else if (auto entry = cache.get(key)) {
+          held.push_back(std::move(entry));
+          reads.fetch_add(1);
+        }
+        // Hold a window of entries, most of them evicted by now.
+        if (held.size() > 16) {
+          if (!intact(*held.front())) torn.fetch_add(1);
+          held.erase(held.begin());
+        }
+      }
+      for (const auto& entry : held) {
+        if (!intact(*entry)) torn.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_LE(cache.byte_count(), per_entry * 2 + per_entry / 2);
+  EXPECT_LE(cache.entry_count(), 2u);
+  EXPECT_GT(registry.counter("choreo_cache_evictions_total", "").value(), 0u);
 }
 
 TEST(Service, CachedResultIsByteIdenticalToFreshRun) {
@@ -177,6 +362,77 @@ TEST(Service, ExportsTheAssemblyStageClock) {
     EXPECT_NE(text.find("# TYPE " + metric + " histogram"), std::string::npos)
         << metric;
     EXPECT_NE(text.find(metric + "_count 1\n"), std::string::npos) << metric;
+  }
+}
+
+// The document path is clocked around the pipeline's own stages: a miss
+// runs every step, a hit skips reading and writing the UML model, and the
+// clocks, which do not overlap, never add up to more than the run.
+TEST(Service, ClocksTheDocumentPath) {
+  const std::vector<cm::Model> models = {chor::pda_handover_model(),
+                                         chor::tomcat_model(true)};
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const std::string path = ::testing::TempDir() + "document_path_" +
+                             std::to_string(m) + ".xmi";
+    cx::write_file(project_with_layout(models[m], 100), path);
+    cs::Registry registry;
+    cs::ResultCache cache({.registry = &registry});
+    cs::SchedulerOptions options;
+    options.workers = 1;
+    options.cache = &cache;
+    options.registry = &registry;
+    cs::Scheduler scheduler(options);
+    cs::JobRequest request;
+    request.input_path = path;
+    const cs::JobResult miss = scheduler.submit(request).wait();
+    const cs::JobResult hit = scheduler.submit(request).wait();
+    ASSERT_EQ(miss.status, cs::JobStatus::kDone) << miss.error;
+    ASSERT_EQ(hit.status, cs::JobStatus::kDone) << hit.error;
+    ASSERT_FALSE(miss.from_cache);
+    ASSERT_TRUE(hit.from_cache);
+
+    const cs::JobTimings& cold = miss.timings;
+    for (const double clock :
+         {cold.read_seconds, cold.preprocess_seconds, cold.cache_seconds,
+          cold.from_xmi_seconds, cold.to_xmi_seconds, cold.postprocess_seconds,
+          cold.write_seconds}) {
+      EXPECT_GT(clock, 0.0) << "model " << m;
+    }
+    const cs::JobTimings& warm = hit.timings;
+    for (const double clock :
+         {warm.read_seconds, warm.preprocess_seconds, warm.cache_seconds,
+          warm.postprocess_seconds, warm.write_seconds}) {
+      EXPECT_GT(clock, 0.0) << "model " << m;
+    }
+    EXPECT_EQ(warm.from_xmi_seconds, 0.0);
+    EXPECT_EQ(warm.to_xmi_seconds, 0.0);
+
+    for (const cs::JobTimings* timings : {&cold, &warm}) {
+      const chor::StageTimings& stages = timings->stages;
+      const double clocked =
+          timings->read_seconds + timings->preprocess_seconds +
+          timings->cache_seconds + timings->from_xmi_seconds +
+          timings->to_xmi_seconds + timings->postprocess_seconds +
+          timings->write_seconds + stages.extract_seconds +
+          stages.derive_seconds() + stages.assemble_seconds +
+          stages.solve_seconds + stages.measures_seconds +
+          stages.reflect_seconds + stages.teardown_seconds;
+      EXPECT_LE(clocked, timings->run_seconds) << "model " << m;
+    }
+
+    // Each clock is exported next to the pipeline's stage histograms: the
+    // model's read and write once (the miss), the rest for both jobs.
+    const std::string text = registry.exposition();
+    for (const std::string stage :
+         {"read", "preprocess", "cache", "postprocess", "write"}) {
+      const std::string metric = "choreo_stage_" + stage + "_seconds";
+      EXPECT_NE(text.find(metric + "_count 2\n"), std::string::npos) << metric;
+    }
+    for (const std::string stage : {"from_xmi", "to_xmi"}) {
+      const std::string metric = "choreo_stage_" + stage + "_seconds";
+      EXPECT_NE(text.find(metric + "_count 1\n"), std::string::npos) << metric;
+    }
+    std::remove(path.c_str());
   }
 }
 

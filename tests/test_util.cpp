@@ -6,18 +6,24 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "format_double_oracle.hpp"
 #include "util/bump_arena.hpp"
 #include "util/counting_sort.hpp"
 #include "util/error.hpp"
@@ -95,6 +101,127 @@ TEST(Strings, FormatDoublePreservesNegativeZero) {
   EXPECT_EQ(cu::format_double(-0.0), "-0");
   EXPECT_EQ(cu::format_double(0.0), "0");
   EXPECT_TRUE(std::signbit(std::stod(cu::format_double(-0.0))));
+}
+
+namespace {
+
+/// Compares format_double with the ladder it replaced on each value it is
+/// given, reporting the first few differences.
+class LadderCheck {
+ public:
+  void operator()(double value) {
+    ++checked_;
+    const std::string expected = choreo::test::format_double_ladder(value);
+    const std::string actual = cu::format_double(value);
+    if (actual == expected) return;
+    if (++differences_ <= 5) {
+      ADD_FAILURE() << std::hexfloat << value << ": \"" << actual
+                    << "\", the ladder gives \"" << expected << '"';
+    }
+  }
+  std::size_t checked() const { return checked_; }
+  std::size_t differences() const { return differences_; }
+
+ private:
+  std::size_t checked_ = 0;
+  std::size_t differences_ = 0;
+};
+
+}  // namespace
+
+// Over a million values across the suites below: seeded random finite bit
+// patterns (900,000, every sixteenth forced subnormal), the integers up to
+// 10^5, every power of two and of ten in range with both signs, 2,000
+// neighbours each side of six decimal fractions, the extremes and every
+// number written in models/.
+class FormatDoubleBits : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FormatDoubleBits, RandomFinitePatternsMatchTheLadder) {
+  cu::Xoshiro256 rng(0x5eed0000 + GetParam());
+  LadderCheck check;
+  for (std::size_t i = 0; i < 225'000; ++i) {
+    std::uint64_t bits = rng.next();
+    if (i % 16 == 0) bits &= ~(std::uint64_t{0x7ff} << 52);  // subnormal
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof value);
+    if (!std::isfinite(value)) continue;
+    check(value);
+  }
+  EXPECT_GT(check.checked(), 224'000u);
+  EXPECT_EQ(check.differences(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, FormatDoubleBits,
+                         ::testing::Values(0u, 1u, 2u, 3u));
+
+TEST(FormatDoubleLadder, IntegersUpToTenToTheFifth) {
+  LadderCheck check;
+  for (int i = 0; i <= 100'000; ++i) check(i);
+  EXPECT_EQ(check.differences(), 0u);
+}
+
+TEST(FormatDoubleLadder, PowersOfTwoAndTenWithBothSigns) {
+  LadderCheck check;
+  for (int e = -1074; e <= 1023; ++e) {
+    check(std::ldexp(1.0, e));
+    check(-std::ldexp(1.0, e));
+  }
+  for (int e = -323; e <= 308; ++e) {
+    const double power = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    check(power);
+    check(-power);
+  }
+  EXPECT_EQ(check.checked(), 2u * (2098 + 632));
+  EXPECT_EQ(check.differences(), 0u);
+}
+
+TEST(FormatDoubleLadder, NeighboursOfDecimalFractions) {
+  LadderCheck check;
+  for (const double centre : {0.1, 0.3, 1.0 / 3.0, 9.5, 0.95, 1e23}) {
+    check(centre);
+    for (const double direction : {-HUGE_VAL, HUGE_VAL}) {
+      double value = centre;
+      for (int step = 0; step < 2000; ++step) {
+        value = std::nextafter(value, direction);
+        check(value);
+      }
+    }
+  }
+  EXPECT_EQ(check.differences(), 0u);
+}
+
+TEST(FormatDoubleLadder, ExtremesAndEveryNumberInTheModels) {
+  LadderCheck check;
+  using limits = std::numeric_limits<double>;
+  for (const double value : {limits::denorm_min(), limits::min(), limits::max(),
+                             limits::lowest(), limits::epsilon()}) {
+    check(value);
+  }
+  std::size_t files = 0;
+  std::size_t numbers = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CHOREO_MODELS_DIR)) {
+    std::ifstream stream(entry.path(), std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(stream)),
+                           std::istreambuf_iterator<char>());
+    ++files;
+    // Every number that starts a token: rates, populations, tolerances.
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      const bool starts = std::isdigit(static_cast<unsigned char>(text[i])) &&
+                          (i == 0 || !(std::isalnum(static_cast<unsigned char>(
+                                           text[i - 1])) ||
+                                       text[i - 1] == '_' || text[i - 1] == '.'));
+      if (!starts) continue;
+      char* end = nullptr;
+      const double value = std::strtod(text.c_str() + i, &end);
+      check(value);
+      ++numbers;
+      i = static_cast<std::size_t>(end - text.c_str()) - 1;
+    }
+  }
+  EXPECT_GT(files, 0u);
+  EXPECT_GT(numbers, 0u);
+  EXPECT_EQ(check.differences(), 0u);
 }
 
 TEST(Error, MsgConcatenatesPieces) {
